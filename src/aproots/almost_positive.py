@@ -9,7 +9,6 @@ membership test plus bounded enumerations indexed by the tau-power reach.
 from __future__ import annotations
 
 from .coxeter import DELTA, NEG_SIMPLE, TRANSIENT, TUBE, CoxeterContext
-from .errors import NotInPhiC
 from .linalg import vec
 
 CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
@@ -22,13 +21,6 @@ def classify_membership(cc: CoxeterContext, v):
 
 def is_in_phi_c(cc: CoxeterContext, v) -> bool:
     return cc.phi_c_class(vec(v)) is not None
-
-
-def require_member(cc: CoxeterContext, v):
-    v = vec(v)
-    if cc.phi_c_class(v) is None:
-        raise NotInPhiC(str(v))
-    return v
 
 
 def tube_roots(cc: CoxeterContext):

@@ -11,17 +11,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cartan import AffineContext, Kind, catalog, classify, validate_cartan
 from .coxeter import CoxeterContext, source_sink_graph
-from .errors import AprootsError
+from .errors import AprootsError, MalformedInput
 from .linalg import format_rational, parse_rational
 
 
-def _parse_vector(text: str) -> tuple:
-    return tuple(parse_rational(part) for part in text.split(","))
+def _parse_vector(text: str, n: int) -> tuple:
+    try:
+        v = tuple(parse_rational(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput(f"not a vector of rationals: {text!r}") from None
+    if len(v) != n:
+        raise MalformedInput(f"vector {text!r} has {len(v)} entries, expected {n}")
+    return v
 
 
 def _format_vector(v) -> str:
@@ -43,7 +48,10 @@ def _load_context(args):
 
 def _word(args, ctx, default):
     if getattr(args, "c", None):
-        return tuple(int(x) - 1 for x in args.c.split(","))
+        try:
+            return tuple(int(x) - 1 for x in args.c.split(","))
+        except ValueError:
+            raise MalformedInput(f"--c must list node numbers: {args.c!r}") from None
     return default
 
 
@@ -156,7 +164,8 @@ def cmd_compat(args):
 
     ctx, word = _load_context(args)
     cc = CoxeterContext(ctx, _word(args, ctx, word))
-    value = compatibility_degree(cc, _parse_vector(args.alpha), _parse_vector(args.beta))
+    value = compatibility_degree(cc, _parse_vector(args.alpha, cc.n),
+                                 _parse_vector(args.beta, cc.n))
     payload = {
         "degree": format_rational(value.degree),
         "branch": value.branch,
@@ -193,7 +202,7 @@ def cmd_expand(args):
 
     ctx, word = _load_context(args)
     cc = CoxeterContext(ctx, _word(args, ctx, word))
-    terms = cluster_expansion(cc, _parse_vector(args.vector))
+    terms = cluster_expansion(cc, _parse_vector(args.vector, cc.n))
     ordered = sorted(terms.items())
     payload = [{"root": list(r), "coefficient": format_rational(c)} for r, c in ordered]
     text = " + ".join(f"{format_rational(c)}·({_format_vector(r)})" for r, c in ordered)
@@ -202,24 +211,17 @@ def cmd_expand(args):
 
 
 def cmd_exchange(args):
-    from .clusters import TubeWall, exchange
+    from .clusters import exchange
 
     ctx, word = _load_context(args)
     cc = CoxeterContext(ctx, _word(args, ctx, word))
-    cluster = [_parse_vector(part) for part in args.cluster.split(";")]
-    result = exchange(cc, cluster, _parse_vector(args.remove))
-    if isinstance(result, TubeWall):
-        payload = {"wall": True, "candidate": list(result.candidate)}
-        _emit(args, payload,
-              [f"wall facet; imaginary-side partner {_format_vector(result.candidate)}"])
-    else:
-        beta, new = result
-        payload = {"wall": False, "partner": list(beta),
-                   "cluster": [list(r) for r in new]}
-        _emit(args, payload, [
-            f"partner: {_format_vector(beta)}",
-            "cluster: " + "; ".join(_format_vector(r) for r in new),
-        ])
+    cluster = [_parse_vector(part, cc.n) for part in args.cluster.split(";")]
+    beta, new = exchange(cc, cluster, _parse_vector(args.remove, cc.n))
+    payload = {"wall": False, "partner": list(beta), "cluster": [list(r) for r in new]}
+    _emit(args, payload, [
+        f"partner: {_format_vector(beta)}",
+        "cluster: " + "; ".join(_format_vector(r) for r in new),
+    ])
     return 0
 
 
@@ -230,7 +232,7 @@ def cmd_fan_svg(args):
     ctx, word = _load_context(args)
     cc = CoxeterContext(ctx, _word(args, ctx, word))
     real, imag = enumerate_clusters(cc, args.depth)
-    pole = _parse_vector(args.pole) if args.pole else None
+    pole = _parse_vector(args.pole, cc.n) if args.pole else None
     svg = render_fan_svg(cc, sorted(real) + sorted(imag), pole=pole)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -385,9 +387,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # accepted for interface compatibility; the implementation is serial,
-    # which trivially respects any cap
-    os.environ.get("CLUSTER_FAN_THREADS")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

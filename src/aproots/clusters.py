@@ -4,10 +4,9 @@ weight map.
 A cluster is a maximal set of pairwise compatible almost-positive roots:
 real clusters have n elements and form a lattice basis, imaginary clusters
 have n-1 elements, contain delta, and otherwise consist of finite-orbit
-roots.  Exchange across a facet of a real cluster either produces the unique
-neighbouring real cluster or certifies a wall of the imaginary cone, where
-the would-be partner pairs with the removed root through imaginary clusters
-only.
+roots.  Every facet of a real cluster cone is shared with exactly one other
+real cone, so exchange across it always produces the unique neighbouring
+real cluster.
 """
 
 from __future__ import annotations
@@ -79,9 +78,12 @@ def require_real_cluster(cc, roots):
 
 
 class TubeWall:
-    """Failed real exchange: the partner root pairs only through imaginary
-    clusters.  `candidate` is that root; the joint arc support of it and the
-    removed root covers a full component cycle."""
+    """A wall certificate: a facet whose would-be partner pairs with the
+    removed root only through imaginary clusters.
+
+    No longer returned: every facet of a real cluster cone is shared with
+    exactly one other real cone, so `exchange` always yields a pair.
+    """
 
     def __init__(self, removed, candidate):
         self.removed = removed
@@ -92,75 +94,26 @@ class TubeWall:
 
 
 def exchange(cc: CoxeterContext, cluster, alpha):
-    """Exchange alpha out of a real cluster.
+    """Exchange alpha out of a real cluster; returns (beta, new_cluster).
 
-    Returns (beta, new_cluster) or a TubeWall certificate.  The partner is
-    searched in enumerations of geometrically growing reach; the wall case
-    is certified by the finite-orbit support criterion and cross-checked
-    against the expansion of a probe point across the facet.
+    The facet F = cluster - {alpha} is shared with exactly one other real
+    cone, so beta is the one root outside F in the cluster expansion of a
+    point sum(F) - t*alpha just across F.
     """
     cluster = require_real_cluster(cc, cluster)
     alpha = vec(alpha)
     if alpha not in cluster:
         raise RootNotInCluster(str(alpha))
     facet = tuple(r for r in cluster if r != alpha)
-    for m_bound in (4, 8, 16, 32):
-        found = []
-        for cand in ap.enumerate_phi_c(cc, m_bound):
-            if cand == alpha or cand in facet:
-                continue
-            if cc.phi_c_class(cand) == DELTA:
-                continue
-            if _deg(cc, alpha, cand) != 1 or _deg(cc, cand, alpha) != 1:
-                continue
-            if all(_deg(cc, g, cand) == 0 for g in facet):
-                found.append(cand)
-        if found:
-            assert len(found) == 1, f"facet admits several partners: {found}"
-            beta = found[0]
-            return beta, tuple(sorted(facet + (beta,)))
-    wall = _tube_wall_candidate(cc, alpha, facet)
-    if wall is not None and _probe_confirms_wall(cc, facet, alpha):
-        return TubeWall(alpha, wall)
-    raise AssertionError("exchange partner search exhausted")
-
-
-def _tube_wall_candidate(cc, alpha, facet):
-    if cc.phi_c_class(alpha) != TUBE:
-        return None
-    tube_facet = [g for g in facet if cc.phi_c_class(g) == TUBE]
-    out = []
-    for cand in cc.tube_roots():
-        if cand == alpha:
-            continue
-        if _deg(cc, alpha, cand) != 1 or _deg(cc, cand, alpha) != 1:
-            continue
-        if not compat._joint_component_full(cc, alpha, cand):
-            continue
-        if any(_deg(cc, g, cand) != 0 for g in tube_facet):
-            continue
-        out.append(cand)
-    if not out:
-        return None
-    cand = sorted(out)[0]
-    total = vec(a + b for a, b in zip(alpha, cand))
-    assert in_delta_cone_interior(cc, total)
-    return cand
-
-
-def _probe_confirms_wall(cc, facet, alpha):
-    """Across a wall facet the expansion of a probe never completes the facet."""
-    base = [0] * cc.n
-    for g in facet:
-        base = [a + b for a, b in zip(base, g)]
+    base = [sum(col) for col in zip(*facet)]
     t = Fraction(1, 2)
-    for _ in range(10):
-        probe = vec(b - t * a for b, a in zip(base, alpha))
-        support = set(cluster_expansion(cc, probe))
-        if set(facet) <= support:
-            return False
+    # terminates: the neighbouring real cone holds sum(F) - t*alpha for small t > 0
+    while True:
+        support = set(cluster_expansion(cc, [b - t * a for b, a in zip(base, alpha)]))
+        if support.issuperset(facet):
+            (beta,) = support - set(facet)
+            return beta, tuple(sorted(facet + (beta,)))
         t /= 2
-    return True
 
 
 def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
@@ -178,10 +131,7 @@ def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
         nxt = []
         for cluster in frontier:
             for alpha in cluster:
-                result = exchange(cc, cluster, alpha)
-                if isinstance(result, TubeWall):
-                    continue
-                _, new = result
+                _, new = exchange(cc, cluster, alpha)
                 if new not in seen:
                     seen.add(new)
                     nxt.append(new)
@@ -364,32 +314,6 @@ def nu_inverse(cc: CoxeterContext, weight, inverse_element: bool = False):
 
 def cone_contains(cc, gens, v):
     return in_simplicial_cone([list(g) for g in gens], vec(v)) is not None
-
-
-def _facet_normals_3d(gens):
-    """Inward normals of a simplicial cone in dimension 3."""
-    def cross(a, b):
-        return (
-            canon(a[1] * b[2] - a[2] * b[1]),
-            canon(a[2] * b[0] - a[0] * b[2]),
-            canon(a[0] * b[1] - a[1] * b[0]),
-        )
-
-    def dot(a, b):
-        return canon(sum(x * y for x, y in zip(a, b)))
-
-    out = []
-    if len(gens) == 3:
-        for i in range(3):
-            others = [gens[j] for j in range(3) if j != i]
-            nrm = cross(others[0], others[1])
-            if dot(nrm, gens[i]) < 0:
-                nrm = tuple(-x for x in nrm)
-            out.append(nrm)
-    elif len(gens) == 2:
-        plane = cross(gens[0], gens[1])
-        out.append(plane)            # equality constraint, handled by caller
-    return out
 
 
 def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:

@@ -127,14 +127,6 @@ class CoxeterContext:
         d = self.cm.d
         return self.euler(tuple(canon(x * di) for x, di in zip(v, d)), w)
 
-    def euler_inv(self, u_coroot, w_root):
-        total = 0
-        for i, ui in enumerate(u_coroot):
-            if ui:
-                row = self.E_inv_word[i]
-                total += ui * sum(e * wj for e, wj in zip(row, w_root) if e)
-        return canon(total)
-
     def c_action(self, v):
         return mat_vec(self.c_mat, v)
 

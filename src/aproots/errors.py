@@ -29,6 +29,10 @@ class UnknownLabel(AprootsError):
     pass
 
 
+class MalformedInput(AprootsError):
+    """A command-line vector or word that does not parse or has the wrong length."""
+
+
 class RankOutOfRange(AprootsError):
     pass
 

@@ -84,37 +84,6 @@ def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
     return z > need
 
 
-def delta_cone_generators(cc: CoxeterContext):
-    """Extreme rays of the imaginary cone (all component cycle simples)."""
-    return [r for comp in cc.components for r in comp.cycle] or [cc.ctx.delta]
-
-
-class ImaginaryCone:
-    """The nonnegative span of the finite-orbit simple roots.
-
-    Carries the generators and the per-component slack description used for
-    exact membership: v lies in the cone iff it sits on the hyperplane and
-    its delta-coefficient covers the weighted slack of each component.
-    """
-
-    def __init__(self, cc: CoxeterContext):
-        self.cc = cc
-        self.generators = tuple(delta_cone_generators(cc))
-        self.component_multiples = tuple(
-            comp.delta_multiple for comp in cc.components
-        )
-
-    def contains(self, v) -> bool:
-        return in_delta_cone(self.cc, v)
-
-    def contains_in_relative_interior(self, v) -> bool:
-        return in_delta_cone_interior(self.cc, v)
-
-
-def delta_cone(cc: CoxeterContext) -> ImaginaryCone:
-    return ImaginaryCone(cc)
-
-
 def imaginary_expansion(cc: CoxeterContext, v):
     """Expansion of a vector of the imaginary cone over tube roots and delta."""
     v = vec(v)

@@ -86,18 +86,6 @@ def mat_mul(a, b) -> tuple:
     )
 
 
-def mat_pow(m, k: int) -> tuple:
-    n = len(m)
-    out = identity(n)
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def _fraction_rows(m):
     return [[Fraction(x) for x in row] for row in m]
 

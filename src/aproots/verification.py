@@ -17,13 +17,14 @@ from itertools import combinations
 from . import compatibility as compat
 from .cartan import context_from_label
 from .clusters import (
-    TubeWall,
+    REAL,
     cones_intersect_in_face,
     delta_pair_test_available,
     enumerate_clusters,
     exchange,
     imaginary_cluster_spans_hyperplane_lattice,
     imaginary_clusters,
+    is_cluster,
     is_exchangeable,
     is_pair_exchangeable_with_delta,
     is_real_exchangeable,
@@ -315,22 +316,14 @@ def criterion_exchangeability(labels=None, depth=6):
         cc = _cc(label)
         real, _ = enumerate_clusters(cc, depth)
         pair_ok = True
-        wall_ok = True
-        walls = 0
+        real_ok = True
         for cl in sorted(real):
             for alpha in cl:
-                result = exchange(cc, cl, alpha)
-                if isinstance(result, TubeWall):
-                    walls += 1
-                    beta = result.candidate
-                    total = vec(a + b for a, b in zip(alpha, beta))
-                    if not (compat._joint_component_full(cc, alpha, beta)
-                            and in_delta_cone_interior(cc, total)):
-                        wall_ok = False
-                    continue
-                beta, _new = result
+                beta, new = exchange(cc, cl, alpha)
                 if compat.degree(cc, alpha, beta) != 1 or compat.degree(cc, beta, alpha) != 1:
                     pair_ok = False
+                if is_cluster(cc, new)[0] != REAL:
+                    real_ok = False
         # pair-level content of the wall criterion: exchangeable tube pairs
         # with full joint support are exactly the non-real-exchangeable ones
         tube_ok = True
@@ -345,7 +338,7 @@ def criterion_exchangeability(labels=None, depth=6):
                 tube_ok = False
         rows.append(_row(f"exchanged pairs degree 1/1 {label} ({len(real)} clusters)",
                          pair_ok))
-        rows.append(_row(f"wall facets certified {label} ({walls} walls)", wall_ok))
+        rows.append(_row(f"every facet exchanges to a real cluster {label}", real_ok))
         rows.append(_row(f"tube pair dichotomy {label}", tube_ok))
     return rows
 

@@ -45,6 +45,17 @@ def test_domain_error_exit_code():
     assert "error:" in proc.stderr
 
 
+def test_malformed_input_exits_with_one_line():
+    for args in (
+        ("expand", "--type", "D3(2)", "--vector", "1,2"),
+        ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
+        ("expand", "--type", "D3(2)", "--c", "1,x", "--vector", "1,1,1"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
+
+
 def test_verification_failure_exit_code_is_distinct():
     proc = run_cli("verify", "--criteria", "nonsense")
     assert proc.returncode == 1

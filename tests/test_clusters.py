@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aproots.cartan import context_from_label
 from aproots.clusters import (
     IMAGINARY,
     REAL,
-    TubeWall,
     cone_contains,
     cones_intersect_in_face,
     enumerate_clusters,
@@ -25,6 +26,7 @@ from aproots.coxeter import CoxeterContext
 from aproots.errors import NotACluster, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import vec
+from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 
 def cc_for(label, word=None):
@@ -71,12 +73,29 @@ def test_exchange_is_involutive_across_graph():
     for cluster in sorted(real)[:12]:
         for alpha in cluster:
             result = exchange(cc, cluster, alpha)
-            if isinstance(result, TubeWall):
-                continue
+            assert isinstance(result, tuple) and len(result) == 2
             beta, new = result
             assert degree(cc, alpha, beta) == 1 and degree(cc, beta, alpha) == 1
             back, orig = exchange(cc, new, beta)
             assert back == alpha and orig == cluster
+
+
+@st.composite
+def coxeter_contexts(draw):
+    ctx, default = context_from_label(draw(st.sampled_from(RANK3_LABELS + RANK4_LABELS)))
+    return CoxeterContext(ctx, draw(st.permutations(default)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(coxeter_contexts())
+def test_exchange_over_random_coxeter_words(cc):
+    real, _ = enumerate_clusters(cc, 2)
+    for cluster in real:
+        for alpha in cluster:
+            beta, new = exchange(cc, cluster, alpha)
+            assert is_cluster(cc, new)[0] == REAL
+            assert degree(cc, alpha, beta) == 1 and degree(cc, beta, alpha) == 1
+            assert exchange(cc, new, beta) == (alpha, cluster)
 
 
 def test_enumerate_depth_zero():
