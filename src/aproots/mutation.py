@@ -1,12 +1,28 @@
 """Ground-truth cluster-algebra engine: exchange-matrix mutation and
 principal-coefficient Laurent seeds.
 
-Cluster variables are stored as sparse Laurent polynomials over 2n
-variables (x_1..x_n, y_1..y_n): dict mapping exponent tuples to nonzero
-integer coefficients.  Every mutation divides exactly (the Laurent
-phenomenon); a failed division raises and means a bug.  Denominator vectors
-and principal-grading degrees are extracted per variable and cross-checked
-against the root-theoretic model elsewhere.
+Cluster variables are sparse Laurent polynomials over 2n variables
+(x_1..x_n, y_1..y_n) with nonzero integer coefficients, stored as a dict
+from packed exponent to coefficient.  A packed exponent is one int with a
+FIELD_BITS-wide field per variable, x_1 in the top field.  Each field holds
+its exponent plus the bias 2**(FIELD_BITS - 1), so negative exponents fit
+and comparing two packed ints compares their exponent vectors
+lexicographically.  The packed exponent of the monomial 1 (every field at
+its bias) is also the mask of the fields' high bits; multiplying two
+monomials is one addition, e1 + e2 - unit.
+
+Packed sums stay field by field only while every exponent fits its field,
+and no term-level check watches that.  Instead, each Seed.mutate bounds its
+exchange products from the exponent ranges of its variables, and each
+poly_div_exact bounds its quotient from the exponent ranges of its
+operands, before any term is formed; an exponent that could leave its field
+raises DepthTooDeep.
+
+Every mutation divides exactly (the Laurent phenomenon); a failed division
+raises and means a bug.  Denominator vectors and principal-grading degrees
+are extracted per variable and cross-checked against the root-theoretic
+model elsewhere.  The packed format stays inside this module: callers read
+d-vectors, g-vectors and hashable keys.
 """
 
 from __future__ import annotations
@@ -14,22 +30,53 @@ from __future__ import annotations
 from .errors import DepthTooDeep, NonExactDivision, NotHomogeneous
 
 TERM_CAP = 200_000
+FIELD_BITS = 32
 
 
 # ---------------------------------------------------------------------------
-# sparse Laurent polynomials: dict[tuple[int, ...], int]
+# sparse Laurent polynomials: dict[int, int] keyed by packed exponents
 # ---------------------------------------------------------------------------
 
-def poly_const(nvars: int, value: int = 1) -> dict:
-    if value == 0:
-        return {}
-    return {tuple([0] * nvars): value}
+def _limit() -> int:
+    """Exponents below this in absolute value can be added or subtracted
+    pairwise without leaving their field."""
+    return 1 << (FIELD_BITS - 2)
 
 
-def poly_var(nvars: int, index: int) -> dict:
-    exp = [0] * nvars
-    exp[index] = 1
-    return {tuple(exp): 1}
+def pack(exps) -> int:
+    """Packed exponent of the monomial with exponent vector `exps`."""
+    bias = 1 << (FIELD_BITS - 1)
+    packed = 0
+    for e in exps:
+        if not -bias <= e < bias:
+            raise DepthTooDeep(f"exponent {e} does not fit a {FIELD_BITS}-bit field")
+        packed = (packed << FIELD_BITS) | (e + bias)
+    return packed
+
+
+def unpack(packed: int, nvars: int) -> tuple:
+    """Exponent vector of a packed exponent over `nvars` variables."""
+    bias = 1 << (FIELD_BITS - 1)
+    mask = (1 << FIELD_BITS) - 1
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exps[i] = (packed & mask) - bias
+        packed >>= FIELD_BITS
+    return tuple(exps)
+
+
+def _fields(p: dict, nvars: int) -> list:
+    """Biased exponent fields of p, one list per variable, in term order."""
+    mask = (1 << FIELD_BITS) - 1
+    return [[(e >> (FIELD_BITS * (nvars - 1 - i))) & mask for e in p]
+            for i in range(nvars)]
+
+
+def _ranges(p: dict, nvars: int):
+    """Lowest and highest exponent of each variable in a nonzero polynomial."""
+    bias = 1 << (FIELD_BITS - 1)
+    fields = _fields(p, nvars)
+    return [min(f) - bias for f in fields], [max(f) - bias for f in fields]
 
 
 def poly_add(p: dict, q: dict) -> dict:
@@ -43,14 +90,19 @@ def poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def poly_mul(p: dict, q: dict) -> dict:
+def poly_mul(p: dict, q: dict, nvars: int) -> dict:
+    """Product of two Laurent polynomials.  Exponents add without a check,
+    so the caller keeps every sum inside its field (Seed.mutate does)."""
     if len(p) > len(q):
         p, q = q, p
+    unit = pack([0] * nvars)
     out: dict = {}
+    get = out.get
     for e1, c1 in p.items():
+        base = e1 - unit
         for e2, c2 in q.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
-            new = out.get(exp, 0) + c1 * c2
+            exp = base + e2
+            new = get(exp, 0) + c1 * c2
             if new:
                 out[exp] = new
             else:
@@ -60,65 +112,48 @@ def poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def poly_pow(p: dict, k: int) -> dict:
-    assert k >= 0
-    nvars = len(next(iter(p))) if p else 0
-    out = poly_const(nvars) if p else {}
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out if k else poly_const(nvars)
+def poly_div_exact(p: dict, q: dict, nvars: int) -> dict:
+    """Exact division of Laurent polynomials; raises NonExactDivision.
 
-
-def poly_shift(p: dict, shift) -> dict:
-    return {tuple(a + b for a, b in zip(exp, shift)): c for exp, c in p.items()}
-
-
-def _min_exponents(p: dict):
-    it = iter(p)
-    first = next(it)
-    mins = list(first)
-    for exp in it:
-        for i, e in enumerate(exp):
-            if e < mins[i]:
-                mins[i] = e
-    return mins
-
-
-def poly_div_exact(p: dict, q: dict) -> dict:
-    """Exact division of Laurent polynomials; raises NonExactDivision."""
+    Long division by lexicographically leading terms.  Lowest and highest
+    exponents add under multiplication, so every term of an exact quotient
+    lies in the box lo(p) - lo(q) .. hi(p) - hi(q), variable by variable.
+    A quotient term outside the box proves the division inexact; inside it,
+    every remainder term stays within the exponent ranges of p.
+    """
     if not q:
         raise NonExactDivision("division by zero polynomial")
     if not p:
         return {}
-    # normalize to ordinary polynomials by clearing minimal exponents
-    pm = _min_exponents(p)
-    qm = _min_exponents(q)
-    pp = poly_shift(p, [-m for m in pm])
-    qq = poly_shift(q, [-m for m in qm])
-    lead_q = max(qq)
-    lcq = qq[lead_q]
+    plo, phi = _ranges(p, nvars)
+    qlo, qhi = _ranges(q, nvars)
+    if max(map(abs, plo + phi + qlo + qhi)) >= _limit():
+        raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
+    unit = pack([0] * nvars)   # the monomial 1; also the mask of the fields' high bits
+    low = pack([a - b for a, b in zip(plo, qlo)])
+    high = pack([a - b for a, b in zip(phi, qhi)])
+    lead_q = max(q)
+    lcq = q[lead_q]
     quotient: dict = {}
-    rem = dict(pp)
+    rem = dict(p)
     while rem:
         lead_r = max(rem)
-        tvec = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(t < 0 for t in tvec) or rem[lead_r] % lcq != 0:
+        term = lead_r - lead_q + unit
+        # low <= term <= high in every field: the fields' high bits stay set
+        if ((term - low + unit) & (high - term + unit) & unit != unit
+                or rem[lead_r] % lcq != 0):
             raise NonExactDivision("Laurent phenomenon violated")
         coeff = rem[lead_r] // lcq
-        quotient[tvec] = coeff
-        for e2, c2 in qq.items():
-            exp = tuple(a + b for a, b in zip(tvec, e2))
+        quotient[term] = coeff
+        base = term - unit
+        for e2, c2 in q.items():
+            exp = base + e2
             new = rem.get(exp, 0) - coeff * c2
             if new:
                 rem[exp] = new
             else:
-                rem.pop(exp, None)
-    shift = [a - b for a, b in zip(pm, qm)]
-    return poly_shift(quotient, shift)
-
-
-def poly_key(p: dict) -> tuple:
-    return tuple(sorted(p.items()))
+                del rem[exp]
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -166,78 +201,90 @@ def matrix_mutation(btilde: tuple, k: int) -> tuple:
 
 
 class Seed:
-    """Exchange matrix with principal coefficients plus its Laurent cluster."""
+    """Exchange matrix with principal coefficients plus its Laurent cluster.
 
-    __slots__ = ("n", "btilde", "polys", "history")
+    Each variable's hashable key, d-vector and exponent reach are computed
+    once, when the variable is made, and shared by every seed that mutation
+    carries it into."""
 
-    def __init__(self, n, btilde, polys, history=()):
+    __slots__ = ("n", "btilde", "polys", "history", "_info", "_key")
+
+    def __init__(self, n, btilde, polys, history=(), info=None):
         self.n = n
         self.btilde = btilde
         self.polys = tuple(polys)
         self.history = tuple(history)
+        # per slot: (variable key, d-vector, largest absolute exponent)
+        self._info = info or tuple(_describe(p, n) for p in self.polys)
+        self._key = frozenset(key for key, _, _ in self._info)
 
     @classmethod
     def initial(cls, b: tuple) -> "Seed":
         n = len(b)
-        polys = [poly_var(2 * n, i) for i in range(n)]
+        polys = [{pack([int(i == j) for j in range(2 * n)]): 1} for i in range(n)]
         return cls(n, initial_btilde(b), polys)
 
     def mutate(self, k: int) -> "Seed":
         n = self.n
-        col = [self.btilde[i][k] for i in range(2 * n)]
-        plus = poly_const(2 * n)
-        minus = poly_const(2 * n)
+        nvars = 2 * n
+        col = [row[k] for row in self.btilde]
+        # no exponent of any partial exchange product exceeds this in absolute value
+        reach = max(map(abs, col[n:])) + sum(
+            abs(c) * info[2] for c, info in zip(col, self._info))
+        if reach >= _limit():
+            raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
+        plus = {pack([0] * n + [max(c, 0) for c in col[n:]]): 1}
+        minus = {pack([0] * n + [max(-c, 0) for c in col[n:]]): 1}
         for i in range(n):
-            if col[i] > 0:
-                plus = poly_mul(plus, poly_pow(self.polys[i], col[i]))
-            elif col[i] < 0:
-                minus = poly_mul(minus, poly_pow(self.polys[i], -col[i]))
-        yplus = [0] * (2 * n)
-        yminus = [0] * (2 * n)
-        for j in range(n):
-            cval = col[n + j]
-            if cval > 0:
-                yplus[n + j] = cval
-            elif cval < 0:
-                yminus[n + j] = -cval
-        plus = poly_shift(plus, yplus)
-        minus = poly_shift(minus, yminus)
-        numerator = poly_add(plus, minus)
-        newpoly = poly_div_exact(numerator, self.polys[k])
+            for _ in range(col[i]):
+                plus = poly_mul(plus, self.polys[i], nvars)
+            for _ in range(-col[i]):
+                minus = poly_mul(minus, self.polys[i], nvars)
+        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars)
         polys = list(self.polys)
         polys[k] = newpoly
+        info = list(self._info)
+        info[k] = _describe(newpoly, n)
         return Seed(n, matrix_mutation(self.btilde, k), polys,
-                    self.history + (k,))
+                    self.history + (k,), tuple(info))
 
     def key(self) -> frozenset:
-        return frozenset(poly_key(p) for p in self.polys)
+        """The unordered set of the seed's variable keys."""
+        return self._key
+
+    def variable_key(self, slot: int) -> frozenset:
+        """Hashable key of one cluster variable; equal exactly when the
+        Laurent polynomials are equal."""
+        return self._info[slot][0]
 
     def d_vector(self, slot: int) -> tuple:
-        p = self.polys[slot]
-        mins = _min_exponents(p)
-        return tuple(-m for m in mins[: self.n])
+        return self._info[slot][1]
 
     def g_vector(self, slot: int, b0: tuple) -> tuple:
+        """Principal-grading degree: x_i has degree e_i and y_j the negated
+        column j of b0; raises NotHomogeneous unless every term agrees."""
         n = self.n
-        p = self.polys[slot]
-        grade = None
-        for exp in p:
-            g = [0] * n
-            for i in range(n):
-                if exp[i]:
-                    g[i] += exp[i]
+        fields = _fields(self.polys[slot], 2 * n)
+        columns = []
+        for i in range(n):
+            column = fields[i]
             for j in range(n):
-                e = exp[n + j]
-                if e:
-                    for i in range(n):
-                        g[i] -= e * b0[i][j]
-            g = tuple(g)
-            if grade is None:
-                grade = g
-            elif grade != g:
-                raise NotHomogeneous(f"slot {slot + 1} is not homogeneous")
-        assert grade is not None
-        return grade
+                if b0[i][j]:
+                    column = [g - b0[i][j] * y for g, y in zip(column, fields[n + j])]
+            columns.append(column)
+        grades = set(zip(*columns))
+        if len(grades) != 1:
+            raise NotHomogeneous(f"slot {slot + 1} is not homogeneous")
+        # the fields carry a bias: remove it once from the common grade
+        bias = 1 << (FIELD_BITS - 1)
+        return tuple(g - bias * (1 - sum(b0[i])) for i, g in enumerate(grades.pop()))
+
+
+def _describe(p: dict, n: int) -> tuple:
+    """(key, d-vector, largest absolute exponent) of a nonzero variable."""
+    lo, hi = _ranges(p, 2 * n)
+    return (frozenset(p.items()), tuple(-m for m in lo[:n]),
+            max(map(abs, lo + hi)))
 
 
 def seed_bfs(b: tuple, depth: int):

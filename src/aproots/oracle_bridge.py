@@ -29,7 +29,7 @@ def verify_bijection(cc: CoxeterContext, depth: int) -> dict:
         "g_equals_nu_of_d": True,
         "failures": [],
     }
-    seen_d = {}
+    first_with_d = {}   # d-vector -> key of the first variable seen with it
     delta = cc.ctx.delta
     for key, seed in reps.items():
         dvecs = []
@@ -44,16 +44,10 @@ def verify_bijection(cc: CoxeterContext, depth: int) -> dict:
             if nu(cc, d) != g:
                 report["g_equals_nu_of_d"] = False
                 report["failures"].append(("grading", d, g))
-            from .mutation import poly_key
-
-            pk = poly_key(seed.polys[slot])
-            old = seen_d.get(pk)
-            if old is None:
-                for other_pk, other_d in seen_d.items():
-                    if other_d == d and other_pk != pk:
-                        report["d_injective"] = False
-                        report["failures"].append(("injectivity", d))
-                seen_d[pk] = d
+            var = seed.variable_key(slot)
+            if first_with_d.setdefault(d, var) != var:
+                report["d_injective"] = False
+                report["failures"].append(("injectivity", d))
         kind, reason = is_cluster(cc, dvecs)
         if kind != REAL:
             report["seed_clusters_real"] = False
@@ -98,9 +92,10 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     vectors; a mismatch is reported, never raised."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
     reps, _ = seed_bfs(b, depth)
+    by_length = sorted(reps.values(), key=lambda seed: len(seed.history))
     comparisons = 0
     mismatches = []
-    for key, seed_prime in reps.items():
+    for seed_prime in reps.values():
         beta_labels = [seed_prime.d_vector(i) for i in range(seed_prime.n)]
         b_prime = tuple(seed_prime.btilde[i] for i in range(seed_prime.n))
         # re-root: fresh principal coefficients at the mutated exchange matrix,
@@ -117,8 +112,7 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
                 replay_cache[history] = seed
             return seed
 
-        for other_key, other in sorted(reps.items(),
-                                       key=lambda kv: len(kv[1].history)):
+        for other in by_length:
             replay = replay_at(other.history)
             for slot in range(other.n):
                 beta = other.d_vector(slot)

@@ -1,9 +1,17 @@
 """Seed mutation, Laurent arithmetic, and the oracle's invariants."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import aproots.mutation as mutation
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DepthTooDeep, NonExactDivision
@@ -12,13 +20,21 @@ from aproots.mutation import (
     exchange_matrix_from_cartan,
     initial_btilde,
     matrix_mutation,
-    poly_add,
-    poly_const,
+    pack,
     poly_div_exact,
     poly_mul,
-    poly_var,
     seed_bfs,
+    unpack,
 )
+
+
+def packed(p):
+    """Packed form of a tuple-keyed Laurent polynomial."""
+    return {pack(exp): c for exp, c in p.items()}
+
+
+def unpacked(p, nvars):
+    return {unpack(e, nvars): c for e, c in p.items()}
 
 
 def b_for(label):
@@ -64,7 +80,7 @@ def test_seed_mutation_rank2_exchange_relation():
     seed = Seed.initial(b)
     mutated = seed.mutate(0)
     # (y1 + x2^2) / x1
-    assert mutated.polys[0] == {(-1, 0, 1, 0): 1, (-1, 2, 0, 0): 1}
+    assert unpacked(mutated.polys[0], 4) == {(-1, 0, 1, 0): 1, (-1, 2, 0, 0): 1}
     assert mutated.mutate(0).key() == seed.key()
     assert mutated.d_vector(0) == (1, 0)
     assert mutated.g_vector(0, b) == (-1, 2)
@@ -89,27 +105,113 @@ def test_poly_division_exactness():
             for _ in range(rng.randint(1, 6)):
                 exp = tuple(rng.randint(-3, 3) for _ in range(nvars))
                 out[exp] = rng.randint(-5, 5) or 1
-            return {e: c for e, c in out.items() if c}
+            return packed({e: c for e, c in out.items() if c})
 
         f, g = rand_poly(), rand_poly()
         if not f or not g:
             continue
-        product = poly_mul(f, g)
-        assert poly_div_exact(product, g) == f
+        product = poly_mul(f, g, nvars)
+        assert poly_div_exact(product, g, nvars) == f
+    # (x + 1) / (y + 3)
     with pytest.raises(NonExactDivision):
-        poly_div_exact(
-            poly_add(poly_var(2, 0), poly_const(2)),
-            poly_add(poly_var(2, 1), poly_const(2, 3)),
-        )
+        poly_div_exact(packed({(1, 0): 1, (0, 0): 1}), packed({(0, 1): 1, (0, 0): 3}), 2)
 
 
 def test_term_cap(monkeypatch):
-    import aproots.mutation as mutation
-
     monkeypatch.setattr(mutation, "TERM_CAP", 3)
-    dense = {(i, 0): 1 for i in range(4)}
+    dense = packed({(i, 0): 1 for i in range(4)})
     with pytest.raises(DepthTooDeep):
-        poly_mul(dense, {(0, 1): 1, (1, 1): 1})
+        poly_mul(dense, packed({(0, 1): 1, (1, 1): 1}), 2)
+
+
+def test_pack_orders_lexicographically_and_round_trips():
+    exps = [(0, 0, 0), (1, -2, 3), (-1, 5, 0), (-1, 5, -1), (2, -7, -7), (0, 0, 1)]
+    assert sorted(exps) == sorted(exps, key=pack)
+    for exp in exps:
+        assert unpack(pack(exp), 3) == exp
+    bias = 1 << (mutation.FIELD_BITS - 1)
+    assert unpack(pack((-bias, bias - 1)), 2) == (-bias, bias - 1)
+    with pytest.raises(DepthTooDeep):
+        pack((0, bias))
+
+
+def reference_product(f, g):
+    """Tuple-keyed product, the format before exponents were packed."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+laurent = st.dictionaries(
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.integers(-4, 4).filter(bool),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent)
+@example({(1, 0, 0): 1, (0, 1, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1})
+@example({(-1, 0, 0): 1, (0, 1, -1): 1}, {(-1, 0, 0): 1, (0, 1, -1): -1})
+def test_packed_product_and_division_match_tuple_reference(f, g):
+    product = poly_mul(packed(f), packed(g), 3)
+    assert unpacked(product, 3) == reference_product(f, g)
+    assert poly_div_exact(product, packed(g), 3) == packed(f)
+
+
+def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
+    b, _, _ = b_for("G2(1)")
+
+    def laurent_seeds():
+        reps, edges = seed_bfs(b, 5)
+        return sorted(
+            (seed.history,
+             [sorted(unpacked(p, 2 * seed.n).items()) for p in seed.polys],
+             [seed.d_vector(s) for s in range(seed.n)])
+            for seed in reps.values()), len(edges)
+
+    wide = laurent_seeds()
+    outcomes = []
+    for bits in (4, 5, 6, 7, 8, 12):
+        monkeypatch.setattr(mutation, "FIELD_BITS", bits)
+        try:
+            narrow = laurent_seeds()
+        except DepthTooDeep:
+            outcomes.append("raised")
+            continue
+        assert narrow == wide, bits
+        outcomes.append("same")
+    assert "raised" in outcomes and "same" in outcomes
+
+
+def test_guards_hold_under_python_O():
+    script = textwrap.dedent("""
+        import aproots.mutation as m
+        from aproots.errors import DepthTooDeep, NonExactDivision
+
+        print(__debug__)
+        x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
+        y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
+        try:
+            m.poly_div_exact(x_plus_1, y_plus_3, 2)
+        except NonExactDivision:
+            print("NonExactDivision")
+        m.FIELD_BITS = 4
+        try:
+            m.seed_bfs(((0, 2), (-2, 0)), 8)
+        except DepthTooDeep:
+            print("DepthTooDeep")
+    """)
+    src = str(Path(mutation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "NonExactDivision", "DepthTooDeep"]
 
 
 def test_homogeneity_everywhere():

@@ -4,6 +4,7 @@ import pytest
 
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
+from aproots.mutation import Seed
 from aproots.oracle_bridge import (
     conjecture_evidence,
     exchange_graphs_agree,
@@ -42,3 +43,18 @@ def test_initial_cluster_is_negative_simples():
     cc = cc_for("D3(2)")
     report = verify_bijection(cc, 0)
     assert report["seeds"] == 1 and report["ok"]
+
+
+def test_d_vector_collision_is_reported(monkeypatch):
+    cc = cc_for("A1(1)")
+    d_vector = Seed.d_vector
+
+    def colliding(seed, slot):
+        # x_2 takes the d-vector of x_1
+        d = d_vector(seed, slot)
+        return (-1, 0) if d == (0, -1) else d
+
+    monkeypatch.setattr(Seed, "d_vector", colliding)
+    report = verify_bijection(cc, 2)
+    assert not report["d_injective"] and not report["ok"]
+    assert ("injectivity", (-1, 0)) in report["failures"]
