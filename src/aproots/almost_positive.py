@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .coxeter import DELTA, NEG_SIMPLE, TRANSIENT, TUBE, CoxeterContext
 from .linalg import vec
+from .roots import neg_simple
 
 CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
 
@@ -24,12 +25,11 @@ def is_in_phi_c(cc: CoxeterContext, v) -> bool:
 
 
 def tube_roots(cc: CoxeterContext):
-    return list(cc.tube_roots())
+    return cc.tube_roots()
 
 
 def neg_simples(cc: CoxeterContext):
-    n = cc.n
-    return [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return [neg_simple(cc.n, i) for i in range(cc.n)]
 
 
 def enumerate_phi_c(cc: CoxeterContext, m_bound: int):

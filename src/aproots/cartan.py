@@ -157,7 +157,7 @@ def _principal_submatrix(m, keep):
     return tuple(tuple(m[i][j] for j in keep) for i in keep)
 
 
-def _finite_positive_roots(cm: CartanMatrix, active):
+def finite_positive_roots(cm: CartanMatrix, active):
     """All positive roots supported on `active`, in ambient coordinates.
 
     Only valid when the restriction to `active` is of finite type; a hard
@@ -199,7 +199,7 @@ def valid_aff_indices(cm: CartanMatrix, delta) -> list:
         theta = tuple(theta)
         if linalg.is_zero(theta):
             continue
-        if theta in _finite_positive_roots(cm, active):
+        if theta in finite_positive_roots(cm, active):
             out.append(i)
     return out
 

@@ -121,8 +121,7 @@ def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
     negative simples unless given), plus all imaginary clusters.  Returns
     (real_set, imaginary_set)."""
     if start is None:
-        start = tuple(sorted(tuple(-1 if j == i else 0 for j in range(cc.n))
-                             for i in range(cc.n)))
+        start = tuple(sorted(ap.neg_simples(cc)))
     else:
         start = require_real_cluster(cc, start)
     seen = {start}
@@ -139,14 +138,11 @@ def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
     return seen, imaginary_clusters(cc)
 
 
-def _component_facets(cc, comp):
-    """Maximal pairwise-compatible sets of proper arcs of one component."""
-    k = comp.rank
-    arcs = []
-    for start in range(k):
-        for length in range(1, k):
-            arcs.append(frozenset((start + t) % k for t in range(length)))
-    arcs = sorted(set(arcs), key=sorted)
+def _component_facets(cc, ci):
+    """Maximal pairwise-compatible sets of tube roots of component ci."""
+    k = cc.components[ci].rank
+    root_of = {arc: root for root, (cj, arc) in cc.tube_arcs.items() if cj == ci}
+    arcs = sorted(root_of, key=sorted)
 
     def compatible(a, b):
         if a < b or b < a:
@@ -170,21 +166,12 @@ def _component_facets(cc, comp):
                 grow(chosen + [arc], rest[idx + 1:])
 
     grow([], arcs)
-    out = set()
-    for facet in facets:
-        roots = []
-        for arc in facet:
-            total = [0] * cc.n
-            for p in arc:
-                total = [a + b for a, b in zip(total, comp.cycle[p])]
-            roots.append(tuple(total))
-        out.add(tuple(sorted(roots)))
-    return sorted(out)
+    return sorted({tuple(sorted(root_of[arc] for arc in facet)) for facet in facets})
 
 
 def imaginary_clusters(cc: CoxeterContext):
     """All imaginary clusters: delta plus one cyclohedron facet per component."""
-    options = [_component_facets(cc, comp) for comp in cc.components]
+    options = [_component_facets(cc, ci) for ci in range(len(cc.components))]
     out = set()
 
     def build(idx, acc):
@@ -278,34 +265,24 @@ def nu(cc: CoxeterContext, v, inverse_element: bool = False):
 
 
 def nu_inverse(cc: CoxeterContext, weight, inverse_element: bool = False):
-    """Inverse of the weight map, solved orthant by orthant."""
-    from .linalg import solve_general
+    """Inverse of the weight map, by forward substitution.
 
+    E_c is unitriangular in the order of the word for c, so for w = nu(v)
+
+        w_i = -v_i - sum_j a_ij·max(v_j, 0)   over the letters j before i,
+
+    and, taking the letters in word order, each coordinate follows from the
+    ones already found: v_i = -w_i - sum_j a_ij·max(v_j, 0).  The form of
+    c^{-1} (`inverse_element`) is triangular the other way, so its letters
+    are taken in reversed order.  Every weight has exactly one preimage.
+    """
     weight = vec(weight)
-    n = cc.n
     e_mat = cc.E_inv_word if inverse_element else cc.E
-    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    for mask in subsets:
-        neg = [i for i in range(n) if (mask >> i) & 1]
-        pos = [i for i in range(n) if not (mask >> i) & 1]
-        rows = [[e_mat[i][j] for j in pos] for i in pos]
-        rhs = [-weight[i] for i in pos]
-        sol = solve_general(rows, rhs)
-        if sol is None:
-            continue
-        if any(x < 0 for x in sol):
-            continue
-        v = [0] * n
-        for i, x in zip(pos, sol):
-            v[i] = x
-        for i in neg:
-            v[i] = -(weight[i] + sum(e_mat[i][j] * v[j] for j in pos))
-        if any(v[i] >= 0 for i in neg):
-            continue
-        v = vec(v)
-        if nu(cc, v, inverse_element=inverse_element) == weight:
-            return v
-    raise AssertionError("weight map inversion failed")
+    order = cc.word[::-1] if inverse_element else cc.word
+    v = [0] * cc.n
+    for p, i in enumerate(order):
+        v[i] = -weight[i] - sum(e_mat[i][j] * max(v[j], 0) for j in order[:p])
+    return vec(v)
 
 
 # ---------------------------------------------------------------------------

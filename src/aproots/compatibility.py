@@ -50,32 +50,14 @@ def coroot_coordinates(cc: CoxeterContext, v):
 
 
 def tube_support(cc: CoxeterContext, v) -> TubeSupport:
-    """Arc support of a real finite-orbit root over its component's cycle."""
+    """Arc support of a tube root over its component's cycle."""
     v = vec(v)
+    entry = cc.tube_arcs.get(v)
+    if entry is not None:
+        return TubeSupport(*entry)
     if v == cc.ctx.delta or cc.ctx.is_imaginary_root(v):
         raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
-    for ci, comp in enumerate(cc.components):
-        coeffs = _component_coefficients(cc, comp, v)
-        if coeffs is not None:
-            arc = frozenset(p for p, x in enumerate(coeffs) if x != 0)
-            return TubeSupport(component=ci, arc=arc)
     raise NotInTube(str(v))
-
-
-def _component_coefficients(cc: CoxeterContext, comp, v):
-    from .linalg import solve_general
-
-    rows = [[comp.cycle[j][i] for j in range(comp.rank)] for i in range(cc.n)]
-    coeffs = solve_general(rows, list(v))
-    if coeffs is None:
-        return None
-    rec = [0] * cc.n
-    for x, root in zip(coeffs, comp.cycle):
-        for i, r in enumerate(root):
-            rec[i] += x * r
-    if tuple(canon(x) for x in rec) != v:
-        return None
-    return coeffs
 
 
 def _arc_positions(cc: CoxeterContext, v):
@@ -173,9 +155,7 @@ def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
 def degree(cc: CoxeterContext, alpha, beta):
     """Bare degree value; memoized on the context."""
     alpha, beta = vec(alpha), vec(beta)
-    cache = getattr(cc, "_degree_cache", None)
-    if cache is None:
-        cache = cc._degree_cache = {}
+    cache = cc.degree_cache
     key = (alpha, beta)
     hit = cache.get(key)
     if hit is None:

@@ -17,7 +17,7 @@ from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
 from .linalg import canon, identity, inverse, mat_mul, mat_vec, vec
-from .roots import finite_positive_roots
+from .roots import deformed_reflection, finite_positive_roots, neg_simple, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
 TRANSIENT = "transient"
@@ -40,7 +40,6 @@ class TubeComponent:
         self.affine_simple = cycle[affine_pos]
         self.delta_multiple = delta_multiple
         self.fin_simples = tuple(r for p, r in enumerate(cycle) if p != affine_pos)
-        self.index_of = {r: p for p, r in enumerate(cycle)}
 
 
 class CoxeterContext:
@@ -89,10 +88,20 @@ class CoxeterContext:
             assert self.phi(self.psi_to[i]) > 0 and self.phi(self.psi_from[i]) < 0
 
         self.components = self._build_tubes()
-        self._tube_index = {}
+        # tube root -> (component index, its arc of cycle positions): one
+        # entry per proper arc, a non-empty run of at most rank - 1 positions
+        self.tube_arcs = {}
         for ci, comp in enumerate(self.components):
-            for r in comp.cycle:
-                self._tube_index[r] = ci
+            k = comp.rank
+            for start in range(k):
+                acc = [0] * n
+                for length in range(1, k):
+                    node = comp.cycle[(start + length - 1) % k]
+                    acc = [a + b for a, b in zip(acc, node)]
+                    arc = frozenset((start + t) % k for t in range(length))
+                    self.tube_arcs[tuple(acc)] = (ci, arc)
+        # (alpha, beta) -> compatibility degree, filled by compatibility.degree
+        self.degree_cache = {}
         self.fin_simples = tuple(
             r for comp in self.components for r in comp.fin_simples
         )
@@ -102,8 +111,6 @@ class CoxeterContext:
         graph = source_sink_graph(ctx)
         ranks = [comp.rank for comp in self.components]
         self.m_bound = len(graph.vertices) + n * (lcm(*ranks) if ranks else 1)
-
-        self._tube_roots = None
 
     # -- scalar evaluations --------------------------------------------------
 
@@ -292,33 +299,11 @@ class CoxeterContext:
 
     # -- almost-positive membership -------------------------------------------
 
-    def neg_simple_index(self, v):
-        idx = None
-        for i, x in enumerate(v):
-            if x == 0:
-                continue
-            if x == -1 and idx is None:
-                idx = i
-            else:
-                return None
-        return idx
+    neg_simple_index = staticmethod(neg_simple_index)
 
     def tube_roots(self):
         """Positive real finite-orbit roots with proper arc support."""
-        if self._tube_roots is None:
-            out = []
-            for comp in self.components:
-                k = comp.rank
-                if k < 2:
-                    continue
-                for start in range(k):
-                    acc = [0] * self.n
-                    for length in range(1, k):
-                        node = comp.cycle[(start + length - 1) % k]
-                        acc = [a + b for a, b in zip(acc, node)]
-                        out.append(tuple(acc))
-            self._tube_roots = sorted(set(out))
-        return self._tube_roots
+        return sorted(self.tube_arcs)
 
     def phi_c_class(self, v):
         """Membership class of v in the almost-positive set, or None."""
@@ -333,7 +318,7 @@ class CoxeterContext:
             return None
         if self.phi(v) != 0:
             return TRANSIENT
-        if v in set(self.tube_roots()):
+        if v in self.tube_arcs:
             return TUBE
         return None
 
@@ -348,9 +333,7 @@ class CoxeterContext:
         neg = self.neg_simple_index(v)
         if neg is None and not (all(x >= 0 for x in v) and self.ctx.is_root(v)):
             raise NotAlmostPositive(f"{v} is neither a negative simple nor a positive root")
-        if neg is not None and neg != s:
-            return v
-        return self.cm.reflect(s, v)
+        return deformed_reflection(self.cm, s, v)
 
     def tau(self, v):
         if self.phi_c_class(v) is None:
@@ -360,7 +343,7 @@ class CoxeterContext:
             return self.psi_to[neg]
         for i, psi in self.psi_from.items():
             if psi == v:
-                return tuple(-1 if j == i else 0 for j in range(self.n))
+                return neg_simple(self.n, i)
         return self.c_action(v)
 
     def tau_inverse(self, v):
@@ -371,7 +354,7 @@ class CoxeterContext:
             return self.psi_from[neg]
         for i, psi in self.psi_to.items():
             if psi == v:
-                return tuple(-1 if j == i else 0 for j in range(self.n))
+                return neg_simple(self.n, i)
         return self.c_inverse_action(v)
 
     def tau_power(self, v, m: int):
@@ -396,8 +379,7 @@ class CoxeterContext:
         if cls == NEG_SIMPLE:
             return ("infinite", v, 0)
         if cls == TUBE:
-            ci = self._tube_index.get(v)
-            comp = self.components[ci if ci is not None else self._locate_component(v)]
+            comp = self.components[self.tube_arcs[v][0]]
             cur = v
             for p in range(comp.rank):
                 if cur in self.kappa:
@@ -417,13 +399,6 @@ class CoxeterContext:
                 if self.neg_simple_index(cur) is not None:
                     return ("infinite", cur, -m)
         raise AssertionError("infinite-orbit walk exhausted")
-
-    def _locate_component(self, v):
-        for ci, comp in enumerate(self.components):
-            coeffs = linalg.in_simplicial_cone(list(comp.cycle), v)
-            if coeffs is not None:
-                return ci
-        raise NotInPhiC(f"{v} lies in no component")
 
 
 class SourceSinkGraph:

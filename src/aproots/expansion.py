@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .coxeter import CoxeterContext
 from .linalg import canon, vec
+from .roots import deformed_reflection, neg_simple
 
 
 # ---------------------------------------------------------------------------
@@ -56,32 +57,29 @@ def _component_slack(cc: CoxeterContext, zf):
     return slack
 
 
-def in_delta_cone(cc: CoxeterContext, v) -> bool:
+def _delta_cone_margin(cc: CoxeterContext, v):
+    """How far v's delta coefficient exceeds the least one that keeps v in
+    the imaginary cone (negative outside it), or None off the hyperplane."""
     v = vec(v)
     if cc.phi(v) != 0:
-        return False
+        return None
     coords = _hyperplane_coordinates(cc, v)
     if coords is None:
-        return False
+        return None
     z, zf = coords
     slack = _component_slack(cc, zf)
-    need = sum(m * s for m, s in
-               ((comp.delta_multiple, s) for comp, s in zip(cc.components, slack)))
-    return z >= need
+    return z - sum(comp.delta_multiple * s for comp, s in zip(cc.components, slack))
+
+
+def in_delta_cone(cc: CoxeterContext, v) -> bool:
+    margin = _delta_cone_margin(cc, v)
+    return margin is not None and margin >= 0
 
 
 def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
     """Relative-interior test: v - t·delta stays in the cone for some t > 0."""
-    v = vec(v)
-    if cc.phi(v) != 0:
-        return False
-    coords = _hyperplane_coordinates(cc, v)
-    if coords is None:
-        return False
-    z, zf = coords
-    slack = _component_slack(cc, zf)
-    need = sum(comp.delta_multiple * s for comp, s in zip(cc.components, slack))
-    return z > need
+    margin = _delta_cone_margin(cc, v)
+    return margin is not None and margin > 0
 
 
 def imaginary_expansion(cc: CoxeterContext, v):
@@ -227,25 +225,6 @@ def _rotate_bfs(cc: CoxeterContext, v):
 # finite-parabolic expansion
 # ---------------------------------------------------------------------------
 
-def _sigma_letter(cm, s, root):
-    neg = _neg_simple(root)
-    if neg is not None and neg != s:
-        return root
-    return cm.reflect(s, root)
-
-
-def _neg_simple(root):
-    idx = None
-    for i, x in enumerate(root):
-        if x == 0:
-            continue
-        if x == -1 and idx is None:
-            idx = i
-        else:
-            return None
-    return idx
-
-
 def expand_in_parabolic(cm, word, v):
     """Unique expansion of v inside the finite parabolic spanned by `word`."""
     v = vec(v)
@@ -259,8 +238,7 @@ def expand_in_parabolic(cm, word, v):
         vv = list(v)
         for i in active:
             if v[i] < 0:
-                root = tuple(-1 if j == i else 0 for j in range(cm.n))
-                terms[root] = -v[i]
+                terms[neg_simple(cm.n, i)] = -v[i]
                 vv[i] = 0
             elif v[i] > 0:
                 plus.append(i)
@@ -290,7 +268,7 @@ def expand_in_parabolic(cm, word, v):
 
 def _pull_back(cm, letters, terms):
     for s in reversed(letters):
-        terms = {_sigma_letter(cm, s, root): coeff for root, coeff in terms.items()}
+        terms = {deformed_reflection(cm, s, root): coeff for root, coeff in terms.items()}
     return terms
 
 

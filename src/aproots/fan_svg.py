@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .almost_positive import neg_simples
 from .coxeter import CoxeterContext
 from .errors import RankNot3
 
@@ -92,8 +93,7 @@ def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
     if cc.n != 3:
         raise RankNot3(f"fan pictures need rank 3, got {cc.n}")
     proj = Projection(pole if pole is not None else cc.ctx.delta)
-    neg_pi = tuple(sorted(tuple(-1 if j == i else 0 for j in range(3))
-                          for i in range(3)))
+    neg_pi = tuple(sorted(neg_simples(cc)))
 
     shapes = []
     dots = {}

@@ -135,11 +135,6 @@ def inverse(m) -> tuple:
     return tuple(tuple(canon(x) for x in row) for row in inv)
 
 
-def solve(m, rhs):
-    """Solve m·x = rhs for square nonsingular m."""
-    return mat_vec(inverse(m), rhs)
-
-
 def solve_general(rows, rhs):
     """Solve a (possibly non-square) exact linear system.
 

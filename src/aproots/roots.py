@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import AffineContext, CartanMatrix, Kind, classify, validate_cartan
+from .cartan import (
+    AffineContext,
+    CartanMatrix,
+    Kind,
+    classify,
+    finite_positive_roots,
+    validate_cartan,
+)
 from .errors import IndexOutOfRange, NotAffine
 from .linalg import vec
 
@@ -26,6 +33,33 @@ def simple_reflection(cm: CartanMatrix, i: int, v):
     if not 0 <= i < cm.n:
         raise IndexOutOfRange(f"index {i + 1} out of range 1..{cm.n}")
     return cm.reflect(i, vec(v))
+
+
+def neg_simple(n: int, i: int) -> tuple:
+    """The negative simple root -α_i in rank n."""
+    return tuple(-1 if j == i else 0 for j in range(n))
+
+
+def neg_simple_index(v):
+    """i when v is the negative simple -α_i, else None."""
+    idx = None
+    for i, x in enumerate(v):
+        if x == 0:
+            continue
+        if x == -1 and idx is None:
+            idx = i
+        else:
+            return None
+    return idx
+
+
+def deformed_reflection(cm: CartanMatrix, s: int, v):
+    """sigma_s on -Π ∪ Φ+: fixes every negative simple except -α_s and
+    reflects everything else in α_s."""
+    neg = neg_simple_index(v)
+    if neg is not None and neg != s:
+        return v
+    return cm.reflect(s, v)
 
 
 def support(v) -> frozenset:
@@ -71,37 +105,6 @@ def as_root(ctx: AffineContext, v) -> Root:
     k = v[i] // ctx.delta[i]
     return Root(vec=v, is_real=False,
                 coroot=tuple(k * x for x in ctx.delta_vee_coroot))
-
-
-def finite_positive_roots(cm: CartanMatrix, active):
-    """Positive roots supported on `active`, ambient coordinates.
-
-    The restriction must be of finite type (every proper parabolic of an
-    affine matrix qualifies).
-    """
-    active = sorted(active)
-    n = cm.n
-    seen = set()
-    frontier = []
-    for i in active:
-        root = tuple(1 if j == i else 0 for j in range(n))
-        seen.add(root)
-        frontier.append(root)
-    cap = 10 ** 5
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in active:
-                img = cm.reflect(i, root)
-                if img in seen:
-                    continue
-                if all(x >= 0 for x in img):
-                    seen.add(img)
-                    nxt.append(img)
-        if len(seen) > cap:
-            raise AssertionError("active set does not span a finite-type parabolic")
-        frontier = nxt
-    return seen
 
 
 def parabolic_restriction(cm: CartanMatrix, subset):

@@ -254,6 +254,20 @@ def test_weight_map_inverse_round_trip():
             for flag in (False, True):
                 w = nu(cc, v, inverse_element=flag)
                 assert nu_inverse(cc, w, inverse_element=flag) == v
+                assert nu(cc, nu_inverse(cc, v, inverse_element=flag),
+                          inverse_element=flag) == v
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_weight_map_inverse_over_random_coxeter_words(cc, data):
+    entries = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+    vectors = st.lists(entries, min_size=cc.n, max_size=cc.n).map(vec)
+    for flag in (False, True):
+        v = data.draw(vectors)
+        assert nu_inverse(cc, nu(cc, v, inverse_element=flag), inverse_element=flag) == v
+        w = data.draw(vectors)
+        assert nu(cc, nu_inverse(cc, w, inverse_element=flag), inverse_element=flag) == w
 
 
 def test_weight_map_conjugation_identity():

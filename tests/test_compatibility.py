@@ -7,7 +7,7 @@ import pytest
 
 from aproots import almost_positive as ap
 from aproots import compatibility as compat
-from aproots.cartan import AffineContext, context_from_label, validate_cartan
+from aproots.cartan import AffineContext, catalog_labels, context_from_label, validate_cartan
 from aproots.coxeter import TUBE, CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
 from aproots.linalg import vec
@@ -46,6 +46,25 @@ def test_tube_support_and_errors():
     # affine tube simple has a singleton arc
     comp = cc.components[0]
     assert len(compat.tube_support(cc, comp.affine_simple).arc) == 1
+
+
+def test_tube_table_arcs_are_proper_and_sum_to_their_roots():
+    for label in catalog_labels(6):
+        ctx, word = context_from_label(label)
+        for w in (word, tuple(word)[::-1]):
+            cc = CoxeterContext(ctx, w)
+            for ci, comp in enumerate(cc.components):
+                k = comp.rank
+                entries = [(r, arc) for r, (cj, arc) in cc.tube_arcs.items() if cj == ci]
+                assert len(entries) == k * (k - 1), (label, w)
+                for root, arc in entries:
+                    runs = [frozenset((s + t) % k for t in range(len(arc))) for s in range(k)]
+                    assert 0 < len(arc) < k and arc in runs, (label, w, root)
+                    total = vec(sum(comp.cycle[p][i] for p in arc) for i in range(cc.n))
+                    assert total == root, (label, w, root)
+                    assert compat.tube_support(cc, root) == compat.TubeSupport(ci, arc)
+                    with pytest.raises(NotInTube):
+                        compat.tube_support(cc, vec(a + d for a, d in zip(root, ctx.delta)))
 
 
 def test_adjacency_counts_on_three_cycle():
