@@ -491,7 +491,6 @@ class AffineContext:
         self.theta = cls.theta
         self.delta_vee = cls.delta_vee
         self.delta_vee_coroot = cls.delta_vee_coroot
-        self._pos_roots_by_level = {}   # level -> sorted list
         self._pos_root_set = set()
         self._level_done = -1
 
@@ -512,10 +511,6 @@ class AffineContext:
         norm = self.k(v, v)
         assert norm > 0, "coroot requires a real root"
         return vec(Fraction(2) * di * x / norm for di, x in zip(self.cm.d, v))
-
-    def level_num(self, v):
-        """[v:α_aff] as a bare number (level = this / [delta:α_aff])."""
-        return v[self.aff]
 
     # -- bounded real-root enumeration --------------------------------------
 

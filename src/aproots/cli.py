@@ -33,13 +33,29 @@ def _format_vector(v) -> str:
     return ",".join(format_rational(x) for x in v)
 
 
+def _read_cartan_json(path: str):
+    """The Cartan matrix and the 0-based affine index (or None) of a JSON file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read --cartan-json {path}: {exc}") from None
+    if not isinstance(data, dict) or "cartan" not in data:
+        raise MalformedInput(f"--cartan-json {path}: expected an object with a \"cartan\" key")
+    raw, aff = data["cartan"], data.get("aff")
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in raw
+    ):
+        raise MalformedInput(f"--cartan-json {path}: \"cartan\" must be a list of integer rows")
+    if aff is not None and type(aff) is not int:
+        raise MalformedInput(f"--cartan-json {path}: \"aff\" must be an integer node number")
+    return validate_cartan(raw), None if aff is None else aff - 1
+
+
 def _load_context(args):
     if args.cartan_json:
-        with open(args.cartan_json) as fh:
-            data = json.load(fh)
-        cm = validate_cartan(data["cartan"])
-        aff = data.get("aff")
-        return AffineContext(cm, aff=None if aff is None else aff - 1), tuple(range(cm.n))
+        cm, aff = _read_cartan_json(args.cartan_json)
+        return AffineContext(cm, aff=aff), tuple(range(cm.n))
     if not args.type:
         raise AprootsError("pass --type LABEL or --cartan-json FILE")
     cm, aff, word = catalog(args.type)
@@ -68,13 +84,8 @@ def _matrix_json(m):
 
 
 def cmd_classify(args):
-    aff = None
     if args.cartan_json:
-        with open(args.cartan_json) as fh:
-            data = json.load(fh)
-        cm = validate_cartan(data["cartan"])
-        if data.get("aff") is not None:
-            aff = data["aff"] - 1
+        cm, aff = _read_cartan_json(args.cartan_json)
     else:
         cm, aff, _ = catalog(args.type)
     cls = classify(cm, aff=aff)

@@ -17,9 +17,9 @@ from itertools import combinations
 from . import almost_positive as ap
 from . import compatibility as compat
 from .coxeter import DELTA, TUBE, CoxeterContext
-from .errors import NotACluster, NotInPhiC, RootNotInCluster
+from .errors import NotACluster, NotInPhiC, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import canon, det, gcd_of_maximal_minors, in_simplicial_cone, vec
+from .linalg import canon, cross, det, gcd_of_maximal_minors, in_simplicial_cone, vec
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -295,7 +295,8 @@ def cone_contains(cc, gens, v):
 
 def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
     """Exact mutual-face test for two cluster cones (ranks 2 and 3)."""
-    assert cc.n in (2, 3), "exact face intersection implemented for ranks 2, 3"
+    if cc.n not in (2, 3):
+        raise RankOutOfRange(f"face intersection is implemented for ranks 2 and 3, not {cc.n}")
     gens1 = [vec(g) for g in gens1]
     gens2 = [vec(g) for g in gens2]
     face1 = [g for g in gens1 if cone_contains(cc, gens2, g)]
@@ -313,13 +314,6 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
                     if not face or in_simplicial_cone([list(x) for x in face], mid) is None:
                         return False
         return True
-
-    def cross(a, b):
-        return (
-            canon(a[1] * b[2] - a[2] * b[1]),
-            canon(a[2] * b[0] - a[0] * b[2]),
-            canon(a[0] * b[1] - a[1] * b[0]),
-        )
 
     # candidate extreme rays of the intersection: common generators plus all
     # pairwise boundary-plane intersections lying in both cones

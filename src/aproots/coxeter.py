@@ -322,9 +322,6 @@ class CoxeterContext:
             return TUBE
         return None
 
-    def in_phi_c(self, v) -> bool:
-        return self.phi_c_class(v) is not None
-
     # -- deformed maps ----------------------------------------------------------
 
     def sigma(self, s: int, v):
@@ -410,16 +407,6 @@ class SourceSinkGraph:
     @property
     def component_count(self):
         return len(set(self.component_of.values()))
-
-
-def orientation_of_word(cm, word):
-    pos = {letter: p for p, letter in enumerate(word)}
-    edges = []
-    for i in range(cm.n):
-        for j in range(i + 1, cm.n):
-            if cm.a[i][j] != 0:
-                edges.append((i, j) if pos[i] < pos[j] else (j, i))
-    return frozenset(edges)
 
 
 def source_sink_graph(ctx: AffineContext) -> SourceSinkGraph:

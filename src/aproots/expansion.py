@@ -39,12 +39,6 @@ def _hyperplane_coordinates(cc: CoxeterContext, v):
     sol = solve_general(rows, list(v))
     if sol is None:
         return None
-    rec = [0] * cc.n
-    for x, b in zip(sol, basis):
-        for i, bi in enumerate(b):
-            rec[i] += x * bi
-    if tuple(canon(x) for x in rec) != tuple(v):
-        return None
     return sol[0], dict(zip(cc.fin_simples, sol[1:]))
 
 

@@ -13,6 +13,7 @@ import math
 from .almost_positive import neg_simples
 from .coxeter import CoxeterContext
 from .errors import RankNot3
+from .linalg import cross
 
 _PALETTE = (
     "#c22f2f", "#2f7fc2", "#2fa352", "#c2902f", "#7d2fc2",
@@ -39,14 +40,6 @@ def _scale(t, a):
     return tuple(t * x for x in a)
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _slerp(a, b, t):
     cos = max(-1.0, min(1.0, _dot(a, b)))
     angle = math.acos(cos)
@@ -68,7 +61,7 @@ class Projection:
         if abs(_dot(seed, self.pole)) > 0.9:
             seed = (0.0, 1.0, 0.0)
         u1 = _unit(_sub(seed, _scale(_dot(seed, self.pole), self.pole)))
-        u2 = _cross(self.pole, u1)
+        u2 = cross(self.pole, u1)
         self.basis = (u1, u2)
 
     def project(self, v):

@@ -3,21 +3,25 @@
 Vectors are tuples of ints/Fractions, matrices are tuples of row tuples.
 Values are normalized so that integral rationals are stored as ints; this
 keeps hashing/equality canonical and the common all-integer paths fast.
-No floating point anywhere.
+No routine here introduces floating point.
+
+Determinants, inverses, solutions and kernels all come from one
+fraction-free Gauss–Jordan elimination (Bareiss 1968) on integer rows:
+rational input is scaled to integers once, row by row, and every later
+division is exact, so no `Fraction` is formed until the results are read
+off over the common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def canon(x):
     """Normalize a rational scalar: integral Fractions become ints."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
     return x
 
 
@@ -43,20 +47,13 @@ def vadd(u, v):
     return tuple(canon(a + b) for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(canon(a - b) for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
-
-
-def vscale(t, u):
-    return tuple(canon(t * a) for a in u)
-
-
-def vdot(u, v):
-    return canon(sum(a * b for a, b in zip(u, v)))
+def cross(a, b) -> tuple:
+    """Cross product of two 3-vectors (`fan_svg` also applies it to floats)."""
+    return (
+        canon(a[1] * b[2] - a[2] * b[1]),
+        canon(a[2] * b[0] - a[0] * b[2]),
+        canon(a[0] * b[1] - a[1] * b[0]),
+    )
 
 
 def is_zero(u) -> bool:
@@ -71,10 +68,6 @@ def identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(m) -> tuple:
-    return tuple(zip(*m))
-
-
 def mat_vec(m, v) -> tuple:
     return tuple(canon(sum(a * b for a, b in zip(row, v))) for row in m)
 
@@ -86,53 +79,72 @@ def mat_mul(a, b) -> tuple:
     )
 
 
-def _fraction_rows(m):
-    return [[Fraction(x) for x in row] for row in m]
+def _ratio(x: int, d: int):
+    """x/d as a canonical rational: an int when d divides x."""
+    q, r = divmod(x, d)
+    return q if r == 0 else Fraction(x, d)
+
+
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss–Jordan elimination on the first ncols columns.
+
+    Each row is scaled once by the lcm of its denominators.  A step with
+    pivot p replaces every other row by (p·row − f·pivot_row) // previous
+    pivot; by Sylvester's identity each entry stays a minor of the scaled
+    matrix, so the division is exact.  At the end every pivot row i has the
+    common denominator d (the last pivot) in column pivots[i] and 0 in the
+    other pivot columns, and the rows past the rank are zero on the first
+    ncols columns.
+
+    Returns (rows, pivots, d, sign, scale): the reduced integer rows, the
+    pivot columns in order, d, the sign of the row swaps and the product of
+    the row scales, so that a square matrix of full rank has determinant
+    sign·d/scale.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        a.append([x.numerator * (m // x.denominator) for x in row])
+    nrows = len(a)
+    pivots = []
+    d = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and (f or piv != d):
+                a[i] = [(piv * x - f * y) // d for x, y in zip(a[i], top)]
+        d = piv
+        pivots.append(c)
+    return a, pivots, d, sign, scale
 
 
 def det(m):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    a = _fraction_rows(m)
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return canon(sign * result)
+    """Determinant of a square rational matrix."""
+    n = len(m)
+    _, pivots, d, sign, scale = _eliminate(m, n)
+    return _ratio(sign * d, scale) if len(pivots) == n else 0
 
 
 def inverse(m) -> tuple:
     """Inverse of a square rational matrix; raises ZeroDivisionError if singular."""
     n = len(m)
-    a = _fraction_rows(m)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(canon(x) for x in row) for row in inv)
+    a, pivots, d, _, _ = _eliminate(
+        [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)], n
+    )
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(_ratio(x, d) for x in row[n:]) for row in a)
 
 
 def solve_general(rows, rhs):
@@ -140,76 +152,43 @@ def solve_general(rows, rhs):
 
     Returns one solution as a tuple, or None if inconsistent.  `rows` is a
     list of coefficient rows; the system may be over- or under-determined
-    (free variables are set to zero).
+    (free variables are set to zero).  Raises ValueError unless there is
+    one right-hand side per row.
     """
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(a), len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][ncols]
-    return tuple(canon(v) for v in x)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+    ncols = len(rows[0]) if rows else 0
+    a, pivots, d, _, _ = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
+        return None
+    x = [0] * ncols
+    for row, c in zip(a, pivots):
+        x[c] = _ratio(row[ncols], d)
+    return tuple(x)
 
 
 def kernel_basis(m):
     """Basis of the right kernel of a rational matrix, as canonical tuples."""
-    a = _fraction_rows(m)
-    nrows, ncols = len(a), len(m[0]) if m else 0
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
+    ncols = len(m[0]) if m else 0
+    a, pivots, d, _, _ = _eliminate(m, ncols)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, row in pivots.items():
-            v[c] = -a[row][f]
-        basis.append(tuple(canon(x) for x in v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(a, pivots):
+            v[c] = _ratio(-row[f], d)
+        basis.append(tuple(v))
     return basis
 
 
 def primitive_integer_vector(v) -> tuple:
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
     fracs = [Fraction(x) for x in v]
-    den_lcm = 1
-    for x in fracs:
-        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    m = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (m // x.denominator) for x in fracs]
+    g = gcd(*ints)
     assert g > 0, "zero vector has no primitive form"
     return tuple(x // g for x in ints)
 
@@ -264,15 +243,6 @@ def integer_kernel_basis(f) -> list:
 def in_simplicial_cone(gens, v):
     """Coefficients of v over independent generators if all nonnegative, else None."""
     coeffs = solve_general([list(col) for col in zip(*gens)], v)
-    if coeffs is None:
-        return None
-    if any(c < 0 for c in coeffs):
-        return None
-    # independence check: reconstruct exactly
-    rec = [0] * len(v)
-    for c, g in zip(coeffs, gens):
-        for i, x in enumerate(g):
-            rec[i] += c * x
-    if tuple(canon(x) for x in rec) != tuple(canon(x) for x in v):
+    if coeffs is None or any(c < 0 for c in coeffs):
         return None
     return coeffs

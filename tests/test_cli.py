@@ -94,6 +94,24 @@ def test_cartan_json_input(tmp_path):
     assert "1,0" in proc.stdout
 
 
+def test_malformed_cartan_json_exits_with_one_line(tmp_path):
+    contents = {
+        "not_json.json": "cartan: [[2, -2], [-2, 2]]",
+        "no_key.json": json.dumps({"matrix": [[2, -2], [-2, 2]]}),
+        "entry.json": json.dumps({"cartan": [[2, "-2"], [-2, 2]]}),
+        "aff.json": json.dumps({"cartan": [[2, -2], [-2, 2]], "aff": 1.5}),
+    }
+    for name, text in contents.items():
+        (tmp_path / name).write_text(text)
+    for name in ["missing.json", *contents]:
+        path = str(tmp_path / name)
+        for args in (("classify", "--cartan-json", path),
+                     ("roots", "--cartan-json", path, "--level", "0")):
+            proc = run_cli(*args)
+            assert proc.returncode == 1, args
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
+
+
 def test_verify_subset():
     proc = run_cli("verify", "--criteria", "worked-example")
     assert proc.returncode == 0

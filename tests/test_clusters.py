@@ -1,6 +1,8 @@
 """Clusters, exchange, enumeration, the weight map, fan checks."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -291,6 +293,26 @@ def test_rank2_face_intersection_example():
     # they share exactly the ray of the common root
     assert cone_contains(cc, [list(r) for r in c1], (0, -1))
     assert cone_contains(cc, [list(r) for r in c2], (0, -1))
+
+
+def test_face_intersection_rejects_rank_4_under_python_O():
+    # `python -O` strips asserts; the rank guard must still raise
+    code = "\n".join([
+        "from aproots.cartan import context_from_label",
+        "from aproots.clusters import cones_intersect_in_face, enumerate_clusters",
+        "from aproots.coxeter import CoxeterContext",
+        "from aproots.errors import RankOutOfRange",
+        "ctx, word = context_from_label('A3(1):k=1')",
+        "cc = CoxeterContext(ctx, word)",
+        "c1, c2 = sorted(enumerate_clusters(cc, 2)[0])[:2]",
+        "try:",
+        "    cones_intersect_in_face(cc, c1, c2)",
+        "except RankOutOfRange:",
+        "    print('raised')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def test_fan_consistency_report():
