@@ -9,7 +9,7 @@ membership test plus bounded enumerations indexed by the tau-power reach.
 from __future__ import annotations
 
 from .coxeter import DELTA, NEG_SIMPLE, TRANSIENT, TUBE, CoxeterContext
-from .linalg import vec
+from .errors import NegativeBound
 from .roots import neg_simple
 
 CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
@@ -17,11 +17,11 @@ CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
 
 def classify_membership(cc: CoxeterContext, v):
     """The membership class of v, or None when v is outside the set."""
-    return cc.phi_c_class(vec(v))
+    return cc.phi_c_class(v)
 
 
 def is_in_phi_c(cc: CoxeterContext, v) -> bool:
-    return cc.phi_c_class(vec(v)) is not None
+    return cc.phi_c_class(v) is not None
 
 
 def tube_roots(cc: CoxeterContext):
@@ -38,7 +38,8 @@ def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
 
     The five families are pairwise disjoint; this is asserted.
     """
-    assert m_bound >= 0
+    if m_bound < 0:
+        raise NegativeBound(f"move bound {m_bound} is below zero")
     pieces = []
     pieces.append(neg_simples(cc))
     pieces.append(tube_roots(cc))

@@ -22,6 +22,7 @@ from .errors import (
     BadDiagonal,
     CartanError,
     NotAffine,
+    NotARoot,
     NotSymmetrizable,
     PositiveOffDiagonal,
     RankOutOfRange,
@@ -509,7 +510,8 @@ class AffineContext:
     def coroot_coords(self, v):
         """Simple-coroot coordinates of the coroot of a real root v."""
         norm = self.k(v, v)
-        assert norm > 0, "coroot requires a real root"
+        if norm <= 0:
+            raise NotARoot(f"{v} is not a real root, so it has no coroot")
         return vec(Fraction(2) * di * x / norm for di, x in zip(self.cm.d, v))
 
     # -- bounded real-root enumeration --------------------------------------

@@ -15,7 +15,7 @@ import sys
 
 from .cartan import AffineContext, Kind, catalog, classify, validate_cartan
 from .coxeter import CoxeterContext, source_sink_graph
-from .errors import AprootsError, MalformedInput
+from .errors import AprootsError, MalformedInput, NegativeBound
 from .linalg import format_rational, parse_rational
 
 
@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("level", "m_bound", "depth"):
+            if getattr(args, name, 0) < 0:
+                raise NegativeBound(f"--{name.replace('_', '-')} must be at least 0")
         return args.func(args)
     except AprootsError as exc:
         print(f"error: {exc}", file=sys.stderr)

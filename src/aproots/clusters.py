@@ -37,7 +37,7 @@ def is_cluster(cc: CoxeterContext, roots):
         return None, "repeated roots"
     classes = {}
     for r in roots:
-        cls = cc.phi_c_class(r)
+        cls = cc.root_info(r)[0]
         if cls is None:
             return None, f"{r} is not almost positive"
         classes[r] = cls
@@ -191,11 +191,10 @@ def imaginary_clusters(cc: CoxeterContext):
 
 def is_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
     alpha, beta = vec(alpha), vec(beta)
-    if cc.phi_c_class(alpha) is None or cc.phi_c_class(beta) is None:
+    classes = (cc.root_info(alpha)[0], cc.root_info(beta)[0])
+    if None in classes:
         raise NotInPhiC("arguments must be almost positive")
-    if alpha == beta:
-        return False
-    if cc.phi_c_class(alpha) == DELTA or cc.phi_c_class(beta) == DELTA:
+    if alpha == beta or DELTA in classes:
         return False
     return _deg(cc, alpha, beta) == 1 and _deg(cc, beta, alpha) == 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import DELTA, NEG_SIMPLE, TUBE, CoxeterContext
+from .coxeter import TUBE, CoxeterContext
 from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
 from .linalg import canon, vec
 
@@ -39,36 +39,31 @@ class CompatibilityValue:
 
 def coroot_coordinates(cc: CoxeterContext, v):
     """Simple-coroot coordinates of v^vee for any member of the set."""
-    cls = cc.phi_c_class(v)
-    if cls is None:
+    v = vec(v)
+    cv = cc.root_info(v)[1]
+    if cv is None:
         raise NotInPhiC(str(v))
-    if cls == NEG_SIMPLE:
-        return tuple(-x for x in cc.ctx.coroot_coords(tuple(-y for y in v)))
-    if cls == DELTA:
-        return cc.ctx.delta_vee_coroot
-    return cc.ctx.coroot_coords(v)
+    return cv
 
 
 def tube_support(cc: CoxeterContext, v) -> TubeSupport:
     """Arc support of a tube root over its component's cycle."""
-    v = vec(v)
+    return TubeSupport(*_arc_positions(cc, vec(v)))
+
+
+def _arc_positions(cc: CoxeterContext, v):
     entry = cc.tube_arcs.get(v)
     if entry is not None:
-        return TubeSupport(*entry)
+        return entry
     if v == cc.ctx.delta or cc.ctx.is_imaginary_root(v):
         raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
     raise NotInTube(str(v))
 
 
-def _arc_positions(cc: CoxeterContext, v):
-    sup = tube_support(cc, v)
-    return sup.component, sup.arc
-
-
 def adjacency_count(cc: CoxeterContext, alpha, beta) -> int:
     """Number of cycle nodes adjacent to the arc of α and inside the arc of β."""
-    ca, arc_a = _arc_positions(cc, vec(alpha))
-    cb, arc_b = _arc_positions(cc, vec(beta))
+    ca, arc_a = _arc_positions(cc, alpha)
+    cb, arc_b = _arc_positions(cc, beta)
     if ca != cb:
         return 0
     k = cc.components[ca].rank
@@ -82,7 +77,6 @@ def adjacency_count(cc: CoxeterContext, alpha, beta) -> int:
 
 def compat_circ(cc: CoxeterContext, alpha, beta):
     """Support-combinatorial expression of the degree on finite-orbit roots."""
-    alpha, beta = vec(alpha), vec(beta)
     if alpha == beta:
         return -1
     ca, arc_a = _arc_positions(cc, alpha)
@@ -98,9 +92,10 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
     The triangular parts follow the positions of the letters in the word
     for c, not the ambient numbering.
     """
-    alpha, beta = vec(alpha), vec(beta)
-    cv = coroot_coordinates(cc, alpha)
-    if cc.phi_c_class(beta) is None:
+    cv = cc.root_info(alpha)[1]
+    if cv is None:
+        raise NotInPhiC(str(alpha))
+    if cc.root_info(beta)[0] is None:
         raise NotInPhiC(str(beta))
     a = cc.cm.a
     n = cc.n
@@ -136,8 +131,8 @@ def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:
 
 def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
     alpha, beta = vec(alpha), vec(beta)
-    ca = cc.phi_c_class(alpha)
-    cb = cc.phi_c_class(beta)
+    ca = cc.root_info(alpha)[0]
+    cb = cc.root_info(beta)[0]
     if ca is None:
         raise NotInPhiC(str(alpha))
     if cb is None:

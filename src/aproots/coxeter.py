@@ -102,6 +102,9 @@ class CoxeterContext:
                     self.tube_arcs[tuple(acc)] = (ci, arc)
         # (alpha, beta) -> compatibility degree, filled by compatibility.degree
         self.degree_cache = {}
+        # member of the almost-positive set -> (class, coroot coordinates),
+        # filled by root_info; non-members are never stored
+        self._root_info = {}
         self.fin_simples = tuple(
             r for comp in self.components for r in comp.fin_simples
         )
@@ -152,7 +155,6 @@ class CoxeterContext:
         rhs = list(ctx.delta) + [0]
         gamma = linalg.solve_general(rows, rhs)
         assert gamma is not None
-        assert mat_vec(self.c_mat, gamma) == linalg.vadd(gamma, ctx.delta)
         return gamma
 
     def _normalized_phi_weight(self):
@@ -307,7 +309,22 @@ class CoxeterContext:
 
     def phi_c_class(self, v):
         """Membership class of v in the almost-positive set, or None."""
-        v = vec(v)
+        return self.root_info(vec(v))[0]
+
+    def root_info(self, v):
+        """(class, simple-coroot coordinates of v^vee) of a canonical tuple v
+        in the almost-positive set; (None, None) when v is outside it."""
+        info = self._root_info.get(v)
+        if info is None:
+            cls = self._classify(v)
+            if cls is None:
+                return None, None
+            # coroot_coords is odd in v, so it also serves the negative simples
+            cv = self.ctx.delta_vee_coroot if cls == DELTA else self.ctx.coroot_coords(v)
+            info = self._root_info[v] = (cls, cv)
+        return info
+
+    def _classify(self, v):
         if self.neg_simple_index(v) is not None:
             return NEG_SIMPLE
         if v == self.ctx.delta:
@@ -333,7 +350,8 @@ class CoxeterContext:
         return deformed_reflection(self.cm, s, v)
 
     def tau(self, v):
-        if self.phi_c_class(v) is None:
+        v = vec(v)
+        if self.root_info(v)[0] is None:
             raise NotInPhiC(str(v))
         neg = self.neg_simple_index(v)
         if neg is not None:
@@ -344,7 +362,8 @@ class CoxeterContext:
         return self.c_action(v)
 
     def tau_inverse(self, v):
-        if self.phi_c_class(v) is None:
+        v = vec(v)
+        if self.root_info(v)[0] is None:
             raise NotInPhiC(str(v))
         neg = self.neg_simple_index(v)
         if neg is not None:

@@ -45,6 +45,14 @@ class IndexOutOfRange(AprootsError):
     pass
 
 
+class NotARoot(AprootsError):
+    """A vector that is not a root, or not a real root where one is needed."""
+
+
+class NegativeBound(AprootsError):
+    """A level, depth or move bound below zero."""
+
+
 class NotAlmostPositive(AprootsError):
     pass
 

@@ -20,8 +20,8 @@ from math import gcd, lcm
 
 def canon(x):
     """Normalize a rational scalar: integral Fractions become ints."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
     return x
 
 
@@ -234,10 +234,7 @@ def integer_kernel_basis(f) -> list:
         ci = [-(b // d) * cols[0][r] + (a // d) * cols[i][r] for r in range(n)]
         cols[0], cols[i] = c0, ci
         g[0], g[i] = d, 0
-    basis = [tuple(cols[i]) for i in range(1, n)]
-    for v in basis:
-        assert sum(a * b for a, b in zip(f, v)) == 0
-    return basis
+    return [tuple(cols[i]) for i in range(1, n)]
 
 
 def in_simplicial_cone(gens, v):

@@ -17,7 +17,7 @@ from .cartan import (
     finite_positive_roots,
     validate_cartan,
 )
-from .errors import IndexOutOfRange, NotAffine
+from .errors import IndexOutOfRange, NotAffine, NotARoot
 from .linalg import vec
 
 
@@ -100,7 +100,8 @@ def as_root(ctx: AffineContext, v) -> Root:
     v = vec(v)
     if ctx.is_real_root(v):
         return Root(vec=v, is_real=True, coroot=ctx.coroot_coords(v))
-    assert ctx.is_imaginary_root(v), "not a root"
+    if not ctx.is_imaginary_root(v):
+        raise NotARoot(str(v))
     i = next(j for j, x in enumerate(v) if x != 0)
     k = v[i] // ctx.delta[i]
     return Root(vec=v, is_real=False,

@@ -45,11 +45,16 @@ def test_domain_error_exit_code():
     assert "error:" in proc.stderr
 
 
-def test_malformed_input_exits_with_one_line():
+def test_malformed_input_exits_with_one_line(tmp_path):
     for args in (
         ("expand", "--type", "D3(2)", "--vector", "1,2"),
         ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
         ("expand", "--type", "D3(2)", "--c", "1,x", "--vector", "1,1,1"),
+        ("phic", "--type", "D3(2)", "--m-bound", "-1"),
+        ("roots", "--type", "D3(2)", "--level", "-1"),
+        ("clusters", "--type", "D3(2)", "--depth", "-1"),
+        ("oracle", "--type", "A2(2)", "--depth", "-1"),
+        ("fan-svg", "--type", "D3(2)", "--depth", "-1", "--out", str(tmp_path / "fan.svg")),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, args

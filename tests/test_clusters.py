@@ -28,7 +28,8 @@ from aproots.coxeter import CoxeterContext
 from aproots.errors import NotACluster, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import vec
-from aproots.verification import RANK3_LABELS, RANK4_LABELS
+
+from strategies import coxeter_contexts
 
 
 def cc_for(label, word=None):
@@ -80,12 +81,6 @@ def test_exchange_is_involutive_across_graph():
             assert degree(cc, alpha, beta) == 1 and degree(cc, beta, alpha) == 1
             back, orig = exchange(cc, new, beta)
             assert back == alpha and orig == cluster
-
-
-@st.composite
-def coxeter_contexts(draw):
-    ctx, default = context_from_label(draw(st.sampled_from(RANK3_LABELS + RANK4_LABELS)))
-    return CoxeterContext(ctx, draw(st.permutations(default)))
 
 
 @settings(max_examples=10, deadline=None)

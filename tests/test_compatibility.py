@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aproots import almost_positive as ap
 from aproots import compatibility as compat
@@ -12,6 +14,8 @@ from aproots.coxeter import TUBE, CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
 from aproots.linalg import vec
 from aproots.roots import roots_up_to_level
+
+from strategies import coxeter_contexts
 
 
 def cc_for(label, word=None):
@@ -22,6 +26,36 @@ def cc_for(label, word=None):
 def pool_for(cc, level=2):
     return [r for r in roots_up_to_level(cc.ctx, level)
             if cc.phi_c_class(r) is not None]
+
+
+# the forms a caller may pass a root in; the canonical tuple comes last, so a
+# cold context meets the other forms first
+ROOT_FORMS = (list, lambda v: tuple(Fraction(x) for x in v), tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_root_forms_agree_and_degree_is_tau_and_sigma_invariant(warm, data):
+    pool = pool_for(warm)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                               min_size=1, max_size=4))
+    fresh = CoxeterContext(warm.ctx, warm.word)
+    first = warm.word[0]
+    for a, b in pairs:
+        # repr tells an int from an integral Fraction
+        results = {
+            repr((cc.phi_c_class(f(a)), compat.coroot_coordinates(cc, f(a)),
+                  compat.compatibility_degree(cc, f(a), f(b)), compat.degree(cc, f(a), f(b)),
+                  cc.tau(f(a)), cc.tau_inverse(f(a)), cc.sigma(first, f(a))))
+            for cc in (fresh, warm) for f in ROOT_FORMS
+        }
+        assert len(results) == 1, (a, b, results)
+    moved = {s: warm.source_sink_move(s) for s in (warm.word[0], warm.word[-1])}
+    for a, b in pairs:
+        d = compat.degree(warm, a, b)
+        assert compat.degree(warm, warm.tau(a), warm.tau(b)) == d
+        for s, other in moved.items():
+            assert compat.degree(other, warm.sigma(s, a), warm.sigma(s, b)) == d
 
 
 def test_worked_example():

@@ -1,9 +1,15 @@
 """Root enumeration, supports, coroots, parabolic restriction."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from aproots import roots
 from aproots.cartan import Kind, context_from_label, validate_cartan
 from aproots.errors import IndexOutOfRange
 from aproots.roots import (
@@ -108,6 +114,33 @@ def test_sign_dichotomy_and_coroot_duality():
             norm_vee = ctx.k(vee_root_coords, vee_root_coords)
             back = tuple(Fraction(2) * x / norm_vee for x in vee_root_coords)
             assert tuple(back) == tuple(root)
+
+
+def test_root_guards_hold_under_python_O():
+    script = textwrap.dedent("""
+        from aproots.almost_positive import enumerate_phi_c
+        from aproots.cartan import context_from_label
+        from aproots.coxeter import CoxeterContext
+        from aproots.errors import NegativeBound, NotARoot
+        from aproots.roots import as_root
+
+        print(__debug__)
+        ctx, word = context_from_label("D3(2)")
+        for call in (lambda: ctx.coroot_coords(ctx.delta),
+                     lambda: as_root(ctx, (2, 0, 0)),
+                     lambda: enumerate_phi_c(CoxeterContext(ctx, word), -1)):
+            try:
+                call()
+            except (NotARoot, NegativeBound) as exc:
+                print(type(exc).__name__)
+    """)
+    src = str(Path(roots.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "NotARoot", "NotARoot", "NegativeBound"]
 
 
 def test_standard_types_are_delta_translates():
