@@ -492,8 +492,18 @@ class AffineContext:
         self.theta = cls.theta
         self.delta_vee = cls.delta_vee
         self.delta_vee_coroot = cls.delta_vee_coroot
-        self._pos_root_set = set()
-        self._level_done = -1
+        # Real roots are periodic in delta (Kac, Prop. 6.3).  The period r is
+        # the least with r·delta - α_i = s_i(α_i + r·delta) real for every i,
+        # as W fixes delta and every real root is W-conjugate to a simple one.
+        # The window: the real roots β with 0 ≤ [β:α_aff] < r·[delta:α_aff].
+        for r in (1, 2, 3):
+            pos = self.ensure_level(r)
+            if all(tuple(r * d - (j == i) for j, d in enumerate(self.delta)) in pos
+                   for i in range(self.n)):
+                break
+        self.period = r
+        self._window = frozenset([b for b in pos if b[self.aff] < r * self.delta[self.aff]]
+                                 + [tuple(-x for x in b) for b in pos if b[self.aff] == 0])
 
     # -- basic geometry ----------------------------------------------------
 
@@ -517,55 +527,38 @@ class AffineContext:
     # -- bounded real-root enumeration --------------------------------------
 
     def ensure_level(self, bound: int):
-        """Extend the positive-real-root cache to delta-level `bound`."""
-        if bound <= self._level_done:
-            return
-        daff = self.delta[self.aff]
-        cap = (bound + 1) * daff
-        seen = set(self._pos_root_set)
-        frontier = []
-        if self._level_done < 0:
-            for i in range(self.n):
-                root = tuple(1 if j == i else 0 for j in range(self.n))
-                seen.add(root)
-                frontier.append(root)
-        else:
-            frontier = list(seen)
+        """Positive real roots β with [β:α_aff] ≤ bound·[delta:α_aff].  Each is
+        reached from a simple root by ascending reflections (s_i where
+        K(α_i^vee, β) < 0), along which no coordinate decreases."""
+        cap = bound * self.delta[self.aff]
+        units = (tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
+        seen = {e for e in units if e[self.aff] <= cap}
+        frontier = list(seen)
         while frontier:
             nxt = []
             for root in frontier:
-                for i in range(self.n):
-                    img = self.cm.reflect(i, root)
-                    if img in seen or any(x < 0 for x in img):
+                for i, row in enumerate(self.cm.a):
+                    t = sum(x * y for x, y in zip(row, root))
+                    if t >= 0 or (i == self.aff and root[i] - t > cap):
                         continue
-                    if img[self.aff] > cap:
-                        continue
-                    seen.add(img)
-                    nxt.append(img)
+                    img = root[:i] + (root[i] - t,) + root[i + 1:]
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
             frontier = nxt
-        self._pos_root_set = seen
-        self._level_done = bound
+        return seen
 
     def positive_real_roots(self, bound: int):
         """Sorted positive real roots with [β:α_aff] ≤ bound·[delta:α_aff]."""
-        self.ensure_level(bound)
-        cap = bound * self.delta[self.aff]
-        return sorted(r for r in self._pos_root_set if r[self.aff] <= cap)
+        return sorted(self.ensure_level(bound))
 
     def is_real_root(self, v) -> bool:
+        """Translate v by a multiple of period·delta into the window."""
         v = vec(v)
         if any(not isinstance(x, int) for x in v):
             return False
-        if all(x == 0 for x in v):
-            return False
-        if all(x <= 0 for x in v):
-            v = tuple(-x for x in v)
-        elif not all(x >= 0 for x in v):
-            return False
-        daff = self.delta[self.aff]
-        lvl = -(-v[self.aff] // daff)   # ceil
-        self.ensure_level(max(lvl, self._level_done, 1))
-        return v in self._pos_root_set
+        q = v[self.aff] // (self.period * self.delta[self.aff]) * self.period
+        return tuple(x - q * d for x, d in zip(v, self.delta)) in self._window
 
     def is_imaginary_root(self, v) -> bool:
         v = vec(v)

@@ -214,13 +214,7 @@ class CoxeterContext:
             total = [0] * self.n
             for r in block:
                 total = [a + b for a, b in zip(total, r)]
-            m = None
-            for cand in range(1, 4 * max(ctx.delta) + 4):
-                aff_root = tuple(cand * dx - tx for dx, tx in zip(ctx.delta, total))
-                if all(x >= 0 for x in aff_root) and ctx.is_real_root(aff_root):
-                    m = cand
-                    break
-            assert m is not None, "component has no affine completion"
+            m = self._kappa(total)
             aff_root = tuple(m * dx - tx for dx, tx in zip(ctx.delta, total))
             start = min(block)
             cycle = [start]
@@ -255,12 +249,13 @@ class CoxeterContext:
         return tuple(omega)
 
     def _kappa(self, beta):
+        """Least m ≥ 1 with m·delta - beta real, for a real root beta: since
+        -beta is real, m is at most the period of the real roots."""
         ctx = self.ctx
-        for m in range(1, 4 * max(ctx.delta) + 4):
-            cand = tuple(m * dx - bx for dx, bx in zip(ctx.delta, beta))
-            if ctx.is_root(cand):
+        for m in range(1, ctx.period):
+            if ctx.is_real_root(tuple(m * dx - bx for dx, bx in zip(ctx.delta, beta))):
                 return m
-        raise AssertionError("kappa search exhausted")
+        return ctx.period
 
     # -- conjugation ----------------------------------------------------------
 
@@ -387,7 +382,8 @@ class CoxeterContext:
         kind is 'infinite' (representative a negative simple), 'finite'
         (representative in omega) or 'delta'.
         """
-        cls = self.phi_c_class(v)
+        v = vec(v)
+        cls = self.root_info(v)[0]
         if cls is None:
             raise NotInPhiC(str(v))
         if cls == DELTA:

@@ -61,6 +61,10 @@ class NotInPhiC(AprootsError):
     pass
 
 
+class NotInImaginaryCone(AprootsError):
+    pass
+
+
 class NotInTube(AprootsError):
     pass
 

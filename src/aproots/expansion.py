@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coxeter import CoxeterContext
+from .errors import NotInImaginaryCone
 from .linalg import canon, vec
 from .roots import deformed_reflection, neg_simple
 
@@ -79,8 +80,9 @@ def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
 def imaginary_expansion(cc: CoxeterContext, v):
     """Expansion of a vector of the imaginary cone over tube roots and delta."""
     v = vec(v)
-    coords = _hyperplane_coordinates(cc, v)
-    assert coords is not None and cc.phi(v) == 0
+    coords = _hyperplane_coordinates(cc, v) if cc.phi(v) == 0 else None
+    if coords is None:
+        raise NotInImaginaryCone(f"{v} lies off the hyperplane of the imaginary cone")
     z, zf = coords
     terms = {}
     used = 0
@@ -97,7 +99,8 @@ def imaginary_expansion(cc: CoxeterContext, v):
         for run in runs:
             _peel_run(comp, y, run, terms)
     rest = canon(z - used)
-    assert rest >= 0, "vector lies outside the imaginary cone"
+    if rest < 0:
+        raise NotInImaginaryCone(f"{v} lies outside the imaginary cone")
     if rest != 0:
         terms[cc.ctx.delta] = canon(terms.get(cc.ctx.delta, 0) + rest)
     return terms
@@ -276,16 +279,6 @@ def cluster_expansion(cc: CoxeterContext, v):
     if all(x == 0 for x in v):
         return {}
     if cc.phi(v) == 0 and in_delta_cone(cc, v):
-        terms = imaginary_expansion(cc, v)
-    else:
-        letters, rotated, word = rotate_affine(cc, v)
-        terms = expand_in_parabolic(cc.cm, word, rotated)
-        terms = _pull_back(cc.cm, letters, terms)
-    # safety: exact reconstruction
-    rec = [0] * cc.n
-    for root, coeff in terms.items():
-        assert coeff > 0
-        for i, x in enumerate(root):
-            rec[i] += coeff * x
-    assert tuple(canon(x) for x in rec) == v, "expansion failed to reconstruct input"
-    return terms
+        return imaginary_expansion(cc, v)
+    letters, rotated, word = rotate_affine(cc, v)
+    return _pull_back(cc.cm, letters, expand_in_parabolic(cc.cm, word, rotated))

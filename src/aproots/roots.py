@@ -76,15 +76,12 @@ def roots_up_to_level(ctx, bound: int):
     For a finite-type Cartan matrix, pass the matrix itself: the full finite
     root set is returned and the bound is ignored.
     """
-    if isinstance(ctx, CartanMatrix):
-        cls = classify(ctx)
-        if cls.kind is not Kind.FINITE:
-            raise NotAffine("expected a finite-type matrix or an AffineContext")
+    if isinstance(ctx, CartanMatrix) and classify(ctx).kind is Kind.FINITE:
         pos = finite_positive_roots(ctx, range(ctx.n))
-        out = sorted(pos | {tuple(-x for x in r) for r in pos})
-        return out
-    assert isinstance(ctx, AffineContext)
-    pos = set(ctx.positive_real_roots(bound))
+        return sorted(pos | {tuple(-x for x in r) for r in pos})
+    if not isinstance(ctx, AffineContext):
+        raise NotAffine("expected a finite-type matrix or an AffineContext")
+    pos = ctx.ensure_level(bound)
     # the simples are part of every bounded enumeration, whatever the bound
     for i in range(ctx.n):
         pos.add(tuple(1 if j == i else 0 for j in range(ctx.n)))

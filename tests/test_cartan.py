@@ -1,5 +1,6 @@
 """Cartan validation, classification, and catalog checks."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from aproots.errors import (
     RankOutOfRange,
     UnknownLabel,
 )
+from aproots.roots import roots_up_to_level
 
 
 def brute_force_symmetrizers(a):
@@ -172,8 +174,6 @@ def test_catalog_types_classify_affine_with_consistent_form():
 
 
 def test_form_invariance_under_reflections():
-    import random
-
     rng = random.Random(7)
     for label in ("A1(1)", "D3(2)", "G2(1)", "C3(1)", "A2(2)"):
         ctx, _ = context_from_label(label)
@@ -191,3 +191,66 @@ def test_delta_matches_kernel_for_all_catalog_types():
         n = ctx.n
         for i in range(n):
             assert ctx.cm.pairing(i, ctx.delta) == 0, label
+
+
+def reference_positive_roots(ctx, level):
+    """Positive real roots up to δ-level `level`, grown breadth-first from the
+    simples by reflections that keep every coordinate nonnegative."""
+    cap = (level + 1) * ctx.delta[ctx.aff]
+    seen = {tuple(int(j == i) for j in range(ctx.n)) for i in range(ctx.n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for i in range(ctx.n):
+                img = ctx.cm.reflect(i, root)
+                if img not in seen and img[ctx.aff] <= cap and min(img) >= 0:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def reference_is_real_root(ctx, positive, level, v):
+    """Real-root test by sign split and lookup in `positive`, which must hold
+    every positive real root up to δ-level `level`."""
+    if min(v) < 0:
+        v = tuple(-x for x in v)
+    assert -(-v[ctx.aff] // ctx.delta[ctx.aff]) <= level, v
+    return min(v) >= 0 and v in positive
+
+
+def test_real_root_window_agrees_with_the_level_search():
+    rng = random.Random(11)
+    for label in catalog_labels(6):
+        ctx, _ = context_from_label(label)
+        n = ctx.n
+        assert ctx.period == int(label.split("(")[1][0]), label
+        positive = reference_positive_roots(ctx, 8)
+        probes = set(roots_up_to_level(ctx, 6))
+        for root in list(probes):
+            for i in range(n):
+                for sign in (1, -1):
+                    probes.add(tuple(x + sign * (j == i) for j, x in enumerate(root)))
+        for _ in range(200):
+            probes.add(tuple(rng.randint(-6 * d, 6 * d) for d in ctx.delta))
+        for v in probes:
+            assert ctx.is_real_root(v) == reference_is_real_root(ctx, positive, 8, v), (label, v)
+
+
+def test_real_root_test_is_closed_form(monkeypatch):
+    ctx, _ = context_from_label("B3(1)")
+    positive = reference_positive_roots(ctx, 1)
+
+    def no_search(self, bound):
+        raise AssertionError("the real-root test must not search")
+
+    monkeypatch.setattr(AffineContext, "ensure_level", no_search)
+    far = tuple(10 ** 9 * d for d in ctx.delta)
+    alpha1 = (1, 0, 0, 0)
+    alpha2 = (0, 1, 0, 0)
+    for step in ((0, 0, 0, 0), alpha1, tuple(-x for x in alpha1)):
+        near = tuple(a + s for a, s in zip(alpha2, step))
+        expected = reference_is_real_root(ctx, positive, 1, near)
+        assert ctx.is_real_root(tuple(a + b for a, b in zip(near, far))) == expected
+    assert ctx.is_real_root(tuple(a + b for a, b in zip(alpha2, far)))

@@ -46,7 +46,8 @@ def test_root_forms_agree_and_degree_is_tau_and_sigma_invariant(warm, data):
         results = {
             repr((cc.phi_c_class(f(a)), compat.coroot_coordinates(cc, f(a)),
                   compat.compatibility_degree(cc, f(a), f(b)), compat.degree(cc, f(a), f(b)),
-                  cc.tau(f(a)), cc.tau_inverse(f(a)), cc.sigma(first, f(a))))
+                  cc.tau(f(a)), cc.tau_inverse(f(a)), cc.sigma(first, f(a)),
+                  cc.orbit_classification(f(a))))
             for cc in (fresh, warm) for f in ROOT_FORMS
         }
         assert len(results) == 1, (a, b, results)

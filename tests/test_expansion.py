@@ -2,9 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from aproots.cartan import context_from_label
+from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import (
@@ -15,6 +20,8 @@ from aproots.expansion import (
     rotate_affine,
 )
 from aproots.linalg import vec
+
+from strategies import coxeter_contexts
 
 
 def cc_for(label, word=None):
@@ -164,3 +171,34 @@ def test_fractional_vectors_expand():
     v = (Fraction(1, 2), 1, Fraction(1, 2))
     terms = cluster_expansion(cc, v)
     assert terms == {(0, 1, 0): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)}
+
+
+@lru_cache(maxsize=None)
+def _cones(cc):
+    real, imag = enumerate_clusters(cc, 2)
+    return sorted(real) + sorted(imag)
+
+
+def _combine(terms, n):
+    return vec(sum(coeff * root[i] for root, coeff in terms.items()) for i in range(n))
+
+
+_coefficients = st.fractions(min_value=0, max_value=9, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_an_expansion_reconstructs_its_vector_and_is_unique(cc, data):
+    v = vec(data.draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                               min_size=cc.n, max_size=cc.n)))
+    terms = cluster_expansion(cc, v)
+    assert all(coeff > 0 for coeff in terms.values())
+    assert _combine(terms, cc.n) == v
+    for a, b in combinations(terms, 2):
+        assert degree(cc, a, b) == 0 and degree(cc, b, a) == 0, (v, a, b)
+    # a point of a cluster cone expands over that cluster with its own
+    # coefficients
+    cluster = data.draw(st.sampled_from(_cones(cc)))
+    chosen = {root: data.draw(_coefficients) for root in cluster}
+    built = {root: coeff for root, coeff in chosen.items() if coeff}
+    assert cluster_expansion(cc, _combine(chosen, cc.n)) == built

@@ -121,17 +121,22 @@ def test_root_guards_hold_under_python_O():
         from aproots.almost_positive import enumerate_phi_c
         from aproots.cartan import context_from_label
         from aproots.coxeter import CoxeterContext
-        from aproots.errors import NegativeBound, NotARoot
-        from aproots.roots import as_root
+        from aproots.errors import NegativeBound, NotAffine, NotARoot, NotInImaginaryCone
+        from aproots.expansion import imaginary_expansion
+        from aproots.roots import as_root, roots_up_to_level
 
         print(__debug__)
         ctx, word = context_from_label("D3(2)")
+        cc = CoxeterContext(ctx, word)
         for call in (lambda: ctx.coroot_coords(ctx.delta),
                      lambda: as_root(ctx, (2, 0, 0)),
-                     lambda: enumerate_phi_c(CoxeterContext(ctx, word), -1)):
+                     lambda: enumerate_phi_c(cc, -1),
+                     lambda: imaginary_expansion(cc, (1, -1, 1)),
+                     lambda: imaginary_expansion(cc, (1, 0, 0)),
+                     lambda: roots_up_to_level("D3(2)", 2)):
             try:
                 call()
-            except (NotARoot, NegativeBound) as exc:
+            except (NotARoot, NegativeBound, NotInImaginaryCone, NotAffine) as exc:
                 print(type(exc).__name__)
     """)
     src = str(Path(roots.__file__).resolve().parents[1])
@@ -140,7 +145,8 @@ def test_root_guards_hold_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "NotARoot", "NotARoot", "NegativeBound"]
+    assert run.stdout.split() == ["False", "NotARoot", "NotARoot", "NegativeBound",
+                                  "NotInImaginaryCone", "NotInImaginaryCone", "NotAffine"]
 
 
 def test_standard_types_are_delta_translates():
