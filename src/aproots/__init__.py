@@ -19,7 +19,7 @@ from .cartan import (
     dual,
     validate_cartan,
 )
-from .coxeter import CoxeterContext, source_sink_graph
+from .coxeter import CoxeterContext, source_sink_counts
 from .compatibility import compat_arrows, compatibility_degree, is_compatible
 from .expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
 from .clusters import (
@@ -60,7 +60,7 @@ __all__ = [
     "nu",
     "nu_inverse",
     "seed_bfs",
-    "source_sink_graph",
+    "source_sink_counts",
     "validate_cartan",
 ]
 

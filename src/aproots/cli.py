@@ -14,7 +14,7 @@ import json
 import sys
 
 from .cartan import AffineContext, Kind, catalog, classify, validate_cartan
-from .coxeter import CoxeterContext, source_sink_graph
+from .coxeter import CoxeterContext, source_sink_counts
 from .errors import AprootsError, MalformedInput, NegativeBound
 from .linalg import format_rational, parse_rational
 
@@ -62,13 +62,18 @@ def _load_context(args):
     return AffineContext(cm, aff=aff, label=args.type), word
 
 
-def _word(args, ctx, default):
+def _word(args, default):
     if getattr(args, "c", None):
         try:
             return tuple(int(x) - 1 for x in args.c.split(","))
         except ValueError:
             raise MalformedInput(f"--c must list node numbers: {args.c!r}") from None
     return default
+
+
+def _load_coxeter(args):
+    ctx, word = _load_context(args)
+    return CoxeterContext(ctx, _word(args, word))
 
 
 def _emit(args, payload, text_lines):
@@ -119,9 +124,8 @@ def cmd_roots(args):
 
 
 def cmd_context(args):
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
-    graph = source_sink_graph(ctx)
+    cc = _load_coxeter(args)
+    orientations, classes = source_sink_counts(cc.ctx)
     payload = {
         "word": [i + 1 for i in cc.word],
         "euler_matrix": _matrix_json(cc.E),
@@ -141,8 +145,8 @@ def cmd_context(args):
         "omega": [list(r) for r in cc.omega],
         "kappa": {_format_vector(k): v for k, v in cc.kappa.items()},
         "move_bound": cc.m_bound,
-        "source_sink_orientations": len(graph.vertices),
-        "coxeter_classes": graph.component_count,
+        "source_sink_orientations": orientations,
+        "coxeter_classes": classes,
     }
     lines = [
         f"word: {' '.join(str(i + 1) for i in cc.word)}",
@@ -153,7 +157,7 @@ def cmd_context(args):
         f"finite-orbit simples: {[ _format_vector(r) for r in cc.fin_simples]}",
         f"omega: {[_format_vector(r) for r in cc.omega]}",
         f"move bound: {cc.m_bound}",
-        f"coxeter classes: {graph.component_count}",
+        f"coxeter classes: {classes}",
     ]
     _emit(args, payload, lines)
     return 0
@@ -162,8 +166,7 @@ def cmd_context(args):
 def cmd_phic(args):
     from .almost_positive import export_enumeration
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     data = export_enumeration(cc, args.m_bound)
     lines = [f"{_format_vector(item['root'])}  [{item['class']}]" for item in data]
     _emit(args, data, lines)
@@ -173,8 +176,7 @@ def cmd_phic(args):
 def cmd_compat(args):
     from .compatibility import compatibility_degree
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     value = compatibility_degree(cc, _parse_vector(args.alpha, cc.n),
                                  _parse_vector(args.beta, cc.n))
     payload = {
@@ -193,8 +195,7 @@ def cmd_compat(args):
 def cmd_clusters(args):
     from .clusters import enumerate_clusters
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     real, imag = enumerate_clusters(cc, args.depth)
     payload = {
         "real": [[list(r) for r in cl] for cl in sorted(real)],
@@ -211,8 +212,7 @@ def cmd_clusters(args):
 def cmd_expand(args):
     from .expansion import cluster_expansion
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     terms = cluster_expansion(cc, _parse_vector(args.vector, cc.n))
     ordered = sorted(terms.items())
     payload = [{"root": list(r), "coefficient": format_rational(c)} for r, c in ordered]
@@ -224,8 +224,7 @@ def cmd_expand(args):
 def cmd_exchange(args):
     from .clusters import exchange
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     cluster = [_parse_vector(part, cc.n) for part in args.cluster.split(";")]
     beta, new = exchange(cc, cluster, _parse_vector(args.remove, cc.n))
     payload = {"wall": False, "partner": list(beta), "cluster": [list(r) for r in new]}
@@ -240,13 +239,15 @@ def cmd_fan_svg(args):
     from .clusters import enumerate_clusters
     from .fan_svg import render_fan_svg
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     real, imag = enumerate_clusters(cc, args.depth)
     pole = _parse_vector(args.pole, cc.n) if args.pole else None
     svg = render_fan_svg(cc, sorted(real) + sorted(imag), pole=pole)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise AprootsError(f"cannot write --out {args.out}: {exc}") from None
     print(f"wrote {args.out} ({len(real)} real cones, {len(imag)} imaginary)")
     return 0
 
@@ -258,8 +259,7 @@ def cmd_oracle(args):
         verify_bijection,
     )
 
-    ctx, word = _load_context(args)
-    cc = CoxeterContext(ctx, _word(args, ctx, word))
+    cc = _load_coxeter(args)
     checks = args.check.split(",") if args.check else ["thm12", "thm13"]
     payload = {}
     failed = False

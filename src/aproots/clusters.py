@@ -241,29 +241,28 @@ def is_pair_exchangeable_with_delta(cc: CoxeterContext, alpha, beta) -> bool:
 # the piecewise-linear weight map
 # ---------------------------------------------------------------------------
 
-def nu(cc: CoxeterContext, v, inverse_element: bool = False):
+def nu(cc: CoxeterContext, v):
     """The piecewise-linear map into fundamental-weight coordinates.
 
     On the positive orthant it is -E_c; negative coordinates contribute
     their weight instead, with the positive truncation still feeding every
     row.  This is the unique extension of the values on roots that is
     linear on each cone of the fan (compatibility zeroes out the mixed
-    terms there), and it is a piecewise-linear homeomorphism.  With
-    `inverse_element`, the form of c^{-1} is used instead.
+    terms there), and it is a piecewise-linear homeomorphism.  The map of
+    c^{-1} is `nu(cc.inverse_context(), v)`.
     """
     v = vec(v)
-    e_mat = cc.E_inv_word if inverse_element else cc.E
     plus = tuple(x if x > 0 else 0 for x in v)
     out = []
     for i in range(cc.n):
-        val = -sum(e * p for e, p in zip(e_mat[i], plus) if e)
+        val = -sum(e * p for e, p in zip(cc.E[i], plus) if e)
         if v[i] < 0:
             val -= v[i]
         out.append(canon(val))
     return tuple(out)
 
 
-def nu_inverse(cc: CoxeterContext, weight, inverse_element: bool = False):
+def nu_inverse(cc: CoxeterContext, weight):
     """Inverse of the weight map, by forward substitution.
 
     E_c is unitriangular in the order of the word for c, so for w = nu(v)
@@ -271,16 +270,13 @@ def nu_inverse(cc: CoxeterContext, weight, inverse_element: bool = False):
         w_i = -v_i - sum_j a_ij·max(v_j, 0)   over the letters j before i,
 
     and, taking the letters in word order, each coordinate follows from the
-    ones already found: v_i = -w_i - sum_j a_ij·max(v_j, 0).  The form of
-    c^{-1} (`inverse_element`) is triangular the other way, so its letters
-    are taken in reversed order.  Every weight has exactly one preimage.
+    ones already found: v_i = -w_i - sum_j a_ij·max(v_j, 0).  Every weight
+    has exactly one preimage.
     """
     weight = vec(weight)
-    e_mat = cc.E_inv_word if inverse_element else cc.E
-    order = cc.word[::-1] if inverse_element else cc.word
     v = [0] * cc.n
-    for p, i in enumerate(order):
-        v[i] = -weight[i] - sum(e_mat[i][j] * max(v[j], 0) for j in order[:p])
+    for p, i in enumerate(cc.word):
+        v[i] = -weight[i] - sum(cc.E[i][j] * max(v[j], 0) for j in cc.word[:p])
     return vec(v)
 
 
@@ -293,7 +289,14 @@ def cone_contains(cc, gens, v):
 
 
 def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
-    """Exact mutual-face test for two cluster cones (ranks 2 and 3)."""
+    """Whether two simplicial cones meet in a face of both (ranks 2 and 3).
+
+    The generators of each cone that lie in the other must agree; those
+    common generators span the candidate face.  In rank 2 that is enough,
+    since the extreme rays of the intersection are generators.  In rank 3 an
+    extreme ray may also cut through two boundary planes, so each such line
+    lying in both cones must lie in the candidate face.
+    """
     if cc.n not in (2, 3):
         raise RankOutOfRange(f"face intersection is implemented for ranks 2 and 3, not {cc.n}")
     gens1 = [vec(g) for g in gens1]
@@ -302,23 +305,16 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
     face2 = [g for g in gens2 if cone_contains(cc, gens1, g)]
     if sorted(face1) != sorted(face2):
         return False
-    face = sorted(face1)
     if cc.n == 2:
-        # planar cones: boundary rays are the generators themselves, so the
-        # intersection is spanned by the common ones
-        for g in gens1:
-            for h in gens2:
-                mid = vec(a + b for a, b in zip(g, h))
-                if cone_contains(cc, gens1, mid) and cone_contains(cc, gens2, mid):
-                    if not face or in_simplicial_cone([list(x) for x in face], mid) is None:
-                        return False
         return True
+    face = sorted(face1)
 
-    # candidate extreme rays of the intersection: common generators plus all
-    # pairwise boundary-plane intersections lying in both cones
+    # candidate extreme rays of the intersection besides the common
+    # generators (which lie in the face trivially): pairwise boundary-plane
+    # intersections lying in both cones
     planes1 = [cross(a, b) for a, b in combinations(gens1, 2)]
     planes2 = [cross(a, b) for a, b in combinations(gens2, 2)]
-    rays = list(face)
+    rays = []
     for p1 in planes1:
         for p2 in planes2:
             line = cross(p1, p2)
@@ -328,10 +324,7 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
                 if cone_contains(cc, gens1, cand) and cone_contains(cc, gens2, cand):
                     rays.append(vec(cand))
     for ray in rays:
-        if not face:
-            if any(x != 0 for x in ray):
-                return False
-        elif in_simplicial_cone([list(g) for g in face], ray) is None:
+        if not face or in_simplicial_cone([list(g) for g in face], ray) is None:
             return False
     return True
 

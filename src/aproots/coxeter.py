@@ -5,7 +5,8 @@ generalized 1-eigenvector gamma_c with its functional phi_c, the finite-orbit
 hyperplane data, the rotation subsystem living inside that hyperplane (its
 type-A components, cyclically ordered simple roots, per-component delta
 multiple), the transversals psi_to / psi_from / omega, the kappa function,
-the deformed maps sigma_s and tau_c, and the source-sink move graph.
+the deformed maps sigma_s and tau_c, and the closed-form counts of
+source-sink orientations and their classes.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class CoxeterContext:
                   for j in range(n))
             for i in range(n)
         )
-        self.E_inv_word = tuple(
+        e_inv_word = tuple(
             tuple(a[i][j] if self.pos[i] < self.pos[j] else (1 if i == j else 0)
                   for j in range(n))
             for i in range(n)
@@ -70,7 +71,7 @@ class CoxeterContext:
             by_product = mat_mul(ctx.cm.reflection_matrix(letter), by_product)
         by_form = tuple(
             tuple(canon(-x) for x in row)
-            for row in mat_mul(inverse(self.E_inv_word), self.E)
+            for row in mat_mul(inverse(e_inv_word), self.E)
         )
         assert by_product == by_form, "Coxeter matrix mismatch between definitions"
         self.c_mat = by_form
@@ -111,9 +112,9 @@ class CoxeterContext:
         self.omega = self._build_omega()
         self.kappa = {w: self._kappa(w) for w in self.omega}
 
-        graph = source_sink_graph(ctx)
+        orientations, _ = source_sink_counts(ctx)
         ranks = [comp.rank for comp in self.components]
-        self.m_bound = len(graph.vertices) + n * (lcm(*ranks) if ranks else 1)
+        self.m_bound = orientations + n * (lcm(*ranks) if ranks else 1)
 
     # -- scalar evaluations --------------------------------------------------
 
@@ -259,32 +260,13 @@ class CoxeterContext:
 
     # -- conjugation ----------------------------------------------------------
 
-    def initial_letters(self):
-        """Letters s that are initial in c (sources of the orientation)."""
-        out = []
-        for i in range(self.n):
-            if all(self.pos[i] < self.pos[j]
-                   for j in range(self.n)
-                   if j != i and self.cm.a[i][j] != 0):
-                out.append(i)
-        return out
-
-    def final_letters(self):
-        out = []
-        for i in range(self.n):
-            if all(self.pos[i] > self.pos[j]
-                   for j in range(self.n)
-                   if j != i and self.cm.a[i][j] != 0):
-                out.append(i)
-        return out
-
     def source_sink_move(self, s: int) -> "CoxeterContext":
         """Context for scs; s must be initial or final in c."""
         word = list(self.word)
-        if s in self.initial_letters():
+        if s in _word_sources(self.cm, self.word):
             word.remove(s)
             word.append(s)
-        elif s in self.final_letters():
+        elif s in _word_sources(self.cm, self.word[::-1]):
             word.remove(s)
             word.insert(0, s)
         else:
@@ -413,78 +395,29 @@ class CoxeterContext:
         raise AssertionError("infinite-orbit walk exhausted")
 
 
-class SourceSinkGraph:
-    def __init__(self, vertices, edges, component_of):
-        self.vertices = vertices            # tuple of orientations
-        self.edges = edges                  # set of frozenset pairs of indices
-        self.component_of = component_of    # orientation -> component id
+def _word_sources(cm, word):
+    """Letters of `word` that come before every neighbour in the word: the
+    sources of its orientation (the sinks are the sources of the reverse)."""
+    pos = {s: p for p, s in enumerate(word)}
+    active = set(word)
+    return [
+        s for s in word
+        if all(pos[s] < pos[t] for t in active if t != s and cm.a[s][t] != 0)
+    ]
 
-    @property
-    def component_count(self):
-        return len(set(self.component_of.values()))
 
+def source_sink_counts(ctx: AffineContext):
+    """(acyclic orientations of the Dynkin diagram, their classes under
+    source/sink flips), in closed form.
 
-def source_sink_graph(ctx: AffineContext) -> SourceSinkGraph:
-    """Acyclic orientations of the Dynkin diagram under source/sink flips."""
-    cm = ctx.cm
-    n = cm.n
-    diagram = [(i, j) for i in range(n) for j in range(i + 1, n) if cm.a[i][j] != 0]
-
-    def acyclic(orient):
-        succ = {i: [] for i in range(n)}
-        for i, j in orient:
-            succ[i].append(j)
-        seen, done = set(), set()
-
-        def dfs(u):
-            seen.add(u)
-            for w in succ[u]:
-                if w in seen and w not in done:
-                    return False
-                if w not in seen and not dfs(w):
-                    return False
-            done.add(u)
-            return True
-
-        return all(dfs(u) for u in range(n) if u not in seen)
-
-    vertices = []
-    for mask in range(1 << len(diagram)):
-        orient = frozenset(
-            (i, j) if not (mask >> e) & 1 else (j, i)
-            for e, (i, j) in enumerate(diagram)
-        )
-        if acyclic(orient):
-            vertices.append(orient)
-    vertices = sorted(vertices, key=sorted)
-
-    def flip(orient, v):
-        return frozenset((j, i) if v in (i, j) else (i, j) for i, j in orient)
-
-    edges = set()
-    adj = {o: [] for o in vertices}
-    for orient in vertices:
-        outs = {i for i, _ in orient}
-        ins = {j for _, j in orient}
-        touched = outs | ins
-        sources = [v for v in range(n) if v not in ins and (v in outs or v not in touched)]
-        sinks = [v for v in range(n) if v not in outs and (v in ins or v not in touched)]
-        for v in set(sources) | set(sinks):
-            other = flip(orient, v)
-            edges.add(frozenset({orient, other}))
-            adj[orient].append(other)
-    component_of = {}
-    comp = 0
-    for orient in vertices:
-        if orient in component_of:
-            continue
-        stack = [orient]
-        component_of[orient] = comp
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in component_of:
-                    component_of[nxt] = comp
-                    stack.append(nxt)
-        comp += 1
-    return SourceSinkGraph(tuple(vertices), edges, component_of)
+    An affine diagram is a tree or the n-cycle of A_{n-1}^(1).  Every
+    orientation of a tree with E edges is acyclic, and flips connect them
+    all: (2^E, 1).  The n-cycle has |chi(-1)| = 2^n - 2 acyclic orientations
+    (Stanley); a flip keeps the number of clockwise edges, which runs from
+    1 to n - 1 and names the class (Macauley-Mortveit): (2^n - 2, n - 1).
+    """
+    a, n = ctx.cm.a, ctx.n
+    edges = sum(1 for i in range(n) for j in range(i + 1, n) if a[i][j] != 0)
+    if edges == n - 1:
+        return 2 ** edges, 1
+    return 2 ** n - 2, n - 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coxeter import CoxeterContext
+from .coxeter import CoxeterContext, _word_sources
 from .errors import NotInImaginaryCone
 from .linalg import canon, vec
 from .roots import deformed_reflection, neg_simple
@@ -148,15 +148,6 @@ def _peel_run(comp, y, run, terms):
 # ---------------------------------------------------------------------------
 # rotations to a nonpositive coordinate
 # ---------------------------------------------------------------------------
-
-def _word_sources(cm, word):
-    pos = {s: p for p, s in enumerate(word)}
-    active = set(word)
-    return [
-        s for s in word
-        if all(pos[s] < pos[t] for t in active if t != s and cm.a[s][t] != 0)
-    ]
-
 
 def _apply_source(cm, word, s, v):
     word = list(word)

@@ -55,6 +55,8 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         ("clusters", "--type", "D3(2)", "--depth", "-1"),
         ("oracle", "--type", "A2(2)", "--depth", "-1"),
         ("fan-svg", "--type", "D3(2)", "--depth", "-1", "--out", str(tmp_path / "fan.svg")),
+        ("fan-svg", "--type", "D3(2)", "--depth", "1",
+         "--out", str(tmp_path / "missing" / "fan.svg")),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, args

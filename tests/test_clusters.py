@@ -248,11 +248,10 @@ def test_weight_map_inverse_round_trip():
         for _ in range(100):
             v = vec(Fraction(rng.randint(-8, 8), rng.randint(1, 3))
                     for _ in range(cc.n))
-            for flag in (False, True):
-                w = nu(cc, v, inverse_element=flag)
-                assert nu_inverse(cc, w, inverse_element=flag) == v
-                assert nu(cc, nu_inverse(cc, v, inverse_element=flag),
-                          inverse_element=flag) == v
+            for c in (cc, cc.inverse_context()):
+                w = nu(c, v)
+                assert nu_inverse(c, w) == v
+                assert nu(c, nu_inverse(c, v)) == v
 
 
 @settings(max_examples=30, deadline=None)
@@ -260,23 +259,23 @@ def test_weight_map_inverse_round_trip():
 def test_weight_map_inverse_over_random_coxeter_words(cc, data):
     entries = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
     vectors = st.lists(entries, min_size=cc.n, max_size=cc.n).map(vec)
-    for flag in (False, True):
+    for c in (cc, cc.inverse_context()):
         v = data.draw(vectors)
-        assert nu_inverse(cc, nu(cc, v, inverse_element=flag), inverse_element=flag) == v
+        assert nu_inverse(c, nu(c, v)) == v
         w = data.draw(vectors)
-        assert nu(cc, nu_inverse(cc, w, inverse_element=flag), inverse_element=flag) == w
+        assert nu(c, nu_inverse(c, w)) == w
 
 
 def test_weight_map_conjugation_identity():
-    # composing the inverse-element map with negation realizes the deformed
-    # rotation on the almost-positive set
+    # composing the inverse of the map of c^{-1} with negation realizes the
+    # deformed rotation on the almost-positive set
     from aproots import almost_positive as ap
 
     for label in ("A1(1)", "D3(2)", "A4(2)"):
         cc = cc_for(label)
+        inv = cc.inverse_context()
         for beta in ap.enumerate_phi_c(cc, 2):
-            lhs = nu_inverse(cc, tuple(-x for x in nu(cc, beta)),
-                             inverse_element=True)
+            lhs = nu_inverse(inv, tuple(-x for x in nu(cc, beta)))
             assert lhs == cc.tau(beta), (label, beta)
 
 
@@ -288,6 +287,21 @@ def test_rank2_face_intersection_example():
     # they share exactly the ray of the common root
     assert cone_contains(cc, [list(r) for r in c1], (0, -1))
     assert cone_contains(cc, [list(r) for r in c2], (0, -1))
+
+
+def test_rank2_fans_meet_in_faces():
+    # cones that meet only at 0 are allowed, even when a sum of their
+    # generators, like (0,-1) + (0,1) = 0, lies in both
+    from itertools import combinations
+
+    for label in ("A1(1)", "A2(2)"):
+        ctx, word = context_from_label(label)
+        for w in (word, word[::-1]):
+            cc = CoxeterContext(ctx, w)
+            real, imag = enumerate_clusters(cc, 6)
+            cones = sorted(real) + sorted(imag)
+            for c1, c2 in combinations(cones, 2):
+                assert cones_intersect_in_face(cc, c1, c2), (label, w, c1, c2)
 
 
 def test_face_intersection_rejects_rank_4_under_python_O():

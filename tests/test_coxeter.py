@@ -2,11 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from aproots.cartan import context_from_label
-from aproots.coxeter import CoxeterContext, source_sink_graph
+from aproots.cartan import (
+    AffineContext,
+    catalog,
+    catalog_labels,
+    context_from_label,
+    validate_cartan,
+)
+from aproots.coxeter import CoxeterContext, source_sink_counts
 from aproots.errors import NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec, vadd
 from aproots.roots import roots_up_to_level
@@ -244,16 +251,78 @@ def test_orbit_power_matches_hyperplane_side():
                 assert cc.phi(cur) < 0, (label, i, m)
 
 
-def test_source_sink_graph_counts():
-    ctx, _ = context_from_label("A1(1)")
-    g = source_sink_graph(ctx)
-    assert len(g.vertices) == 2 and g.component_count == 1
-    ctx, _ = context_from_label("A2(1):k=1")
-    g = source_sink_graph(ctx)
-    assert len(g.vertices) == 6 and g.component_count == 2
-    ctx, _ = context_from_label("D3(2)")
-    g = source_sink_graph(ctx)
-    assert len(g.vertices) == 4 and g.component_count == 1
+def _orientation_counts_by_enumeration(cm):
+    """Reference for source_sink_counts: build every orientation of the
+    Dynkin diagram, keep the acyclic ones and join them under source/sink
+    flips; returns (acyclic orientations, flip classes)."""
+    n = cm.n
+    diagram = [(i, j) for i in range(n) for j in range(i + 1, n) if cm.a[i][j] != 0]
+
+    def acyclic(orient):
+        succ = {i: [j for a, j in orient if a == i] for i in range(n)}
+        seen, done = set(), set()
+
+        def dfs(u):
+            seen.add(u)
+            for w in succ[u]:
+                if w in seen and w not in done:
+                    return False
+                if w not in seen and not dfs(w):
+                    return False
+            done.add(u)
+            return True
+
+        return all(dfs(u) for u in range(n) if u not in seen)
+
+    vertices = set()
+    for mask in range(1 << len(diagram)):
+        orient = frozenset(
+            (j, i) if (mask >> e) & 1 else (i, j) for e, (i, j) in enumerate(diagram)
+        )
+        if acyclic(orient):
+            vertices.add(orient)
+
+    def flips(orient):
+        outs = {i for i, _ in orient}
+        ins = {j for _, j in orient}
+        for v in range(n):
+            if v not in ins or v not in outs:  # a source or a sink
+                yield frozenset((j, i) if v in (i, j) else (i, j) for i, j in orient)
+
+    classes = 0
+    unseen = set(vertices)
+    while unseen:
+        classes += 1
+        stack = [unseen.pop()]
+        while stack:
+            for other in flips(stack.pop()):
+                if other in unseen:
+                    unseen.remove(other)
+                    stack.append(other)
+    return len(vertices), classes
+
+
+def test_source_sink_counts_match_enumeration_in_every_node_order():
+    rng = random.Random(59)
+    for label in catalog_labels(9):
+        cm, aff, _ = catalog(label)
+        shuffled = list(range(cm.n))
+        rng.shuffle(shuffled)
+        for order in (list(range(cm.n)), list(range(cm.n))[::-1], shuffled):
+            raw = [[cm.a[p][q] for q in order] for p in order]
+            ctx = AffineContext(validate_cartan(raw),
+                                aff=None if aff is None else order.index(aff))
+            assert source_sink_counts(ctx) == _orientation_counts_by_enumeration(ctx.cm), \
+                (label, order)
+
+
+def test_rank_20_cycle_builds_without_enumerating_orientations():
+    n = 20
+    raw = [[2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
+           for i in range(n)]
+    cc = CoxeterContext(AffineContext(validate_cartan(raw)), tuple(range(n)))
+    ranks = [comp.rank for comp in cc.components]
+    assert cc.m_bound == 2 ** n - 2 + n * lcm(*ranks)
 
 
 def test_coxeter_words_validate():
