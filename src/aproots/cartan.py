@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BadDiagonal,
@@ -146,11 +147,17 @@ class TypeClassification:
 
 
 def _positive_definite(gram) -> bool:
-    n = len(gram)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(gram[i][j] for j in range(k)) for i in range(k))
-        if linalg.det(minor) <= 0:
+    """Sylvester's criterion: in one fraction-free elimination without row
+    swaps, the k-th pivot is the k-th leading principal minor, scaled."""
+    m = lcm(*(x.denominator for row in gram for x in row))
+    a = [[int(x * m) for x in row] for row in gram]
+    d = 1
+    for k, top in enumerate(a):
+        if top[k] <= 0:
             return False
+        for i in range(k + 1, len(a)):
+            a[i] = [(top[k] * x - a[i][k] * y) // d for x, y in zip(a[i], top)]
+        d = top[k]
     return True
 
 
@@ -188,21 +195,19 @@ def finite_positive_roots(cm: CartanMatrix, active):
     return seen
 
 
-def valid_aff_indices(cm: CartanMatrix, delta) -> list:
-    """Indices i such that delta - [delta:α_i]·α_i is a positive root of the
-    parabolic obtained by deleting i."""
-    out = []
-    n = cm.n
-    for i in range(n):
-        active = [j for j in range(n) if j != i]
-        theta = list(delta)
-        theta[i] = 0
-        theta = tuple(theta)
-        if linalg.is_zero(theta):
-            continue
-        if theta in finite_positive_roots(cm, active):
-            out.append(i)
-    return out
+def _is_aff_node(cm: CartanMatrix, delta, i) -> bool:
+    """Whether delta - [delta:α_i]·α_i is a positive root of the parabolic
+    without i, which has finite type.  There, a positive root other than a
+    simple one pairs positively with a simple coroot in its support, and
+    that reflection lowers it to a positive root: descend to a simple root."""
+    theta = [0 if j == i else x for j, x in enumerate(delta)]
+    while sum(theta) > 1:
+        step = next(((j, t) for j, x in enumerate(theta)
+                     if x and (t := cm.pairing(j, theta)) > 0), None)
+        if step is None or theta[step[0]] < step[1]:
+            return False
+        theta[step[0]] -= step[1]
+    return sum(theta) == 1
 
 
 def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
@@ -227,12 +232,12 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
         keep = [j for j in range(n) if j != i]
         if keep and not _positive_definite(_principal_submatrix(cm.gram, keep)):
             return TypeClassification(kind=Kind.OTHER)
-    candidates = valid_aff_indices(cm, delta)
-    assert candidates, "affine matrix must admit a distinguished index"
     if aff is None:
-        best = min(delta[i] for i in candidates)
-        aff = min(i for i in candidates if delta[i] == best)
-    elif aff not in candidates:
+        aff = next((i for i in sorted(range(n), key=lambda i: (delta[i], i))
+                    if _is_aff_node(cm, delta, i)), None)
+        if aff is None:
+            raise NotAffine("no index can serve as the affine node")
+    elif not _is_aff_node(cm, delta, aff):
         raise NotAffine(f"index {aff + 1} cannot serve as the affine node")
     theta = list(delta)
     theta[aff] = 0

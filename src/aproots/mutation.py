@@ -12,11 +12,11 @@ its bias) is also the mask of the fields' high bits; multiplying two
 monomials is one addition, e1 + e2 - unit.
 
 Packed sums stay field by field only while every exponent fits its field,
-and no term-level check watches that.  Instead, each Seed.mutate bounds its
-exchange products from the exponent ranges of its variables, and each
-poly_div_exact bounds its quotient from the exponent ranges of its
-operands, before any term is formed; an exponent that could leave its field
-raises DepthTooDeep.
+and no term-level check watches that.  Instead, each Seed variable carries
+its exact exponent ranges.  Seed.mutate bounds its exchange products from
+them and derives the ranges of its numerator, which poly_div_exact takes
+with the divisor's to bound its quotient, before any term is formed; an
+exponent that could leave its field raises DepthTooDeep.
 
 Every mutation divides exactly (the Laurent phenomenon); a failed division
 raises and means a bug.  Denominator vectors and principal-grading degrees
@@ -26,6 +26,9 @@ d-vectors, g-vectors and hashable keys.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from .errors import DepthTooDeep, NonExactDivision, NotHomogeneous
 
@@ -76,18 +79,16 @@ def _ranges(p: dict, nvars: int):
     """Lowest and highest exponent of each variable in a nonzero polynomial."""
     bias = 1 << (FIELD_BITS - 1)
     fields = _fields(p, nvars)
-    return [min(f) - bias for f in fields], [max(f) - bias for f in fields]
+    return tuple(min(f) - bias for f in fields), tuple(max(f) - bias for f in fields)
 
 
-def poly_add(p: dict, q: dict) -> dict:
+def poly_add(p: dict, q: dict):
+    """Sum of two Laurent polynomials, and whether any term cancelled."""
     out = dict(p)
     for exp, coeff in q.items():
-        new = out.get(exp, 0) + coeff
-        if new:
-            out[exp] = new
-        else:
-            out.pop(exp, None)
-    return out
+        out[exp] = out.get(exp, 0) + coeff
+    nonzero = {exp: coeff for exp, coeff in out.items() if coeff}
+    return nonzero, len(nonzero) < len(out)
 
 
 def poly_mul(p: dict, q: dict, nvars: int) -> dict:
@@ -112,22 +113,26 @@ def poly_mul(p: dict, q: dict, nvars: int) -> dict:
     return out
 
 
-def poly_div_exact(p: dict, q: dict, nvars: int) -> dict:
+def poly_div_exact(p: dict, q: dict, nvars: int, prange, qrange) -> dict:
     """Exact division of Laurent polynomials; raises NonExactDivision.
 
-    Long division by lexicographically leading terms.  Lowest and highest
-    exponents add under multiplication, so every term of an exact quotient
-    lies in the box lo(p) - lo(q) .. hi(p) - hi(q), variable by variable.
-    A quotient term outside the box proves the division inexact; inside it,
-    every remainder term stays within the exponent ranges of p.
+    `prange` and `qrange` are per-variable exponent ranges (lo, hi): exact
+    for q, exact or enclosing for p.  Lowest and highest exponents add under
+    multiplication, so every term of an exact quotient lies in the box
+    lo(p) - lo(q) .. hi(p) - hi(q), variable by variable.  A quotient term
+    outside the box proves the division inexact; inside it, every remainder
+    term stays within p's box.
+
+    Long division by leading terms, the remainder a dict plus a max-heap of
+    its keys (Monagan and Pearce 2007): a key is pushed when it first enters
+    the remainder, and a popped key whose coefficient is now 0 is skipped.
     """
     if not q:
         raise NonExactDivision("division by zero polynomial")
     if not p:
         return {}
-    plo, phi = _ranges(p, nvars)
-    qlo, qhi = _ranges(q, nvars)
-    if max(map(abs, plo + phi + qlo + qhi)) >= _limit():
+    (plo, phi), (qlo, qhi) = prange, qrange
+    if max(map(abs, (*plo, *phi, *qlo, *qhi))) >= _limit():
         raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
     unit = pack([0] * nvars)   # the monomial 1; also the mask of the fields' high bits
     low = pack([a - b for a, b in zip(plo, qlo)])
@@ -136,23 +141,29 @@ def poly_div_exact(p: dict, q: dict, nvars: int) -> dict:
     lcq = q[lead_q]
     quotient: dict = {}
     rem = dict(p)
-    while rem:
-        lead_r = max(rem)
+    get = rem.get
+    heap = [-e for e in p]
+    heapify(heap)
+    while heap:
+        lead_r = -heappop(heap)
+        lcr = rem[lead_r]
+        if not lcr:
+            continue
         term = lead_r - lead_q + unit
         # low <= term <= high in every field: the fields' high bits stay set
-        if ((term - low + unit) & (high - term + unit) & unit != unit
-                or rem[lead_r] % lcq != 0):
+        if (term - low + unit) & (high - term + unit) & unit != unit or lcr % lcq:
             raise NonExactDivision("Laurent phenomenon violated")
-        coeff = rem[lead_r] // lcq
+        coeff = lcr // lcq
         quotient[term] = coeff
         base = term - unit
         for e2, c2 in q.items():
             exp = base + e2
-            new = rem.get(exp, 0) - coeff * c2
-            if new:
-                rem[exp] = new
+            old = get(exp)
+            if old is None:
+                rem[exp] = -coeff * c2
+                heappush(heap, -exp)
             else:
-                del rem[exp]
+                rem[exp] = old - coeff * c2
     return quotient
 
 
@@ -203,7 +214,7 @@ def matrix_mutation(btilde: tuple, k: int) -> tuple:
 class Seed:
     """Exchange matrix with principal coefficients plus its Laurent cluster.
 
-    Each variable's hashable key, d-vector and exponent reach are computed
+    Each variable's hashable key, d-vector and exponent ranges are computed
     once, when the variable is made, and shared by every seed that mutation
     carries it into."""
 
@@ -214,8 +225,8 @@ class Seed:
         self.btilde = btilde
         self.polys = tuple(polys)
         self.history = tuple(history)
-        # per slot: (variable key, d-vector, largest absolute exponent)
-        self._info = info or tuple(_describe(p, n) for p in self.polys)
+        # per slot: (variable key, d-vector, (lo, hi) exponent ranges)
+        self._info = info or tuple(_describe(p, n, _ranges(p, 2 * n)) for p in self.polys)
         self._key = frozenset(key for key, _, _ in self._info)
 
     @classmethod
@@ -230,21 +241,33 @@ class Seed:
         col = [row[k] for row in self.btilde]
         # no exponent of any partial exchange product exceeds this in absolute value
         reach = max(map(abs, col[n:])) + sum(
-            abs(c) * info[2] for c, info in zip(col, self._info))
+            abs(c) * max(map(abs, lo + hi)) for c, (_, _, (lo, hi)) in zip(col, self._info))
         if reach >= _limit():
             raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
-        plus = {pack([0] * n + [max(c, 0) for c in col[n:]]): 1}
-        minus = {pack([0] * n + [max(-c, 0) for c in col[n:]]): 1}
-        for i in range(n):
-            for _ in range(col[i]):
-                plus = poly_mul(plus, self.polys[i], nvars)
-            for _ in range(-col[i]):
-                minus = poly_mul(minus, self.polys[i], nvars)
-        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars)
+        # lowest and highest forms multiply, so a product's ranges are the sums
+        # of its factors'; the numerator's are the union of its halves', exact
+        # unless a term cancels, and then the quotient's are the differences
+        halves = []
+        for sign in (1, -1):
+            lo = hi = [0] * n + [max(sign * c, 0) for c in col[n:]]
+            poly = {pack(lo): 1}
+            for i, c in enumerate(col[:n]):
+                for _ in range(sign * c):
+                    poly = poly_mul(poly, self.polys[i], nvars)
+                    ilo, ihi = self._info[i][2]
+                    lo, hi = list(map(add, lo, ilo)), list(map(add, hi, ihi))
+            halves.append((poly, lo, hi))
+        (plus, plo, phi), (minus, mlo, mhi) = halves
+        numerator, cancelled = poly_add(plus, minus)
+        nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
+        qlo, qhi = self._info[k][2]
+        newpoly = poly_div_exact(numerator, self.polys[k], nvars, (nlo, nhi), (qlo, qhi))
+        newrange = _ranges(newpoly, nvars) if cancelled else (
+            tuple(map(sub, nlo, qlo)), tuple(map(sub, nhi, qhi)))
         polys = list(self.polys)
         polys[k] = newpoly
         info = list(self._info)
-        info[k] = _describe(newpoly, n)
+        info[k] = _describe(newpoly, n, newrange)
         return Seed(n, matrix_mutation(self.btilde, k), polys,
                     self.history + (k,), tuple(info))
 
@@ -280,11 +303,9 @@ class Seed:
         return tuple(g - bias * (1 - sum(b0[i])) for i, g in enumerate(grades.pop()))
 
 
-def _describe(p: dict, n: int) -> tuple:
-    """(key, d-vector, largest absolute exponent) of a nonzero variable."""
-    lo, hi = _ranges(p, 2 * n)
-    return (frozenset(p.items()), tuple(-m for m in lo[:n]),
-            max(map(abs, lo + hi)))
+def _describe(p: dict, n: int, ranges) -> tuple:
+    """(key, d-vector, exponent ranges) of a nonzero variable."""
+    return frozenset(p.items()), tuple(-m for m in ranges[0][:n]), ranges
 
 
 def seed_bfs(b: tuple, depth: int):

@@ -6,19 +6,26 @@ from itertools import product
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aproots import linalg
 from aproots.cartan import (
     AffineContext,
     Kind,
+    _positive_definite,
     catalog,
     catalog_labels,
     classify,
     context_from_label,
     dual,
+    finite_positive_roots,
     validate_cartan,
 )
 from aproots.errors import (
     BadDiagonal,
     CartanError,
+    NotAffine,
     NotSymmetrizable,
     PositiveOffDiagonal,
     RankOutOfRange,
@@ -171,6 +178,42 @@ def test_catalog_types_classify_affine_with_consistent_form():
                 assert lhs == cm.d[i] * cm.a[i][j]
         ctx = AffineContext(cm, aff=aff, label=label)
         assert all(x > 0 for x in ctx.delta)
+
+
+def test_affine_node_choice_matches_parabolic_root_systems():
+    # reference: an index is a valid affine node when θ = δ - [δ:α_i]·α_i
+    # is among the enumerated positive roots of the parabolic without i
+    for label in catalog_labels(7):
+        cm, _, _ = catalog(label)
+        delta = classify(cm).delta
+        valid = []
+        for i in range(cm.n):
+            theta = tuple(0 if j == i else x for j, x in enumerate(delta))
+            if theta in finite_positive_roots(cm, [j for j in range(cm.n) if j != i]):
+                valid.append(i)
+                assert classify(cm, aff=i).theta == theta
+            else:
+                with pytest.raises(NotAffine):
+                    classify(cm, aff=i)
+        assert classify(cm).aff == min(valid, key=lambda i: (delta[i], i)), label
+
+
+def test_large_cycle_classifies_without_enumerating_parabolics():
+    n = 30
+    cm = validate_cartan([[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
+                           for j in range(n)] for i in range(n)])
+    cls = classify(cm)
+    assert cls.kind is Kind.AFFINE and cls.aff == 0 and cls.delta == (1,) * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=25, max_size=25),
+       st.integers(1, 5), st.integers(1, 3), st.integers(0, 6))
+def test_positive_definite_matches_leading_minors(entries, n, den, shift):
+    gram = linalg.mat([[Fraction(entries[5 * i + j] + entries[5 * j + i], den)
+                        + (shift if i == j else 0) for j in range(n)] for i in range(n)])
+    minors = [linalg.det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+    assert _positive_definite(gram) == all(x > 0 for x in minors)
 
 
 def test_form_invariance_under_reflections():

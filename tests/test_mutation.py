@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aproots.mutation as mutation
-from aproots.cartan import context_from_label
+from aproots.cartan import catalog_labels, context_from_label
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DepthTooDeep, NonExactDivision
 from aproots.mutation import (
@@ -20,7 +20,9 @@ from aproots.mutation import (
     exchange_matrix_from_cartan,
     initial_btilde,
     matrix_mutation,
+    _ranges,
     pack,
+    poly_add,
     poly_div_exact,
     poly_mul,
     seed_bfs,
@@ -96,6 +98,11 @@ def test_positivity_observed():
             assert all(c > 0 for c in p.values())
 
 
+def divide(p, q, nvars):
+    """poly_div_exact with both operands' exponent ranges read off by a scan."""
+    return poly_div_exact(p, q, nvars, _ranges(p, nvars), _ranges(q, nvars))
+
+
 def test_poly_division_exactness():
     rng = random.Random(23)
     nvars = 4
@@ -111,10 +118,10 @@ def test_poly_division_exactness():
         if not f or not g:
             continue
         product = poly_mul(f, g, nvars)
-        assert poly_div_exact(product, g, nvars) == f
+        assert divide(product, g, nvars) == f
     # (x + 1) / (y + 3)
     with pytest.raises(NonExactDivision):
-        poly_div_exact(packed({(1, 0): 1, (0, 0): 1}), packed({(0, 1): 1, (0, 0): 3}), 2)
+        divide(packed({(1, 0): 1, (0, 0): 1}), packed({(0, 1): 1, (0, 0): 3}), 2)
 
 
 def test_term_cap(monkeypatch):
@@ -159,7 +166,88 @@ laurent = st.dictionaries(
 def test_packed_product_and_division_match_tuple_reference(f, g):
     product = poly_mul(packed(f), packed(g), 3)
     assert unpacked(product, 3) == reference_product(f, g)
-    assert poly_div_exact(product, packed(g), 3) == packed(f)
+    assert divide(product, packed(g), 3) == packed(f)
+
+
+def reference_division(p, q, nvars):
+    """Long division that rescans the remainder for its leading term and
+    scans both operands for the quotient box: the division before the
+    remainder kept a heap and the ranges were passed in."""
+    if not q:
+        raise NonExactDivision("division by zero polynomial")
+    if not p:
+        return {}
+    plo, phi = _ranges(p, nvars)
+    qlo, qhi = _ranges(q, nvars)
+    low = [a - b for a, b in zip(plo, qlo)]
+    high = [a - b for a, b in zip(phi, qhi)]
+    unit = pack([0] * nvars)
+    lead_q = max(q)
+    quotient = {}
+    rem = dict(p)
+    while rem:
+        lead_r = max(rem)
+        term = lead_r - lead_q + unit
+        exps = unpack(term, nvars)
+        if (any(not a <= e <= b for a, e, b in zip(low, exps, high))
+                or rem[lead_r] % q[lead_q]):
+            raise NonExactDivision("not exact")
+        coeff = rem[lead_r] // q[lead_q]
+        quotient[term] = coeff
+        rem, _ = poly_add(rem, {term - unit + e: -coeff * c for e, c in q.items()})
+    return quotient
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent, st.tuples(*[st.integers(-3, 3)] * 3), st.integers(-4, 4).filter(bool))
+def test_heap_division_matches_rescanning_reference(f, g, extra, c):
+    f, g = packed(f), packed(g)
+    product = poly_mul(f, g, 3)
+    if product:
+        assert divide(product, g, 3) == reference_division(product, g, 3) == f
+    # a monomial is divisible only by monomials, so adding one to a multiple
+    # of a binomial or longer leaves a pair that does not divide
+    inexact, _ = poly_add(product, {pack(extra): c})
+    if len(g) > 1 and inexact:
+        for division in (divide, reference_division):
+            with pytest.raises(NonExactDivision):
+                division(inexact, g, 3)
+
+
+def test_poly_add_reports_cancellation():
+    x, y = pack((1, 0)), pack((0, 1))
+    assert poly_add({x: 1, y: 2}, {y: 3}) == ({x: 1, y: 5}, False)
+    assert poly_add({x: 1, y: 2}, {y: -2}) == ({x: 1}, True)
+
+
+@pytest.mark.parametrize("label", catalog_labels(3))
+def test_carried_ranges_equal_a_scan(label):
+    ctx, word = context_from_label(label)
+    for w in (word, tuple(reversed(word))):
+        b = exchange_matrix_from_cartan(ctx.cm, w)
+        reps, _ = seed_bfs(b, 7)
+        for seed in reps.values():
+            for slot, p in enumerate(seed.polys):
+                assert seed._info[slot][2] == _ranges(p, 2 * seed.n)
+
+
+def test_cancellation_path_rescans_to_the_same_seeds(monkeypatch):
+    b, _, _ = b_for("G2(1)")
+
+    def laurent_seeds():
+        reps, edges = seed_bfs(b, 6)
+        return {key: (seed.polys, seed._info) for key, seed in reps.items()}, edges
+
+    carried = laurent_seeds()
+    scans = []
+
+    def cancelling_add(p, q):
+        scans.append(1)
+        return poly_add(p, q)[0], True
+
+    monkeypatch.setattr(mutation, "poly_add", cancelling_add)
+    assert laurent_seeds() == carried
+    assert scans
 
 
 def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
@@ -196,7 +284,8 @@ def test_guards_hold_under_python_O():
         x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
         y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
         try:
-            m.poly_div_exact(x_plus_1, y_plus_3, 2)
+            m.poly_div_exact(x_plus_1, y_plus_3, 2,
+                             m._ranges(x_plus_1, 2), m._ranges(y_plus_3, 2))
         except NonExactDivision:
             print("NonExactDivision")
         m.FIELD_BITS = 4
