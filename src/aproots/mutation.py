@@ -82,13 +82,15 @@ def _ranges(p: dict, nvars: int):
     return tuple(min(f) - bias for f in fields), tuple(max(f) - bias for f in fields)
 
 
-def poly_add(p: dict, q: dict):
-    """Sum of two Laurent polynomials, and whether any term cancelled."""
+def poly_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for exp, coeff in q.items():
-        out[exp] = out.get(exp, 0) + coeff
-    nonzero = {exp: coeff for exp, coeff in out.items() if coeff}
-    return nonzero, len(nonzero) < len(out)
+        new = out.get(exp, 0) + coeff
+        if new:
+            out[exp] = new
+        else:
+            out.pop(exp, None)
+    return out
 
 
 def poly_mul(p: dict, q: dict, nvars: int) -> dict:
@@ -245,8 +247,10 @@ class Seed:
         if reach >= _limit():
             raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
         # lowest and highest forms multiply, so a product's ranges are the sums
-        # of its factors'; the numerator's are the union of its halves', exact
-        # unless a term cancels, and then the quotient's are the differences
+        # of its factors'.  Both halves have only positive coefficients (Laurent
+        # positivity, Gross-Hacking-Keel-Kontsevich 2018), so no term of their
+        # sum cancels: the numerator's ranges are the union of the halves', and
+        # the quotient's are the differences from the divisor's
         halves = []
         for sign in (1, -1):
             lo = hi = [0] * n + [max(sign * c, 0) for c in col[n:]]
@@ -258,12 +262,11 @@ class Seed:
                     lo, hi = list(map(add, lo, ilo)), list(map(add, hi, ihi))
             halves.append((poly, lo, hi))
         (plus, plo, phi), (minus, mlo, mhi) = halves
-        numerator, cancelled = poly_add(plus, minus)
         nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
         qlo, qhi = self._info[k][2]
-        newpoly = poly_div_exact(numerator, self.polys[k], nvars, (nlo, nhi), (qlo, qhi))
-        newrange = _ranges(newpoly, nvars) if cancelled else (
-            tuple(map(sub, nlo, qlo)), tuple(map(sub, nhi, qhi)))
+        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars,
+                                 (nlo, nhi), (qlo, qhi))
+        newrange = tuple(map(sub, nlo, qlo)), tuple(map(sub, nhi, qhi))
         polys = list(self.polys)
         polys[k] = newpoly
         info = list(self._info)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aproots import linalg
+from aproots import cartan, linalg
 from aproots.cartan import (
     AffineContext,
     Kind,
@@ -198,12 +198,17 @@ def test_affine_node_choice_matches_parabolic_root_systems():
         assert classify(cm).aff == min(valid, key=lambda i: (delta[i], i)), label
 
 
-def test_large_cycle_classifies_without_enumerating_parabolics():
+def test_large_cycle_classifies_without_enumerating_parabolics(monkeypatch):
+    def no_enumeration(cm, active):
+        raise AssertionError("classify enumerated a parabolic root system")
+
+    monkeypatch.setattr(cartan, "finite_positive_roots", no_enumeration)
     n = 30
     cm = validate_cartan([[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
                            for j in range(n)] for i in range(n)])
     cls = classify(cm)
     assert cls.kind is Kind.AFFINE and cls.aff == 0 and cls.delta == (1,) * n
+    assert classify(cm, aff=17).theta == tuple(int(j != 17) for j in range(n))
 
 
 @settings(max_examples=200, deadline=None)
