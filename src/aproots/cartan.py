@@ -29,7 +29,6 @@ from .errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from . import linalg
 from .linalg import canon, kernel_basis, mat, primitive_integer_vector, vec
 
 
@@ -44,8 +43,9 @@ class CartanMatrix:
         return self.a[i]
 
     def k(self, v, w):
-        """K(v, w) for vectors in simple-root coordinates."""
-        return canon(sum(vi * x for vi, x in zip(v, linalg.mat_vec(self.gram, w))))
+        """K(v, w) = Σ_i v_i·d_i·K(α_i^vee, w) for vectors in simple-root
+        coordinates, summed over the nonzero v_i."""
+        return canon(sum(vi * self.d[i] * self.pairing(i, w) for i, vi in enumerate(v) if vi))
 
     def pairing(self, i, v):
         """K(α_i^vee, v) = Σ_j a_ij v_j."""
@@ -382,12 +382,15 @@ def _parse_label(label: str):
         text, kpart = text.split(":", 1)
         if not kpart.startswith("k="):
             raise UnknownLabel(label)
-        k = int(kpart[2:])
+        try:
+            k = int(kpart[2:])
+        except ValueError:
+            raise UnknownLabel(label) from None
     if "(" not in text or not text.endswith(")"):
         raise UnknownLabel(label)
     base, twist = text[:-1].split("(", 1)
     family, sub = base[0], base[1:]
-    if not sub.isdigit() or twist not in {"1", "2", "3"}:
+    if not sub.isdecimal() or twist not in {"1", "2", "3"}:
         raise UnknownLabel(label)
     return family, int(sub), int(twist), k
 

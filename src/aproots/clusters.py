@@ -11,7 +11,6 @@ real cluster.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import almost_positive as ap
@@ -23,10 +22,6 @@ from .linalg import canon, cross, det, gcd_of_maximal_minors, in_simplicial_cone
 
 REAL = "real"
 IMAGINARY = "imaginary"
-
-
-def _deg(cc, a, b):
-    return compat.degree(cc, a, b)
 
 
 def is_cluster(cc: CoxeterContext, roots):
@@ -42,8 +37,8 @@ def is_cluster(cc: CoxeterContext, roots):
             return None, f"{r} is not almost positive"
         classes[r] = cls
     for a, b in combinations(roots, 2):
-        if _deg(cc, a, b) != 0:
-            return None, f"{a} and {b} have degree {_deg(cc, a, b)}"
+        if compat.degree(cc, a, b) != 0:
+            return None, f"{a} and {b} have degree {compat.degree(cc, a, b)}"
     has_delta = any(cls == DELTA for cls in classes.values())
     if has_delta:
         if len(roots) != cc.n - 1:
@@ -65,16 +60,17 @@ def _extension_witness(cc, roots, m_bound: int = 4):
     for cand in pool:
         if cand in roots:
             continue
-        if all(_deg(cc, a, cand) == 0 for a in roots):
+        if all(compat.degree(cc, a, cand) == 0 for a in roots):
             return cand
     return None
 
 
 def require_real_cluster(cc, roots):
+    roots = tuple(sorted(vec(r) for r in roots))
     kind, reason = is_cluster(cc, roots)
     if kind != REAL:
         raise NotACluster(reason or "not a real cluster")
-    return tuple(sorted(vec(r) for r in roots))
+    return roots
 
 
 class TubeWall:
@@ -98,7 +94,9 @@ def exchange(cc: CoxeterContext, cluster, alpha):
 
     The facet F = cluster - {alpha} is shared with exactly one other real
     cone, so beta is the one root outside F in the cluster expansion of a
-    point sum(F) - t*alpha just across F.
+    point sum(F) - t*alpha just across F.  Expansions are positively
+    homogeneous, so the probe is the integer vector m*sum(F) - alpha for
+    m = 2, 4, 8, ...
     """
     cluster = require_real_cluster(cc, cluster)
     alpha = vec(alpha)
@@ -106,14 +104,14 @@ def exchange(cc: CoxeterContext, cluster, alpha):
         raise RootNotInCluster(str(alpha))
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
-    t = Fraction(1, 2)
-    # terminates: the neighbouring real cone holds sum(F) - t*alpha for small t > 0
+    m = 2
+    # terminates: the neighbouring real cone holds m*sum(F) - alpha for large m
     while True:
-        support = set(cluster_expansion(cc, [b - t * a for b, a in zip(base, alpha)]))
+        support = set(cluster_expansion(cc, [m * b - a for b, a in zip(base, alpha)]))
         if support.issuperset(facet):
             (beta,) = support - set(facet)
             return beta, tuple(sorted(facet + (beta,)))
-        t /= 2
+        m *= 2
 
 
 def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
@@ -196,14 +194,13 @@ def is_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
         raise NotInPhiC("arguments must be almost positive")
     if alpha == beta or DELTA in classes:
         return False
-    return _deg(cc, alpha, beta) == 1 and _deg(cc, beta, alpha) == 1
+    return compat.degree(cc, alpha, beta) == 1 and compat.degree(cc, beta, alpha) == 1
 
 
 def is_real_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
     if not is_exchangeable(cc, alpha, beta):
         return False
-    total = vec(a + b for a, b in zip(vec(alpha), vec(beta)))
-    return not in_delta_cone_interior(cc, total)
+    return not in_delta_cone_interior(cc, [a + b for a, b in zip(alpha, beta)])
 
 
 def delta_pair_test_available(cc: CoxeterContext) -> bool:
@@ -217,7 +214,7 @@ def single_root_delta_pair_test(cc: CoxeterContext, alpha) -> bool:
     delta_pair_test_available."""
     alpha = vec(alpha)
     d = cc.ctx.delta
-    return _deg(cc, alpha, d) == 1 and _deg(cc, d, alpha) == 1
+    return compat.degree(cc, alpha, d) == 1 and compat.degree(cc, d, alpha) == 1
 
 
 def is_pair_exchangeable_with_delta(cc: CoxeterContext, alpha, beta) -> bool:
@@ -285,7 +282,7 @@ def nu_inverse(cc: CoxeterContext, weight):
 # ---------------------------------------------------------------------------
 
 def cone_contains(cc, gens, v):
-    return in_simplicial_cone([list(g) for g in gens], vec(v)) is not None
+    return in_simplicial_cone(gens, v) is not None
 
 
 def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
@@ -322,9 +319,9 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
                 continue
             for cand in (line, tuple(-x for x in line)):
                 if cone_contains(cc, gens1, cand) and cone_contains(cc, gens2, cand):
-                    rays.append(vec(cand))
+                    rays.append(cand)
     for ray in rays:
-        if not face or in_simplicial_cone([list(g) for g in face], ray) is None:
+        if not face or not cone_contains(cc, face, ray):
             return False
     return True
 

@@ -6,20 +6,21 @@ compatible almost-positive roots.  The constructive path:
 * vectors inside the imaginary cone (the span of the finite-orbit simples)
   are peeled greedily within each component cycle after normalizing out a
   delta multiple;
-* any other vector is rotated by a recorded sequence of source/sink moves
+* any other vector is rotated by source moves (sink moves when phi(v) < 0)
   until a simple-root coordinate becomes nonpositive, split into negative
   simples plus a vector supported on a proper (hence finite) parabolic,
-  expanded there recursively, and pulled back through the deformed
-  reflections.
+  expanded there by the same rotation and split, and pulled back through
+  the deformed reflections.  By uniqueness any sequence of source moves
+  gives the same expansion, so one rotation order serves every case.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .coxeter import CoxeterContext, _word_sources
+from .coxeter import CoxeterContext
 from .errors import NotInImaginaryCone
-from .linalg import canon, vec
+from .linalg import canon, solve_general, vec
 from .roots import deformed_reflection, neg_simple
 
 
@@ -33,8 +34,6 @@ def _hyperplane_coordinates(cc: CoxeterContext, v):
     Returns (z, zf) with zf a dict fin-simple -> coefficient, or None when v
     is outside the hyperplane's span.
     """
-    from .linalg import solve_general
-
     basis = [cc.ctx.delta] + list(cc.fin_simples)
     rows = [[b[i] for b in basis] for i in range(cc.n)]
     sol = solve_general(rows, list(v))
@@ -43,66 +42,54 @@ def _hyperplane_coordinates(cc: CoxeterContext, v):
     return sol[0], dict(zip(cc.fin_simples, sol[1:]))
 
 
-def _component_slack(cc: CoxeterContext, zf):
-    """Per-component minimal affine-simple coefficients for a nonneg expression."""
-    slack = []
-    for comp in cc.components:
-        worst = max((-zf[f] for f in comp.fin_simples), default=0)
-        slack.append(max(0, worst))
-    return slack
+def _cone_coordinates(cc: CoxeterContext, v):
+    """(fin-simple coordinates, per-component slack, margin) of a canonical
+    v on the hyperplane, or None off it.
 
-
-def _delta_cone_margin(cc: CoxeterContext, v):
-    """How far v's delta coefficient exceeds the least one that keeps v in
-    the imaginary cone (negative outside it), or None off the hyperplane."""
-    v = vec(v)
-    if cc.phi(v) != 0:
-        return None
-    coords = _hyperplane_coordinates(cc, v)
+    The slack of a component is the least t >= 0 keeping every fin-simple
+    coefficient of the component at least -t; the margin is how far v's
+    delta coefficient exceeds the least one that keeps v in the imaginary
+    cone (negative outside it).
+    """
+    coords = _hyperplane_coordinates(cc, v) if cc.phi(v) == 0 else None
     if coords is None:
         return None
     z, zf = coords
-    slack = _component_slack(cc, zf)
-    return z - sum(comp.delta_multiple * s for comp, s in zip(cc.components, slack))
+    slack = [max([0] + [-zf[f] for f in comp.fin_simples]) for comp in cc.components]
+    used = sum(comp.delta_multiple * t for comp, t in zip(cc.components, slack))
+    return zf, slack, canon(z - used)
 
 
 def in_delta_cone(cc: CoxeterContext, v) -> bool:
-    margin = _delta_cone_margin(cc, v)
-    return margin is not None and margin >= 0
+    coords = _cone_coordinates(cc, vec(v))
+    return coords is not None and coords[2] >= 0
 
 
 def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
     """Relative-interior test: v - t·delta stays in the cone for some t > 0."""
-    margin = _delta_cone_margin(cc, v)
-    return margin is not None and margin > 0
+    coords = _cone_coordinates(cc, vec(v))
+    return coords is not None and coords[2] > 0
 
 
 def imaginary_expansion(cc: CoxeterContext, v):
     """Expansion of a vector of the imaginary cone over tube roots and delta."""
     v = vec(v)
-    coords = _hyperplane_coordinates(cc, v) if cc.phi(v) == 0 else None
+    coords = _cone_coordinates(cc, v)
     if coords is None:
         raise NotInImaginaryCone(f"{v} lies off the hyperplane of the imaginary cone")
-    z, zf = coords
-    terms = {}
-    used = 0
-    for comp in cc.components:
-        t = max([0] + [-zf[f] for f in comp.fin_simples])
-        used += comp.delta_multiple * t
-        y = {}
-        for p, root in enumerate(comp.cycle):
-            y[p] = t if p == comp.affine_pos else canon(zf[root] + t)
-            assert y[p] >= 0
-        zeros = [p for p in range(comp.rank) if y[p] == 0]
-        assert zeros, "normal form must have a zero per component"
-        runs = _cyclic_runs(comp.rank, zeros)
-        for run in runs:
-            _peel_run(comp, y, run, terms)
-    rest = canon(z - used)
-    if rest < 0:
+    zf, slack, margin = coords
+    if margin < 0:
         raise NotInImaginaryCone(f"{v} lies outside the imaginary cone")
-    if rest != 0:
-        terms[cc.ctx.delta] = canon(terms.get(cc.ctx.delta, 0) + rest)
+    terms = {}
+    for comp, t in zip(cc.components, slack):
+        # nonnegative, with a zero at the affine position or at the most
+        # negative fin-simple
+        y = {p: t if p == comp.affine_pos else canon(zf[root] + t)
+             for p, root in enumerate(comp.cycle)}
+        for run in _cyclic_runs(comp.rank, [p for p in range(comp.rank) if y[p] == 0]):
+            _peel_run(comp, y, run, terms)
+    if margin != 0:
+        terms[cc.ctx.delta] = margin
     return terms
 
 
@@ -146,67 +133,49 @@ def _peel_run(comp, y, run, terms):
 
 
 # ---------------------------------------------------------------------------
-# rotations to a nonpositive coordinate
+# rotation to a nonpositive coordinate
 # ---------------------------------------------------------------------------
 
-def _apply_source(cm, word, s, v):
+def _rotate(cm, word, v, active, cap, sink=False):
+    """Source moves (sink moves when `sink`) until a coordinate of v on the
+    `active` letters is nonpositive; at most `cap` of them.
+
+    Returns (letters, rotated_vector, rotated_word).
+    """
     word = list(word)
-    word.remove(s)
-    word.append(s)
-    return word, cm.reflect(s, v)
+    letters = []
+    while all(v[i] > 0 for i in active):
+        if len(letters) == cap:
+            raise AssertionError("rotation cap exhausted")
+        if sink:
+            s = word.pop()
+            word.insert(0, s)
+        else:
+            s = word.pop(0)
+            word.append(s)
+        v = cm.reflect(s, v)
+        letters.append(s)
+    return letters, v, word
 
 
 def rotate_affine(cc: CoxeterContext, v):
-    """Source/sink moves until some simple-root coordinate is nonpositive.
+    """Source moves (sink moves when phi(v) < 0) until some simple-root
+    coordinate is nonpositive.
 
     Returns (letters, rotated_vector, rotated_word).  Intermediate vectors
     are strictly positive, which the pull-back of the expansion requires.
+    On the hyperplane phi = 0, c permutes each component cycle and fixes
+    delta, and these span the hyperplane, so after n·lcm(component ranks)
+    letters the word and the vector repeat: a vector outside the imaginary
+    cone turns nonpositive within that period.
     """
-    cm = cc.cm
-    word = list(cc.word)
-    letters = []
-    if min(v) <= 0:
-        return letters, v, word
     sign = cc.phi(v)
     if sign == 0:
-        return _rotate_bfs(cc, v)
-    height = sum(abs(Fraction(x)) for x in v)
-    cap = 64 * cc.n * (1 + int(height)) + 8 * cc.n * cc.m_bound
-    for _ in range(cap):
-        if sign > 0:
-            s = word[0]
-            word = word[1:] + [s]
-        else:
-            s = word[-1]
-            word = [s] + word[:-1]
-        v = cm.reflect(s, v)
-        letters.append(s)
-        if min(v) <= 0:
-            return letters, v, word
-    raise AssertionError("rotation cap exhausted")
-
-
-def _rotate_bfs(cc: CoxeterContext, v):
-    """Minimal source-move sequence for hyperplane vectors, found breadth-first."""
-    cm = cc.cm
-    start = (tuple(cc.word), vec(v))
-    frontier = [(start, [])]
-    seen = {start}
-    for _ in range(cc.m_bound + 1):
-        nxt = []
-        for (word, cur), letters in frontier:
-            for s in _word_sources(cm, word):
-                nword, nv = _apply_source(cm, list(word), s, cur)
-                state = (tuple(nword), nv)
-                if state in seen:
-                    continue
-                seen.add(state)
-                path = letters + [s]
-                if min(nv) <= 0:
-                    return path, nv, list(nword)
-                nxt.append((state, path))
-        frontier = nxt
-    raise AssertionError("hyperplane rotation exceeded the move bound")
+        cap = cc.n * lcm(*(comp.rank for comp in cc.components))
+    else:
+        height = sum(abs(x) for x in v)
+        cap = 64 * cc.n * (1 + int(height)) + 8 * cc.n * cc.m_bound
+    return _rotate(cc.cm, cc.word, v, range(cc.n), cap, sink=sign < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +183,20 @@ def _rotate_bfs(cc: CoxeterContext, v):
 # ---------------------------------------------------------------------------
 
 def expand_in_parabolic(cm, word, v):
-    """Unique expansion of v inside the finite parabolic spanned by `word`."""
-    v = vec(v)
-    if all(x == 0 for x in v):
+    """Unique expansion of v inside the finite parabolic spanned by `word`.
+
+    v is a canonical tuple supported on the letters of `word`.
+    """
+    if not any(v):
         return {}
-    active = list(word)
-    assert all(v[i] == 0 for i in range(cm.n) if i not in set(active))
-    if any(v[i] <= 0 for i in active):
-        terms = {}
-        plus = []
-        vv = list(v)
-        for i in active:
-            if v[i] < 0:
-                terms[neg_simple(cm.n, i)] = -v[i]
-                vv[i] = 0
-            elif v[i] > 0:
-                plus.append(i)
-        sub = [s for s in word if s in set(plus)]
-        inner = expand_in_parabolic(cm, sub, tuple(vv))
-        for root, coeff in inner.items():
-            assert root not in terms
-            terms[root] = coeff
-        return terms
-    # strictly positive on the active set: rotate within the parabolic
-    letters = []
-    cur = v
-    wrd = list(word)
-    cap = 64 * len(active) * len(active) + 64
-    for _ in range(cap):
-        s = wrd[0]
-        wrd = wrd[1:] + [s]
-        cur = cm.reflect(s, cur)
-        letters.append(s)
-        if any(cur[i] <= 0 for i in active):
-            break
-    else:
-        raise AssertionError("finite rotation cap exhausted")
-    inner = expand_in_parabolic(cm, wrd, cur)
-    return _pull_back(cm, letters, inner)
+    if all(v[i] > 0 for i in word):
+        k = len(word)
+        letters, v, word = _rotate(cm, word, v, word, 64 * k * k + 64)
+        return _pull_back(cm, letters, expand_in_parabolic(cm, word, v))
+    terms = {neg_simple(cm.n, i): -v[i] for i in word if v[i] < 0}
+    sub = [s for s in word if v[s] > 0]
+    terms.update(expand_in_parabolic(cm, sub, tuple(x if x > 0 else 0 for x in v)))
+    return terms
 
 
 def _pull_back(cm, letters, terms):
@@ -267,9 +212,9 @@ def _pull_back(cm, letters, terms):
 def cluster_expansion(cc: CoxeterContext, v):
     """The unique cluster expansion of v as a dict root -> positive coefficient."""
     v = vec(v)
-    if all(x == 0 for x in v):
+    if not any(v):
         return {}
-    if cc.phi(v) == 0 and in_delta_cone(cc, v):
+    if in_delta_cone(cc, v):
         return imaginary_expansion(cc, v)
     letters, rotated, word = rotate_affine(cc, v)
     return _pull_back(cc.cm, letters, expand_in_parabolic(cc.cm, word, rotated))

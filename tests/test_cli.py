@@ -51,6 +51,10 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
         ("expand", "--type", "D3(2)", "--c", "1,x", "--vector", "1,1,1"),
         ("phic", "--type", "D3(2)", "--m-bound", "-1"),
+        ("classify", "--type", "A3(1):k=x"),
+        ("verify", "--type", "A3(1):k=x"),
+        ("classify", "--type", "A3(1):k="),
+        ("classify", "--type", "A\u00b2(1)"),
         ("roots", "--type", "D3(2)", "--level", "-1"),
         ("clusters", "--type", "D3(2)", "--depth", "-1"),
         ("oracle", "--type", "A2(2)", "--depth", "-1"),

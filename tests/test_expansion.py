@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aproots.cartan import context_from_label
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
-from aproots.coxeter import CoxeterContext
+from aproots.coxeter import CoxeterContext, _word_sources
 from aproots.expansion import (
     cluster_expansion,
     imaginary_expansion,
@@ -19,7 +20,7 @@ from aproots.expansion import (
     in_delta_cone_interior,
     rotate_affine,
 )
-from aproots.linalg import vec
+from aproots.linalg import integer_kernel_basis, primitive_integer_vector, vec
 
 from strategies import coxeter_contexts
 
@@ -141,10 +142,9 @@ def test_inequality_description_of_the_cone():
             for _ in range(cc.m_bound):
                 nxt = []
                 for word, cur in frontier:
-                    from aproots.expansion import _apply_source, _word_sources
-
                     for s in _word_sources(cc.cm, word):
-                        nword, nv = _apply_source(cc.cm, list(word), s, cur)
+                        nword = [t for t in word if t != s] + [s]
+                        nv = cc.cm.reflect(s, cur)
                         if nv[s] < 0:
                             return False
                         state = (tuple(nword), nv)
@@ -202,3 +202,32 @@ def test_an_expansion_reconstructs_its_vector_and_is_unique(cc, data):
     chosen = {root: data.draw(_coefficients) for root in cluster}
     built = {root: coeff for root, coeff in chosen.items() if coeff}
     assert cluster_expansion(cc, _combine(chosen, cc.n)) == built
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_hyperplane_vectors_outside_the_cone_rotate_within_one_period(cc, data):
+    # positive integer vectors on the hyperplane phi = 0, shifted by the
+    # least multiple of delta that makes them positive; the first one
+    # outside the imaginary cone is the probe (some types have none)
+    basis = integer_kernel_basis(primitive_integer_vector(cc._phi_fun))
+    tries = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=len(basis),
+                                        max_size=len(basis)), min_size=5, max_size=10))
+    probes = []
+    for coeffs in tries:
+        u = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(cc.n)]
+        m = max(-x // d + 1 for x, d in zip(u, cc.ctx.delta))
+        v = tuple(x + m * d for x, d in zip(u, cc.ctx.delta))
+        if not in_delta_cone(cc, v):
+            probes.append(v)
+    assume(probes)
+    v = probes[0]
+    assert cc.phi(v) == 0 and min(v) > 0
+    letters, rotated, _ = rotate_affine(cc, v)
+    assert len(letters) <= cc.n * lcm(*(comp.rank for comp in cc.components))
+    assert min(rotated) <= 0
+    terms = cluster_expansion(cc, v)
+    assert all(coeff > 0 for coeff in terms.values())
+    assert _combine(terms, cc.n) == v
+    for a, b in combinations(terms, 2):
+        assert degree(cc, a, b) == 0 and degree(cc, b, a) == 0, (v, a, b)
