@@ -240,8 +240,10 @@ def cmd_fan_svg(args):
     from .fan_svg import render_fan_svg
 
     cc = _load_coxeter(args)
-    real, imag = enumerate_clusters(cc, args.depth)
     pole = _parse_vector(args.pole, cc.n) if args.pole else None
+    if pole is not None and not any(pole):
+        raise MalformedInput("--pole must be a nonzero vector")
+    real, imag = enumerate_clusters(cc, args.depth)
     svg = render_fan_svg(cc, sorted(real) + sorted(imag), pole=pole)
     try:
         with open(args.out, "w") as fh:

@@ -12,6 +12,7 @@ real cluster.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from . import almost_positive as ap
 from . import compatibility as compat
@@ -304,25 +305,25 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
         return False
     if cc.n == 2:
         return True
-    face = sorted(face1)
+    face = set(face1)
 
-    # candidate extreme rays of the intersection besides the common
-    # generators (which lie in the face trivially): pairwise boundary-plane
-    # intersections lying in both cones
-    planes1 = [cross(a, b) for a, b in combinations(gens1, 2)]
-    planes2 = [cross(a, b) for a, b in combinations(gens2, 2)]
-    rays = []
-    for p1 in planes1:
-        for p2 in planes2:
+    # such a line is ±(a×b)×(c×d) for facets (a, b) and (c, d).  On the plane
+    # p = a×b, x = s·a + t·b has s·|p|² = x·(b×p) and t·|p|² = x·(p×a): a line
+    # lies in both cones when its four facet coordinates share a sign, and in
+    # the face when it has no weight on a generator outside the face
+    def facets(gens):
+        for a, b in combinations(gens, 2):
+            p = cross(a, b)
+            yield p, (cross(b, p), a), (cross(p, a), b)
+
+    facets2 = list(facets(gens2))
+    for p1, *sides1 in facets(gens1):
+        for p2, *sides2 in facets2:
             line = cross(p1, p2)
-            if all(x == 0 for x in line):
-                continue
-            for cand in (line, tuple(-x for x in line)):
-                if cone_contains(cc, gens1, cand) and cone_contains(cc, gens2, cand):
-                    rays.append(cand)
-    for ray in rays:
-        if not face or not cone_contains(cc, face, ray):
-            return False
+            signs = [sum(map(mul, line, u)) for u, _ in sides1 + sides2]
+            if (min(signs) >= 0 or max(signs) <= 0) and any(
+                    x and g not in face for x, (_, g) in zip(signs, sides1)):
+                return False
     return True
 
 

@@ -26,7 +26,12 @@ def canon(x):
 
 
 def vec(values) -> tuple:
-    return tuple(canon(x) for x in values)
+    """`values` as a tuple of canonical scalars; a tuple of ints comes back as is."""
+    t = tuple(values)
+    for x in t:
+        if type(x) is Fraction:
+            return tuple(canon(y) for y in t)
+    return t
 
 
 def parse_rational(text: str):
@@ -54,10 +59,6 @@ def cross(a, b) -> tuple:
         canon(a[2] * b[0] - a[0] * b[2]),
         canon(a[0] * b[1] - a[1] * b[0]),
     )
-
-
-def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat(rows) -> tuple:

@@ -34,7 +34,7 @@ from .clusters import (
 )
 from .coxeter import CoxeterContext
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import in_simplicial_cone, inverse, mat_vec, vec
+from .linalg import in_simplicial_cone, inverse, mat_vec, primitive_integer_vector, vec
 from .oracle_bridge import conjecture_evidence, verify_bijection
 
 RANK2_LABELS = ("A1(1)", "A2(2)")
@@ -252,14 +252,9 @@ def criterion_expansion_oracle(labels=None, samples=500, depth=6, seed=20260810)
             if terms != expected:
                 bad += 1
                 continue
-            containing = 0
-            for cl in real:
-                coeffs = mat_vec(inverses[cl], v)
-                if all(c >= 0 for c in coeffs):
-                    containing += 1
-            for cl in imag:
-                if in_simplicial_cone([list(g) for g in cl], v) is not None:
-                    containing += 1
+            v = primitive_integer_vector(v)  # same cones as v, in int arithmetic
+            containing = sum(all(c >= 0 for c in mat_vec(inverses[cl], v)) for cl in real)
+            containing += sum(in_simplicial_cone(cl, v) is not None for cl in imag)
             if containing != 1:
                 bad += 1
         rows.append(_row(f"expansion oracle {label} ({samples} samples)", bad == 0,

@@ -61,6 +61,7 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         ("fan-svg", "--type", "D3(2)", "--depth", "-1", "--out", str(tmp_path / "fan.svg")),
         ("fan-svg", "--type", "D3(2)", "--depth", "1",
          "--out", str(tmp_path / "missing" / "fan.svg")),
+        ("fan-svg", "--type", "D3(2)", "--pole", "0,0,0", "--out", str(tmp_path / "fan.svg")),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, args

@@ -4,9 +4,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aproots.cartan import context_from_label
@@ -27,7 +28,7 @@ from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext
 from aproots.errors import NotACluster, RootNotInCluster
 from aproots.expansion import cluster_expansion
-from aproots.linalg import vec
+from aproots.linalg import cross, det, in_simplicial_cone, vec
 
 from strategies import coxeter_contexts
 
@@ -302,6 +303,71 @@ def test_rank2_fans_meet_in_faces():
             cones = sorted(real) + sorted(imag)
             for c1, c2 in combinations(cones, 2):
                 assert cones_intersect_in_face(cc, c1, c2), (label, w, c1, c2)
+
+
+def reference_face_test(gens1, gens2):
+    """The face test by one cone-membership solve per candidate ray."""
+    def inside(gens, v):
+        return in_simplicial_cone(gens, v) is not None
+
+    face1 = [g for g in gens1 if inside(gens2, g)]
+    face2 = [g for g in gens2 if inside(gens1, g)]
+    if sorted(face1) != sorted(face2):
+        return False
+    for a, b in combinations(gens1, 2):
+        for c, d in combinations(gens2, 2):
+            line = cross(cross(a, b), cross(c, d))
+            if not any(line):
+                continue
+            for ray in (line, tuple(-x for x in line)):
+                if inside(gens1, ray) and inside(gens2, ray):
+                    if not face1 or not inside(face1, ray):
+                        return False
+    return True
+
+
+small_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@st.composite
+def rank3_cones(draw, shared=()):
+    """2 or 3 independent integer generators, some taken from `shared` and
+    some drawn as sums of two of them, so that cones often overlap."""
+    k = draw(st.sampled_from((2, 3)))
+    gens = list(draw(st.lists(st.sampled_from(shared), unique=True, max_size=k - 1))
+                if shared else [])
+    while len(gens) < k:
+        if shared and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(shared), min_size=2, max_size=2))
+            gens.append(tuple(x + y for x, y in zip(a, b)))
+        else:
+            gens.append(draw(small_vectors))
+    assume(any(cross(*gens)) if k == 2 else det(gens) != 0)
+    return tuple(gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank3_cones().flatmap(lambda c1: st.tuples(st.just(c1), rank3_cones(c1))))
+def test_rank3_face_test_matches_the_per_ray_reference(pair):
+    c1, c2 = pair
+    cc = cc_for("D3(2)")
+    for a, b in (pair, pair[::-1]):
+        assert cones_intersect_in_face(cc, a, b) == reference_face_test(a, b)
+
+
+def test_rank3_face_test_false_verdicts():
+    cc = cc_for("D3(2)")
+    orthant = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # they share the ray of (0,0,1), but (2,1,1) lies in both
+    crossing = ((1, 2, -1), (1, -1, 2), (0, 0, 1))
+    # a 2-dimensional cone through the interior of the orthant
+    slice_ = ((1, 1, 0), (0, 1, 1))
+    neighbour = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    for c1, c2, ok in ((orthant, crossing, False), (orthant, slice_, False),
+                       (orthant, neighbour, True)):
+        assert cones_intersect_in_face(cc, c1, c2) is ok
+        assert cones_intersect_in_face(cc, c2, c1) is ok
+        assert reference_face_test(c1, c2) is ok
 
 
 def test_face_intersection_rejects_rank_4_under_python_O():

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aproots.linalg import det, in_simplicial_cone, inverse, kernel_basis, solve_general
+from aproots.linalg import (
+    canon,
+    det,
+    in_simplicial_cone,
+    inverse,
+    kernel_basis,
+    solve_general,
+    vec,
+)
 
 
 def reference_rref(rows, ncols):
@@ -181,3 +189,18 @@ def test_right_hand_side_of_the_wrong_length_raises():
         solve_general([[1, 0]], [1, 2])
     with pytest.raises(ValueError):
         in_simplicial_cone([(1, 0, 0), (0, 1, 0)], (1, 1))
+
+
+def generator(values):
+    return (x for x in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries | st.builds(Fraction, st.integers(-6, 6)), max_size=5),
+       st.sampled_from((list, tuple, generator)))
+def test_vec_matches_entrywise_canonicalization(values, container):
+    expected = tuple(canon(x) for x in values)
+    assert typed(vec(container(values))) == typed(expected)
+    if all(type(x) is int for x in values):
+        t = tuple(values)
+        assert vec(t) is t
