@@ -307,10 +307,10 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
         return True
     face = set(face1)
 
-    # such a line is ±(a×b)×(c×d) for facets (a, b) and (c, d).  On the plane
-    # p = a×b, x = s·a + t·b has s·|p|² = x·(b×p) and t·|p|² = x·(p×a): a line
-    # lies in both cones when its four facet coordinates share a sign, and in
-    # the face when it has no weight on a generator outside the face
+    # a line through two boundary planes is ±(a×b)×(c×d) for facets (a, b)
+    # and (c, d).  On the plane p = a×b, x = s·a + t·b has s·|p|² = x·(b×p) and
+    # t·|p|² = x·(p×a): a line lies in both cones when its four facet
+    # coordinates share a sign, and in the face when it has no weight outside
     def facets(gens):
         for a, b in combinations(gens, 2):
             p = cross(a, b)

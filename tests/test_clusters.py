@@ -349,7 +349,6 @@ def rank3_cones(draw, shared=()):
 @settings(max_examples=300, deadline=None)
 @given(rank3_cones().flatmap(lambda c1: st.tuples(st.just(c1), rank3_cones(c1))))
 def test_rank3_face_test_matches_the_per_ray_reference(pair):
-    c1, c2 = pair
     cc = cc_for("D3(2)")
     for a, b in (pair, pair[::-1]):
         assert cones_intersect_in_face(cc, a, b) == reference_face_test(a, b)
