@@ -2,8 +2,9 @@
 
 The set consists of the negative simples, all positive real roots off the
 finite-order hyperplane, the positive real finite-orbit roots whose arc
-support is proper, and delta.  It is infinite, so the public surface is a
-membership test plus bounded enumerations indexed by the tau-power reach.
+support is proper, and delta.  It is infinite: membership is
+`CoxeterContext.phi_c_class`, and this module gives bounded enumerations
+indexed by the tau-power reach.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ from .errors import NegativeBound
 from .roots import neg_simple
 
 CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
-
-
-def classify_membership(cc: CoxeterContext, v):
-    """The membership class of v, or None when v is outside the set."""
-    return cc.phi_c_class(v)
-
-
-def is_in_phi_c(cc: CoxeterContext, v) -> bool:
-    return cc.phi_c_class(v) is not None
 
 
 def tube_roots(cc: CoxeterContext):
@@ -36,7 +28,8 @@ def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
     """Negative simples, tube roots, delta, and c^m-translates of the two
     transversal families for 0 ≤ m ≤ m_bound, in lexicographic order.
 
-    The five families are pairwise disjoint; this is asserted.
+    The five families are pairwise disjoint, so the result has
+    2n(m_bound + 1) + n + |tube roots| + 1 entries.
     """
     if m_bound < 0:
         raise NegativeBound(f"move bound {m_bound} is below zero")
@@ -56,18 +49,7 @@ def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
             w = cc.c_inverse_action(w)
     pieces.append(forward)
     pieces.append(backward)
-    total = sum(len(p) for p in pieces)
-    merged = set()
-    for p in pieces:
-        merged.update(p)
-    assert len(merged) == total, "transversal families must be disjoint"
-    return sorted(merged)
-
-
-def phi_c_inverse_invariance_check(cc: CoxeterContext, m_bound: int = 3) -> bool:
-    """The set is the same for c and c^{-1} (bounded enumerations agree)."""
-    other = cc.inverse_context()
-    return set(enumerate_phi_c(cc, m_bound)) == set(enumerate_phi_c(other, m_bound))
+    return sorted({root for p in pieces for root in p})
 
 
 def export_enumeration(cc: CoxeterContext, m_bound: int):

@@ -1,7 +1,10 @@
 """Exception hierarchy for domain errors.
 
 Every error that a caller can provoke with bad input derives from
-:class:`AprootsError`; internal consistency failures use plain asserts.
+:class:`AprootsError`.  The package has no `assert` statements: the
+invariants of its constructions are held by tests, and the internal
+failures still checked at run time raise explicitly, so they survive
+`python -O`.
 """
 
 

@@ -48,10 +48,6 @@ def format_rational(x) -> str:
     return str(int(x))
 
 
-def vadd(u, v):
-    return tuple(canon(a + b) for a, b in zip(u, v))
-
-
 def cross(a, b) -> tuple:
     """Cross product of two 3-vectors (`fan_svg` also applies it to floats)."""
     return (
@@ -63,10 +59,6 @@ def cross(a, b) -> tuple:
 
 def mat(rows) -> tuple:
     return tuple(vec(r) for r in rows)
-
-
-def identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_vec(m, v) -> tuple:
@@ -185,12 +177,14 @@ def kernel_basis(m):
 
 
 def primitive_integer_vector(v) -> tuple:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
+    """Scale a nonzero rational vector to coprime integers, keeping direction;
+    raises ValueError on the zero vector."""
     fracs = [Fraction(x) for x in v]
     m = lcm(*(x.denominator for x in fracs))
     ints = [x.numerator * (m // x.denominator) for x in fracs]
     g = gcd(*ints)
-    assert g > 0, "zero vector has no primitive form"
+    if g == 0:
+        raise ValueError("the zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 

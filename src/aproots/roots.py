@@ -17,7 +17,7 @@ from .cartan import (
     finite_positive_roots,
     validate_cartan,
 )
-from .errors import IndexOutOfRange, NotAffine, NotARoot
+from .errors import NotAffine, NotARoot
 from .linalg import vec
 
 
@@ -26,13 +26,6 @@ class Root:
     vec: tuple
     is_real: bool
     coroot: tuple   # simple-coroot coordinates (delta_vee coordinates for delta)
-
-
-def simple_reflection(cm: CartanMatrix, i: int, v):
-    """s_i(v) = v - K(α_i^vee, v)·α_i."""
-    if not 0 <= i < cm.n:
-        raise IndexOutOfRange(f"index {i + 1} out of range 1..{cm.n}")
-    return cm.reflect(i, vec(v))
 
 
 def neg_simple(n: int, i: int) -> tuple:
@@ -64,10 +57,6 @@ def deformed_reflection(cm: CartanMatrix, s: int, v):
 
 def support(v) -> frozenset:
     return frozenset(i for i, x in enumerate(v) if x != 0)
-
-
-def has_full_support(v) -> bool:
-    return all(x != 0 for x in v)
 
 
 def roots_up_to_level(ctx, bound: int):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -198,14 +199,120 @@ def test_affine_node_choice_matches_parabolic_root_systems():
         assert classify(cm).aff == min(valid, key=lambda i: (delta[i], i)), label
 
 
+def cycle_matrix(n):
+    return validate_cartan([[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
+                             for j in range(n)] for i in range(n)])
+
+
+def test_classify_tests_positive_definiteness_once(monkeypatch):
+    # a positive primitive kernel vector of a one-dimensional kernel already
+    # makes the matrix affine: no corank-1 submatrix is tested
+    sizes = []
+
+    def counting(gram):
+        sizes.append(len(gram))
+        return _positive_definite(gram)
+
+    monkeypatch.setattr(cartan, "_positive_definite", counting)
+    assert classify(cycle_matrix(30)).kind is Kind.AFFINE
+    assert sizes == [30]
+
+
+def gram_is_symmetric(cm):
+    return all(cm.gram[i][j] == cm.gram[j][i] for i in range(cm.n) for j in range(cm.n))
+
+
+def delta_vee_closed_form(cm, cls):
+    """delta^vee = 2/K(α_aff, α_aff)·delta, halved when [delta:α_aff] = 2."""
+    factor = Fraction(2) / cm.gram[cls.aff][cls.aff]
+    if cls.delta[cls.aff] == 2:
+        factor /= 2
+    return linalg.vec(factor * x for x in cls.delta)
+
+
+def permuted(cm, order):
+    return validate_cartan([[cm.a[p][q] for q in order] for p in order])
+
+
+def test_gram_symmetry_and_delta_vee_closed_form_in_every_node_order():
+    rng = random.Random(12)
+    for label in catalog_labels(9):
+        cm, aff, _ = catalog(label)
+        shuffled = list(range(cm.n))
+        rng.shuffle(shuffled)
+        for order in (list(range(cm.n)), list(range(cm.n))[::-1], shuffled):
+            pcm = permuted(cm, order)
+            assert gram_is_symmetric(pcm), (label, order)
+            for node in (order.index(aff), None):
+                cls = classify(pcm, aff=node)
+                assert cls.delta_vee == delta_vee_closed_form(pcm, cls), (label, order, node)
+
+
+def reference_classify(cm):
+    """(kind, delta, aff, theta) with every corank-1 principal submatrix
+    tested: affine when the kernel is one-dimensional, spanned by a positive
+    vector, and each corank-1 principal submatrix is positive definite; the
+    affine node by enumerating each parabolic root system."""
+    n = cm.n
+    if _positive_definite(cm.gram):
+        return Kind.FINITE, None, None, None
+    kernel = linalg.kernel_basis(cm.a)
+    if len(kernel) != 1:
+        return Kind.OTHER, None, None, None
+    delta = linalg.primitive_integer_vector(kernel[0])
+    if all(x <= 0 for x in delta):
+        delta = tuple(-x for x in delta)
+    if any(x <= 0 for x in delta):
+        return Kind.OTHER, None, None, None
+    for i in range(n):
+        keep = [j for j in range(n) if j != i]
+        if not _positive_definite(tuple(tuple(cm.gram[p][q] for q in keep) for p in keep)):
+            return Kind.OTHER, None, None, None
+    thetas = {i: tuple(0 if j == i else x for j, x in enumerate(delta)) for i in range(n)}
+    valid = [i for i in range(n)
+             if thetas[i] in finite_positive_roots(cm, [j for j in range(n) if j != i])]
+    aff = min(valid, key=lambda i: (delta[i], i))
+    return Kind.AFFINE, delta, aff, thetas[aff]
+
+
+@st.composite
+def symmetrizable_gcms(draw):
+    """A random symmetrizable GCM of rank 2-6: symmetrizers d_i in {1, 2, 3}
+    and d_i·a_ij = d_j·a_ji = -k·lcm(d_i, d_j) with k in {0, 1, 2}."""
+    n = draw(st.integers(2, 6))
+    d = [draw(st.sampled_from((1, 1, 1, 2, 3))) for _ in range(n)]
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = draw(st.sampled_from((0, 0, 1, 1, 1, 2)))
+            m = lcm(d[i], d[j])
+            a[i][j], a[j][i] = -k * m // d[i], -k * m // d[j]
+    return validate_cartan(a)
+
+
+@st.composite
+def permuted_catalog_matrices(draw):
+    cm, _, _ = catalog(draw(st.sampled_from(catalog_labels(6))))
+    return permuted(cm, draw(st.permutations(range(cm.n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetrizable_gcms(), permuted_catalog_matrices()))
+def test_classify_matches_the_corank_one_criterion(cm):
+    cls = classify(cm)
+    assert (cls.kind, cls.delta, cls.aff, cls.theta) == reference_classify(cm)
+    assert gram_is_symmetric(cm)
+    if cls.kind is Kind.AFFINE:
+        assert cls.delta_vee == delta_vee_closed_form(cm, cls)
+
+
 def test_large_cycle_classifies_without_enumerating_parabolics(monkeypatch):
     def no_enumeration(cm, active):
         raise AssertionError("classify enumerated a parabolic root system")
 
     monkeypatch.setattr(cartan, "finite_positive_roots", no_enumeration)
     n = 30
-    cm = validate_cartan([[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
-                           for j in range(n)] for i in range(n)])
+    cm = cycle_matrix(n)
     cls = classify(cm)
     assert cls.kind is Kind.AFFINE and cls.aff == 0 and cls.delta == (1,) * n
     assert classify(cm, aff=17).theta == tuple(int(j != 17) for j in range(n))

@@ -113,6 +113,10 @@ def test_malformed_cartan_json_exits_with_one_line(tmp_path):
         "entry.json": json.dumps({"cartan": [[2, "-2"], [-2, 2]]}),
         "aff.json": json.dumps({"cartan": [[2, -2], [-2, 2]], "aff": 1.5}),
     }
+    # affine node numbers outside 1..n name the range
+    for aff in (0, -1, 4):
+        contents[f"aff_range_{aff}.json"] = json.dumps(
+            {"cartan": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]], "aff": aff})
     for name, text in contents.items():
         (tmp_path / name).write_text(text)
     for name in ["missing.json", *contents]:
@@ -122,6 +126,8 @@ def test_malformed_cartan_json_exits_with_one_line(tmp_path):
             proc = run_cli(*args)
             assert proc.returncode == 1, args
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
+            if name.startswith("aff_range_"):
+                assert "out of range 1..3" in proc.stderr, (args, proc.stderr)
 
 
 def test_verify_subset():

@@ -5,18 +5,22 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
 
 from aproots.cartan import (
     AffineContext,
     catalog,
     catalog_labels,
     context_from_label,
+    finite_positive_roots,
     validate_cartan,
 )
 from aproots.coxeter import CoxeterContext, source_sink_counts
 from aproots.errors import NotAlmostPositive, NotInPhiC
-from aproots.linalg import mat_vec, vadd
+from aproots.linalg import mat_vec
 from aproots.roots import roots_up_to_level
+
+from strategies import coxeter_contexts
 
 
 def cc_for(label, word=None):
@@ -150,7 +154,7 @@ def test_component_cycles_sum_to_delta_multiples():
         for comp in cc.components:
             total = [0] * cc.n
             for r in comp.cycle:
-                total = vadd(total, r)
+                total = [a + b for a, b in zip(total, r)]
             assert tuple(total) == tuple(comp.delta_multiple * x for x in cc.ctx.delta)
             # c rotates the cycle
             for p, r in enumerate(comp.cycle):
@@ -331,3 +335,63 @@ def test_coxeter_words_validate():
         CoxeterContext(ctx, (0, 0, 1))
     alt = CoxeterContext(ctx, (2, 1, 0))
     assert mat_vec(alt.c_mat, ctx.delta) == ctx.delta
+
+
+def reflection_product(cm, word):
+    """c = s_{w_1}···s_{w_n}, column by column: each simple root is reflected
+    by the letters from the last to the first."""
+    columns = []
+    for j in range(cm.n):
+        v = tuple(int(i == j) for i in range(cm.n))
+        for s in reversed(word):
+            v = cm.reflect(s, v)
+        columns.append(v)
+    return tuple(zip(*columns))
+
+
+def phi_zero_simples(cc):
+    """Simple roots of the finite-orbit subsystem by the all-pairs scan: the
+    positive roots on which phi vanishes that are no sum of two others."""
+    ctx = cc.ctx
+    ups = {r for r in finite_positive_roots(cc.cm, [j for j in range(cc.n) if j != ctx.aff])
+           if cc.phi(r) == 0}
+    return {r for r in ups
+            if not any(tuple(a - b for a, b in zip(r, s)) in ups for s in ups if s != r)}
+
+
+def assert_construction_invariants(cc):
+    """The invariants the context construction relies on but does not check."""
+    ctx, n = cc.ctx, cc.n
+    where = (ctx.label, cc.word)
+    assert cc.c_mat == reflection_product(cc.cm, cc.word), where
+    assert cc.c_action(ctx.delta) == ctx.delta, where
+    # gamma exists: (c - 1)·gamma = delta with gamma_aff = 0
+    assert cc.gamma is not None and cc.gamma[ctx.aff] == 0, where
+    assert tuple(a - b for a, b in zip(cc.c_action(cc.gamma), cc.gamma)) == ctx.delta, where
+    assert any(cc.phi_weight), where
+    for i in range(n):
+        assert cc.phi(cc.psi_to[i]) > 0 > cc.phi(cc.psi_from[i]), (where, i)
+    assert len(cc.fin_simples) == n - 2, where
+    assert set(cc.fin_simples) == phi_zero_simples(cc), where
+    for comp in cc.components:
+        assert len(set(comp.cycle)) == comp.rank, where
+        for p, r in enumerate(comp.cycle):
+            assert cc.c_action(r) == comp.cycle[(p + 1) % comp.rank], where
+        total = [sum(col) for col in zip(*comp.cycle)]
+        assert total == [comp.delta_multiple * x for x in ctx.delta], where
+
+
+def test_construction_invariants_on_every_catalog_type():
+    rng = random.Random(41)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        shuffled = list(word)
+        rng.shuffle(shuffled)
+        for w in (word, word[::-1], tuple(shuffled)):
+            assert_construction_invariants(CoxeterContext(ctx, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_contexts())
+def test_construction_invariants_over_random_coxeter_words(cc):
+    assert_construction_invariants(cc)

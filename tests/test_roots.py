@@ -1,5 +1,6 @@
 """Root enumeration, supports, coroots, parabolic restriction."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,23 +16,22 @@ from aproots.errors import IndexOutOfRange
 from aproots.roots import (
     as_root,
     finite_positive_roots,
-    has_full_support,
     parabolic_restriction,
     roots_up_to_level,
-    simple_reflection,
     support,
 )
 
 
 def test_simple_reflection_examples():
     ctx, _ = context_from_label("A1(1)")
-    cm = ctx.cm
-    assert simple_reflection(cm, 0, (1, 0)) == (-1, 0)
-    assert simple_reflection(cm, 1, (1, 0)) == (1, 2)
-    assert simple_reflection(cm, 0, ctx.delta) == ctx.delta
-    assert simple_reflection(cm, 1, ctx.delta) == ctx.delta
+    assert ctx.reflect(0, (1, 0)) == (-1, 0)
+    assert ctx.reflect(1, (1, 0)) == (1, 2)
+    assert ctx.reflect(0, ctx.delta) == ctx.delta
+    assert ctx.reflect(1, ctx.delta) == ctx.delta
     with pytest.raises(IndexOutOfRange):
-        simple_reflection(cm, 5, (1, 0))
+        ctx.reflect(5, (1, 0))
+    with pytest.raises(IndexOutOfRange):
+        ctx.reflect(-1, (1, 0))
 
 
 def test_reflection_involution():
@@ -66,7 +66,7 @@ def test_support():
     ctx, _ = context_from_label("A2(1):k=1")
     assert support((1, 0, 0)) == {0}
     assert support(ctx.delta) == {0, 1, 2}
-    assert has_full_support(ctx.delta)
+    assert all(x != 0 for x in ctx.delta)
     assert support((0, 0, 0)) == frozenset()
 
 
@@ -123,6 +123,7 @@ def test_root_guards_hold_under_python_O():
         from aproots.coxeter import CoxeterContext
         from aproots.errors import NegativeBound, NotAffine, NotARoot, NotInImaginaryCone
         from aproots.expansion import imaginary_expansion
+        from aproots.linalg import primitive_integer_vector
         from aproots.roots import as_root, roots_up_to_level
 
         print(__debug__)
@@ -133,10 +134,12 @@ def test_root_guards_hold_under_python_O():
                      lambda: enumerate_phi_c(cc, -1),
                      lambda: imaginary_expansion(cc, (1, -1, 1)),
                      lambda: imaginary_expansion(cc, (1, 0, 0)),
-                     lambda: roots_up_to_level("D3(2)", 2)):
+                     lambda: roots_up_to_level("D3(2)", 2),
+                     lambda: primitive_integer_vector((0, 0, 0))):
             try:
                 call()
-            except (NotARoot, NegativeBound, NotInImaginaryCone, NotAffine) as exc:
+            except (NotARoot, NegativeBound, NotInImaginaryCone, NotAffine,
+                    ValueError) as exc:
                 print(type(exc).__name__)
     """)
     src = str(Path(roots.__file__).resolve().parents[1])
@@ -146,7 +149,18 @@ def test_root_guards_hold_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "NotARoot", "NotARoot", "NegativeBound",
-                                  "NotInImaginaryCone", "NotInImaginaryCone", "NotAffine"]
+                                  "NotInImaginaryCone", "NotInImaginaryCone", "NotAffine",
+                                  "ValueError"]
+
+
+def test_package_has_no_assert_statements():
+    # invariants live in tests; an assert in the package vanishes under -O
+    package = Path(roots.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_standard_types_are_delta_translates():
