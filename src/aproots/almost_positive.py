@@ -9,15 +9,9 @@ indexed by the tau-power reach.
 
 from __future__ import annotations
 
-from .coxeter import DELTA, NEG_SIMPLE, TRANSIENT, TUBE, CoxeterContext
+from .coxeter import CoxeterContext
 from .errors import NegativeBound
 from .roots import neg_simple
-
-CLASSES = (NEG_SIMPLE, TRANSIENT, TUBE, DELTA)
-
-
-def tube_roots(cc: CoxeterContext):
-    return cc.tube_roots()
 
 
 def neg_simples(cc: CoxeterContext):
@@ -35,7 +29,7 @@ def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
         raise NegativeBound(f"move bound {m_bound} is below zero")
     pieces = []
     pieces.append(neg_simples(cc))
-    pieces.append(tube_roots(cc))
+    pieces.append(cc.tube_roots())
     pieces.append([cc.ctx.delta])
     forward = []
     backward = []

@@ -43,9 +43,6 @@ class CartanMatrix:
     d: tuple            # symmetrizers, positive rationals with min = 1
     gram: tuple         # K(α_i, α_j) = d_i·a_ij
 
-    def row(self, i):
-        return self.a[i]
-
     def k(self, v, w):
         """K(v, w) = Σ_i v_i·d_i·K(α_i^vee, w) for vectors in simple-root
         coordinates, summed over the nonzero v_i."""
@@ -381,15 +378,17 @@ def catalog(label: str):
     order, and the distinguished affine node is the last one.
     """
     family, sub, twist, k = _parse_label(label)
+    unknown = f"{label}: not a catalog type label"
+    out_of_range = f"{label}: rank out of the catalog's range"
     if twist == 1:
         if family == "A":
             n = sub + 1
             if n == 2:
                 if k is not None:
-                    raise UnknownLabel(label)
+                    raise UnknownLabel(unknown)
             else:
                 if n < 3:
-                    raise RankOutOfRange(label)
+                    raise RankOutOfRange(out_of_range)
                 if k is None:
                     raise UnknownLabel(f"{label}: orientation parameter k=1..{n - 1} required")
                 if not 1 <= k <= n - 1:
@@ -397,38 +396,38 @@ def catalog(label: str):
         elif family == "B":
             n = sub + 1
             if n < 4:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
         elif family == "C":
             n = sub + 1
             if n < 3:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
         elif family == "D":
             n = sub + 1
             if n < 5:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
         elif family == "E":
             if sub not in (6, 7, 8):
-                raise UnknownLabel(label)
+                raise UnknownLabel(unknown)
             n = sub + 1
         elif family == "F":
             if sub != 4:
-                raise UnknownLabel(label)
+                raise UnknownLabel(unknown)
             n = 5
         elif family == "G":
             if sub != 2:
-                raise UnknownLabel(label)
+                raise UnknownLabel(unknown)
             n = 3
         else:
-            raise UnknownLabel(label)
+            raise UnknownLabel(unknown)
         if n > _MAX_RANK:
-            raise RankOutOfRange(label)
+            raise RankOutOfRange(out_of_range)
         edges = _untwisted_edges(family, n, k)
         raw = _edges_to_matrix(n, edges)
     else:
         if twist == 2 and family == "A" and sub % 2 == 0:
             n = sub // 2 + 1
             if n < 2 or n > _MAX_RANK:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
             if n == 2:
                 raw = [[2, -1], [-4, 2]]
             else:
@@ -439,27 +438,27 @@ def catalog(label: str):
         elif twist == 2 and family == "A" and sub % 2 == 1:
             n = (sub + 1) // 2 + 1
             if n < 4 or n > _MAX_RANK:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
             raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("B", n, None)))]
             for i in range(n):
                 raw[i][i] = 2
         elif twist == 2 and family == "D":
             n = sub
             if n < 3 or n > _MAX_RANK:
-                raise RankOutOfRange(label)
+                raise RankOutOfRange(out_of_range)
             raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("C", n, None)))]
         elif twist == 2 and family == "E":
             if sub != 6:
-                raise UnknownLabel(label)
+                raise UnknownLabel(unknown)
             n = 5
             raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("F", n, None)))]
         elif twist == 3 and family == "D":
             if sub != 4:
-                raise UnknownLabel(label)
+                raise UnknownLabel(unknown)
             n = 3
             raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("G", n, None)))]
         else:
-            raise UnknownLabel(label)
+            raise UnknownLabel(unknown)
     cm = validate_cartan(raw)
     return cm, n - 1, tuple(range(n))
 
@@ -476,8 +475,6 @@ class AffineContext:
         self.label = label
         self.delta = cls.delta
         self.aff = cls.aff
-        self.theta = cls.theta
-        self.delta_vee = cls.delta_vee
         self.delta_vee_coroot = cls.delta_vee_coroot
         # Real roots are periodic in delta (Kac, Prop. 6.3).  The period r is
         # the least with r·delta - α_i = s_i(α_i + r·delta) real for every i,

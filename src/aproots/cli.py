@@ -227,7 +227,7 @@ def cmd_exchange(args):
     cc = _load_coxeter(args)
     cluster = [_parse_vector(part, cc.n) for part in args.cluster.split(";")]
     beta, new = exchange(cc, cluster, _parse_vector(args.remove, cc.n))
-    payload = {"wall": False, "partner": list(beta), "cluster": [list(r) for r in new]}
+    payload = {"partner": list(beta), "cluster": [list(r) for r in new]}
     _emit(args, payload, [
         f"partner: {_format_vector(beta)}",
         "cluster: " + "; ".join(_format_vector(r) for r in new),

@@ -102,7 +102,7 @@ def exchange(cc: CoxeterContext, cluster, alpha):
     cluster = require_real_cluster(cc, cluster)
     alpha = vec(alpha)
     if alpha not in cluster:
-        raise RootNotInCluster(str(alpha))
+        raise RootNotInCluster(f"{alpha} is not in the cluster")
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
     m = 2
@@ -247,7 +247,7 @@ def nu(cc: CoxeterContext, v):
     row.  This is the unique extension of the values on roots that is
     linear on each cone of the fan (compatibility zeroes out the mixed
     terms there), and it is a piecewise-linear homeomorphism.  The map of
-    c^{-1} is `nu(cc.inverse_context(), v)`.
+    c^{-1} is `nu(CoxeterContext(cc.ctx, cc.word[::-1]), v)`.
     """
     v = vec(v)
     plus = tuple(x if x > 0 else 0 for x in v)
@@ -325,37 +325,6 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
                     x and g not in face for x, (_, g) in zip(signs, sides1)):
                 return False
     return True
-
-
-def fan_consistency(cc: CoxeterContext, clusters, samples=None):
-    """Pairwise face-intersection checks plus a completeness probe.
-
-    Returns a report dict; raises nothing (failures are collected).
-    """
-    clusters = [tuple(sorted(vec(r) for r in cl)) for cl in clusters]
-    bad_pairs = []
-    if cc.n == 3:
-        for c1, c2 in combinations(clusters, 2):
-            if not cones_intersect_in_face(cc, c1, c2):
-                bad_pairs.append((c1, c2))
-    probe_report = []
-    for v in samples or []:
-        terms = cluster_expansion(cc, v)
-        support = tuple(sorted(terms))
-        hit = any(set(support) <= set(cl) for cl in clusters)
-        probe_report.append({"vector": v, "support": support,
-                             "in_enumeration": hit})
-    determinant_ok = all(
-        abs(det([list(r) for r in cl])) == 1
-        for cl in clusters
-        if len(cl) == cc.n
-    )
-    return {
-        "pairs_checked": len(clusters) * (len(clusters) - 1) // 2,
-        "bad_pairs": bad_pairs,
-        "probes": probe_report,
-        "real_determinants_unimodular": determinant_ok,
-    }
 
 
 def real_cluster_determinant(cl) -> int:

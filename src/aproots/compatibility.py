@@ -25,9 +25,6 @@ class TubeSupport:
     component: int
     arc: frozenset       # positions within the component cycle
 
-    def is_component_full(self, cc: CoxeterContext) -> bool:
-        return len(self.arc) == cc.components[self.component].rank
-
 
 @dataclass(frozen=True)
 class CompatibilityValue:
@@ -42,7 +39,7 @@ def coroot_coordinates(cc: CoxeterContext, v):
     v = vec(v)
     cv = cc.root_info(v)[1]
     if cv is None:
-        raise NotInPhiC(str(v))
+        raise NotInPhiC(f"{v} is not in the almost-positive set")
     return cv
 
 
@@ -57,7 +54,7 @@ def _arc_positions(cc: CoxeterContext, v):
         return entry
     if v == cc.ctx.delta or cc.ctx.is_imaginary_root(v):
         raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
-    raise NotInTube(str(v))
+    raise NotInTube(f"{v} is not a tube root")
 
 
 def adjacency_count(cc: CoxeterContext, alpha, beta) -> int:
@@ -94,9 +91,9 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
     """
     cv = cc.root_info(alpha)[1]
     if cv is None:
-        raise NotInPhiC(str(alpha))
+        raise NotInPhiC(f"{alpha} is not in the almost-positive set")
     if cc.root_info(beta)[0] is None:
-        raise NotInPhiC(str(beta))
+        raise NotInPhiC(f"{beta} is not in the almost-positive set")
     a = cc.cm.a
     n = cc.n
     pos = cc.pos
@@ -134,9 +131,9 @@ def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
     ca = cc.root_info(alpha)[0]
     cb = cc.root_info(beta)[0]
     if ca is None:
-        raise NotInPhiC(str(alpha))
+        raise NotInPhiC(f"{alpha} is not in the almost-positive set")
     if cb is None:
-        raise NotInPhiC(str(beta))
+        raise NotInPhiC(f"{beta} is not in the almost-positive set")
     if ca == TUBE and cb == TUBE and _joint_component_full(cc, alpha, beta):
         return CompatibilityValue(
             degree=adjacency_count(cc, alpha, beta), branch="tube-adjacency"
@@ -162,5 +159,5 @@ def degree(cc: CoxeterContext, alpha, beta):
 def is_compatible(cc: CoxeterContext, alpha, beta) -> bool:
     alpha, beta = vec(alpha), vec(beta)
     if alpha == beta:
-        raise NotDistinct(str(alpha))
+        raise NotDistinct(f"the two roots must differ, both are {alpha}")
     return degree(cc, alpha, beta) == 0

@@ -120,23 +120,6 @@ class CoxeterContext:
     def phi(self, v):
         return canon(sum(a * b for a, b in zip(self._phi_fun, v)))
 
-    def k(self, v, w):
-        return self.ctx.k(v, w)
-
-    def euler(self, u_coroot, w_root):
-        """E_c on (simple-coroot coordinates, simple-root coordinates)."""
-        total = 0
-        for i, ui in enumerate(u_coroot):
-            if ui:
-                row = self.E[i]
-                total += ui * sum(e * wj for e, wj in zip(row, w_root) if e)
-        return canon(total)
-
-    def euler_roots(self, v, w):
-        """E_c(v, w) for arbitrary vectors in simple-root coordinates."""
-        d = self.cm.d
-        return self.euler(tuple(canon(x * di) for x, di in zip(v, d)), w)
-
     def c_action(self, v):
         return mat_vec(self.c_mat, v)
 
@@ -182,7 +165,10 @@ class CoxeterContext:
         (Humphreys, *Introduction to Lie Algebras*, §10.2, Lemma A); each
         component is then put in the order in which c rotates it."""
         ctx = self.ctx
-        ups = {r for r in ctx.ensure_level(0) if self.phi(r) == 0}
+        # the finite parabolic's positive roots are the window's roots with
+        # aff-coordinate 0 and positive entries
+        ups = {r for r in ctx._window
+               if r[ctx.aff] == 0 and sum(r) > 0 and self.phi(r) == 0}
         simple = []
         for r in sorted(ups, key=lambda r: (sum(r), r)):
             if not any(tuple(a - b for a, b in zip(r, s)) in ups for s in simple):
@@ -197,7 +183,7 @@ class CoxeterContext:
             while frontier:
                 x = frontier.pop()
                 for y in list(unused - block):
-                    if self.k(x, y) != 0:
+                    if self.ctx.k(x, y) != 0:
                         block.add(y)
                         frontier.append(y)
             unused -= block
@@ -223,7 +209,7 @@ class CoxeterContext:
 
     def _build_omega(self):
         def reflect_in(beta, v):
-            t = canon(Fraction(2) * self.k(beta, v) / self.k(beta, beta))
+            t = canon(Fraction(2) * self.ctx.k(beta, v) / self.ctx.k(beta, beta))
             return tuple(canon(a - t * b) for a, b in zip(v, beta))
 
         ordered = []
@@ -262,9 +248,6 @@ class CoxeterContext:
         else:
             raise IndexOutOfRange(f"letter {s + 1} is neither initial nor final")
         return CoxeterContext(self.ctx, word)
-
-    def inverse_context(self) -> "CoxeterContext":
-        return CoxeterContext(self.ctx, self.word[::-1])
 
     # -- almost-positive membership -------------------------------------------
 
@@ -319,7 +302,7 @@ class CoxeterContext:
     def tau(self, v):
         v = vec(v)
         if self.root_info(v)[0] is None:
-            raise NotInPhiC(str(v))
+            raise NotInPhiC(f"{v} is not in the almost-positive set")
         neg = self.neg_simple_index(v)
         if neg is not None:
             return self.psi_to[neg]
@@ -331,7 +314,7 @@ class CoxeterContext:
     def tau_inverse(self, v):
         v = vec(v)
         if self.root_info(v)[0] is None:
-            raise NotInPhiC(str(v))
+            raise NotInPhiC(f"{v} is not in the almost-positive set")
         neg = self.neg_simple_index(v)
         if neg is not None:
             return self.psi_from[neg]
@@ -339,12 +322,6 @@ class CoxeterContext:
             if psi == v:
                 return neg_simple(self.n, i)
         return self.c_inverse_action(v)
-
-    def tau_power(self, v, m: int):
-        step = self.tau if m >= 0 else self.tau_inverse
-        for _ in range(abs(m)):
-            v = step(v)
-        return v
 
     # -- orbit classification ----------------------------------------------------
 
@@ -357,7 +334,7 @@ class CoxeterContext:
         v = vec(v)
         cls = self.root_info(v)[0]
         if cls is None:
-            raise NotInPhiC(str(v))
+            raise NotInPhiC(f"{v} is not in the almost-positive set")
         if cls == DELTA:
             return ("delta", v, 0)
         if cls == NEG_SIMPLE:

@@ -57,17 +57,6 @@ def pack(exps) -> int:
     return packed
 
 
-def unpack(packed: int, nvars: int) -> tuple:
-    """Exponent vector of a packed exponent over `nvars` variables."""
-    bias = 1 << (FIELD_BITS - 1)
-    mask = (1 << FIELD_BITS) - 1
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        exps[i] = (packed & mask) - bias
-        packed >>= FIELD_BITS
-    return tuple(exps)
-
-
 def _fields(p: dict, nvars: int) -> list:
     """Biased exponent fields of p, one list per variable, in term order."""
     mask = (1 << FIELD_BITS) - 1

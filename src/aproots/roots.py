@@ -1,4 +1,4 @@
-"""Real-root enumeration, supports, coroots, and parabolic restriction.
+"""Real-root enumeration and the deformed reflections on -Π ∪ Φ+.
 
 Roots are plain coordinate tuples in the simple-root basis.  Enumeration is
 graded by the delta-level |[β:α_aff]| / [delta:α_aff] and returned in
@@ -7,25 +7,8 @@ lexicographic order so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cartan import (
-    AffineContext,
-    CartanMatrix,
-    Kind,
-    classify,
-    finite_positive_roots,
-    validate_cartan,
-)
-from .errors import NotAffine, NotARoot
-from .linalg import vec
-
-
-@dataclass(frozen=True)
-class Root:
-    vec: tuple
-    is_real: bool
-    coroot: tuple   # simple-coroot coordinates (delta_vee coordinates for delta)
+from .cartan import AffineContext, CartanMatrix, Kind, classify, finite_positive_roots
+from .errors import NotAffine
 
 
 def neg_simple(n: int, i: int) -> tuple:
@@ -55,10 +38,6 @@ def deformed_reflection(cm: CartanMatrix, s: int, v):
     return cm.reflect(s, v)
 
 
-def support(v) -> frozenset:
-    return frozenset(i for i, x in enumerate(v) if x != 0)
-
-
 def roots_up_to_level(ctx, bound: int):
     """All roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], plus ±k·delta.
 
@@ -80,28 +59,3 @@ def roots_up_to_level(ctx, bound: int):
         full.add(tuple(k * x for x in ctx.delta))
         full.add(tuple(-k * x for x in ctx.delta))
     return sorted(full)
-
-
-def as_root(ctx: AffineContext, v) -> Root:
-    v = vec(v)
-    if ctx.is_real_root(v):
-        return Root(vec=v, is_real=True, coroot=ctx.coroot_coords(v))
-    if not ctx.is_imaginary_root(v):
-        raise NotARoot(str(v))
-    i = next(j for j, x in enumerate(v) if x != 0)
-    k = v[i] // ctx.delta[i]
-    return Root(vec=v, is_real=False,
-                coroot=tuple(k * x for x in ctx.delta_vee_coroot))
-
-
-def parabolic_restriction(cm: CartanMatrix, subset):
-    """Sub-Cartan matrix on `subset` (0-based, kept in increasing order).
-
-    Returns (sub_matrix, classification, index_map) where index_map[j] is the
-    ambient index of the j-th node of the restriction.
-    """
-    keep = sorted(set(subset))
-    raw = [[cm.a[i][j] for j in keep] for i in keep]
-    sub = validate_cartan(raw) if keep else None
-    cls = classify(sub) if keep else None
-    return sub, cls, tuple(keep)

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and reference forms shared by the test modules."""
 
 from functools import lru_cache
 
@@ -26,3 +26,14 @@ def coxeter_contexts(draw):
     """
     label = draw(st.sampled_from(RANK3_LABELS + RANK4_LABELS))
     return _coxeter_context(label, tuple(draw(st.permutations(_affine(label)[1]))))
+
+
+def euler(cc, u_coroot, w_root):
+    """E_c on (simple-coroot coordinates, simple-root coordinates), read
+    off the unitriangular Euler matrix `cc.E`."""
+    return sum(u * e * w for u, row in zip(u_coroot, cc.E) for e, w in zip(row, w_root))
+
+
+def euler_roots(cc, v, w):
+    """E_c(v, w) for arbitrary vectors in simple-root coordinates."""
+    return euler(cc, [x * d for x, d in zip(v, cc.cm.d)], w)

@@ -39,6 +39,15 @@ def test_classify_json_and_fractional_vectors():
     assert {"root": [1, 1, 1], "coefficient": "1/2"} in terms
 
 
+def test_exchange_json_keys():
+    proc = run_cli("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1", "--remove=-1,0",
+                   "--json")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert set(payload) == {"partner", "cluster"}
+    assert payload["partner"] == [1, 0]
+
+
 def test_domain_error_exit_code():
     proc = run_cli("classify", "--type", "Q9(9)")
     assert proc.returncode == 1
@@ -46,7 +55,7 @@ def test_domain_error_exit_code():
 
 
 def test_malformed_input_exits_with_one_line(tmp_path):
-    for args in (
+    cases = [(args, "") for args in (
         ("expand", "--type", "D3(2)", "--vector", "1,2"),
         ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
         ("expand", "--type", "D3(2)", "--c", "1,x", "--vector", "1,1,1"),
@@ -62,10 +71,21 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         ("fan-svg", "--type", "D3(2)", "--depth", "1",
          "--out", str(tmp_path / "missing" / "fan.svg")),
         ("fan-svg", "--type", "D3(2)", "--pole", "0,0,0", "--out", str(tmp_path / "fan.svg")),
-    ):
+    )]
+    # the message says what is wrong, not only which value
+    cases += [
+        (("compat", "--type", "D3(2)", "--alpha", "5,0,0", "--beta", "0,1,0"),
+         "(5, 0, 0) is not in the almost-positive set"),
+        (("classify", "--type", "Q3(1)"), "Q3(1): not a catalog type label"),
+        (("classify", "--type", "B2(1)"), "B2(1): rank out of the catalog's range"),
+        (("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1", "--remove=1,0"),
+         "(1, 0) is not in the cluster"),
+    ]
+    for args, reason in cases:
         proc = run_cli(*args)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
+        assert reason in proc.stderr, (args, proc.stderr)
 
 
 def test_verification_failure_exit_code_is_distinct():

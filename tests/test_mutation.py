@@ -26,13 +26,24 @@ from aproots.mutation import (
     poly_div_exact,
     poly_mul,
     seed_bfs,
-    unpack,
 )
 
 
 def packed(p):
     """Packed form of a tuple-keyed Laurent polynomial."""
     return {pack(exp): c for exp, c in p.items()}
+
+
+def unpack(packed: int, nvars: int) -> tuple:
+    """Reference decoder: the exponent vector of a packed exponent over
+    `nvars` variables, read one biased field at a time from the low end."""
+    bias = 1 << (mutation.FIELD_BITS - 1)
+    mask = (1 << mutation.FIELD_BITS) - 1
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exps[i] = (packed & mask) - bias
+        packed >>= mutation.FIELD_BITS
+    return tuple(exps)
 
 
 def unpacked(p, nvars):

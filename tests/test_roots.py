@@ -1,4 +1,4 @@
-"""Root enumeration, supports, coroots, parabolic restriction."""
+"""Root enumeration, reflections, coroots, and package-wide source checks."""
 
 import ast
 import os
@@ -10,16 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import aproots
 from aproots import roots
-from aproots.cartan import Kind, context_from_label, validate_cartan
+from aproots.cartan import context_from_label, validate_cartan
 from aproots.errors import IndexOutOfRange
-from aproots.roots import (
-    as_root,
-    finite_positive_roots,
-    parabolic_restriction,
-    roots_up_to_level,
-    support,
-)
+from aproots.roots import finite_positive_roots, roots_up_to_level
 
 
 def test_simple_reflection_examples():
@@ -62,26 +57,6 @@ def test_finite_fallback():
     assert (1, 1) in out
 
 
-def test_support():
-    ctx, _ = context_from_label("A2(1):k=1")
-    assert support((1, 0, 0)) == {0}
-    assert support(ctx.delta) == {0, 1, 2}
-    assert all(x != 0 for x in ctx.delta)
-    assert support((0, 0, 0)) == frozenset()
-
-
-def test_parabolic_restrictions():
-    ctx, _ = context_from_label("D3(2)")
-    sub, cls, keep = parabolic_restriction(ctx.cm, [0, 1])
-    assert cls.kind is Kind.FINITE
-    assert keep == (0, 1)
-    full, cls_full, _ = parabolic_restriction(ctx.cm, [0, 1, 2])
-    assert cls_full.kind is Kind.AFFINE
-    assert full.a == ctx.cm.a
-    one, cls_one, _ = parabolic_restriction(ctx.cm, [0])
-    assert cls_one.kind is Kind.FINITE
-
-
 def test_closure_invariant():
     # reflections of enumerated real roots are again real roots; the level
     # of the image is whatever |K(α_aff^vee, ·)| dictates, so the image is
@@ -105,8 +80,6 @@ def test_sign_dichotomy_and_coroot_duality():
             assert all(x >= 0 for x in root) or all(x <= 0 for x in root)
             if not ctx.is_real_root(root):
                 continue
-            r = as_root(ctx, root)
-            assert r.is_real
             # double dual: the coroot of the coroot, in the dual system,
             # recovers the original coordinates
             norm = ctx.k(root, root)
@@ -124,13 +97,12 @@ def test_root_guards_hold_under_python_O():
         from aproots.errors import NegativeBound, NotAffine, NotARoot, NotInImaginaryCone
         from aproots.expansion import imaginary_expansion
         from aproots.linalg import primitive_integer_vector
-        from aproots.roots import as_root, roots_up_to_level
+        from aproots.roots import roots_up_to_level
 
         print(__debug__)
         ctx, word = context_from_label("D3(2)")
         cc = CoxeterContext(ctx, word)
         for call in (lambda: ctx.coroot_coords(ctx.delta),
-                     lambda: as_root(ctx, (2, 0, 0)),
                      lambda: enumerate_phi_c(cc, -1),
                      lambda: imaginary_expansion(cc, (1, -1, 1)),
                      lambda: imaginary_expansion(cc, (1, 0, 0)),
@@ -148,7 +120,7 @@ def test_root_guards_hold_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "NotARoot", "NotARoot", "NegativeBound",
+    assert run.stdout.split() == ["False", "NotARoot", "NegativeBound",
                                   "NotInImaginaryCone", "NotInImaginaryCone", "NotAffine",
                                   "ValueError"]
 
@@ -161,6 +133,47 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _reads(tree):
+    """(name, line) of every name or attribute that the tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_definition_has_a_caller():
+    # each public function, class, method and module constant is read by
+    # package code outside its own definition, exported in __all__, or read
+    # by the benchmark; what only tests read belongs in the tests
+    package = Path(roots.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    assert bench.is_dir()
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defs = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((fname, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(fname, f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+            if isinstance(node, ast.Assign):
+                defs += [(fname, t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+    reads = [(fname, *read) for fname, tree in trees.items() for read in _reads(tree)]
+    outside = set(aproots.__all__) | {
+        name for path in bench.glob("*.py") for name, _ in _reads(ast.parse(path.read_text()))}
+    uncalled = [
+        f"{fname}:{node.lineno} {qual}" for fname, qual, node in defs
+        if not any(part.startswith("_") for part in qual.split("."))
+        and qual.split(".")[-1] not in outside
+        and not any(name == qual.split(".")[-1]
+                    and (f != fname or not node.lineno <= line <= node.end_lineno)
+                    for f, name, line in reads)
+    ]
+    assert uncalled == []
 
 
 def test_standard_types_are_delta_translates():
