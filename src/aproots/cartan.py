@@ -33,7 +33,7 @@ from .errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from .linalg import canon, kernel_basis, mat, primitive_integer_vector, vec
+from .linalg import canon, format_vector, kernel_basis, mat, primitive_integer_vector, vec
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,7 @@ class AffineContext:
         """Simple-coroot coordinates of the coroot of a real root v."""
         norm = self.k(v, v)
         if norm <= 0:
-            raise NotARoot(f"{v} is not a real root, so it has no coroot")
+            raise NotARoot(f"{format_vector(v)} is not a real root, so it has no coroot")
         return vec(Fraction(2) * di * x / norm for di, x in zip(self.cm.d, v))
 
     # -- bounded real-root enumeration --------------------------------------

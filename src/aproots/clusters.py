@@ -19,7 +19,8 @@ from . import compatibility as compat
 from .coxeter import DELTA, TUBE, CoxeterContext
 from .errors import NotACluster, NotInPhiC, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import canon, cross, det, gcd_of_maximal_minors, in_simplicial_cone, vec
+from .linalg import (canon, cross, det, format_vector, gcd_of_maximal_minors,
+                     in_simplicial_cone, vec)
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -102,7 +103,7 @@ def exchange(cc: CoxeterContext, cluster, alpha):
     cluster = require_real_cluster(cc, cluster)
     alpha = vec(alpha)
     if alpha not in cluster:
-        raise RootNotInCluster(f"{alpha} is not in the cluster")
+        raise RootNotInCluster(f"{format_vector(alpha)} is not in the cluster")
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
     m = 2

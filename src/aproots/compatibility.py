@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coxeter import TUBE, CoxeterContext
 from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
-from .linalg import canon, vec
+from .linalg import canon, format_vector, vec
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def coroot_coordinates(cc: CoxeterContext, v):
     v = vec(v)
     cv = cc.root_info(v)[1]
     if cv is None:
-        raise NotInPhiC(f"{v} is not in the almost-positive set")
+        raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
     return cv
 
 
@@ -54,7 +54,7 @@ def _arc_positions(cc: CoxeterContext, v):
         return entry
     if v == cc.ctx.delta or cc.ctx.is_imaginary_root(v):
         raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
-    raise NotInTube(f"{v} is not a tube root")
+    raise NotInTube(f"{format_vector(v)} is not a tube root")
 
 
 def adjacency_count(cc: CoxeterContext, alpha, beta) -> int:
@@ -91,9 +91,9 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
     """
     cv = cc.root_info(alpha)[1]
     if cv is None:
-        raise NotInPhiC(f"{alpha} is not in the almost-positive set")
+        raise NotInPhiC(f"{format_vector(alpha)} is not in the almost-positive set")
     if cc.root_info(beta)[0] is None:
-        raise NotInPhiC(f"{beta} is not in the almost-positive set")
+        raise NotInPhiC(f"{format_vector(beta)} is not in the almost-positive set")
     a = cc.cm.a
     n = cc.n
     pos = cc.pos
@@ -131,9 +131,9 @@ def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
     ca = cc.root_info(alpha)[0]
     cb = cc.root_info(beta)[0]
     if ca is None:
-        raise NotInPhiC(f"{alpha} is not in the almost-positive set")
+        raise NotInPhiC(f"{format_vector(alpha)} is not in the almost-positive set")
     if cb is None:
-        raise NotInPhiC(f"{beta} is not in the almost-positive set")
+        raise NotInPhiC(f"{format_vector(beta)} is not in the almost-positive set")
     if ca == TUBE and cb == TUBE and _joint_component_full(cc, alpha, beta):
         return CompatibilityValue(
             degree=adjacency_count(cc, alpha, beta), branch="tube-adjacency"
@@ -159,5 +159,5 @@ def degree(cc: CoxeterContext, alpha, beta):
 def is_compatible(cc: CoxeterContext, alpha, beta) -> bool:
     alpha, beta = vec(alpha), vec(beta)
     if alpha == beta:
-        raise NotDistinct(f"the two roots must differ, both are {alpha}")
+        raise NotDistinct(f"the two roots must differ, both are {format_vector(alpha)}")
     return degree(cc, alpha, beta) == 0

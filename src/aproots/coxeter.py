@@ -24,7 +24,7 @@ from math import lcm
 from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
-from .linalg import canon, inverse, mat_mul, mat_vec, vec
+from .linalg import canon, format_vector, inverse, mat_mul, mat_vec, vec
 from .roots import deformed_reflection, neg_simple, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
@@ -100,14 +100,23 @@ class CoxeterContext:
                     acc = [a + b for a, b in zip(acc, node)]
                     arc = frozenset((start + t) % k for t in range(length))
                     self.tube_arcs[tuple(acc)] = (ci, arc)
+        self.fin_simples = tuple(
+            r for comp in self.components for r in comp.fin_simples
+        )
+        # {delta} ∪ fin-simples is a basis of the hyperplane phi = 0, and it
+        # stays one with a coordinate on which phi is nonzero dropped: a
+        # vector v of the hyperplane has coordinates inv·(v at `rows`)/den
+        skip = next(i for i, x in enumerate(self._phi_fun) if x != 0)
+        rows = tuple(i for i in range(n) if i != skip)
+        inv = inverse([[b[i] for b in (ctx.delta,) + self.fin_simples] for i in rows])
+        den = lcm(*(x.denominator for row in inv for x in row))
+        inv = tuple(tuple(int(x * den) for x in row) for row in inv)
+        self.hyperplane_inverse = (rows, inv, den)
         # (alpha, beta) -> compatibility degree, filled by compatibility.degree
         self.degree_cache = {}
         # member of the almost-positive set -> (class, coroot coordinates),
         # filled by root_info; non-members are never stored
         self._root_info = {}
-        self.fin_simples = tuple(
-            r for comp in self.components for r in comp.fin_simples
-        )
         self.omega = self._build_omega()
         self.kappa = {w: self._kappa(w) for w in self.omega}
 
@@ -169,13 +178,17 @@ class CoxeterContext:
         # aff-coordinate 0 and positive entries
         ups = {r for r in ctx._window
                if r[ctx.aff] == 0 and sum(r) > 0 and self.phi(r) == 0}
-        simple = []
+        # simple roots found so far, by their first nonzero position: r - s
+        # is positive only if r is nonzero there
+        first = {}
         for r in sorted(ups, key=lambda r: (sum(r), r)):
-            if not any(tuple(a - b for a, b in zip(r, s)) in ups for s in simple):
-                simple.append(r)
+            support = [i for i, x in enumerate(r) if x]
+            if not any(tuple(a - b for a, b in zip(r, s)) in ups
+                       for i in support for s in first.get(i, ())):
+                first.setdefault(support[0], []).append(r)
         # group into K-connected components
         comps = []
-        unused = set(simple)
+        unused = {s for found in first.values() for s in found}
         while unused:
             seed = min(unused)
             block = {seed}
@@ -296,13 +309,14 @@ class CoxeterContext:
         v = vec(v)
         neg = self.neg_simple_index(v)
         if neg is None and not (all(x >= 0 for x in v) and self.ctx.is_root(v)):
-            raise NotAlmostPositive(f"{v} is neither a negative simple nor a positive root")
+            raise NotAlmostPositive(
+                f"{format_vector(v)} is neither a negative simple nor a positive root")
         return deformed_reflection(self.cm, s, v)
 
     def tau(self, v):
         v = vec(v)
         if self.root_info(v)[0] is None:
-            raise NotInPhiC(f"{v} is not in the almost-positive set")
+            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
         neg = self.neg_simple_index(v)
         if neg is not None:
             return self.psi_to[neg]
@@ -314,7 +328,7 @@ class CoxeterContext:
     def tau_inverse(self, v):
         v = vec(v)
         if self.root_info(v)[0] is None:
-            raise NotInPhiC(f"{v} is not in the almost-positive set")
+            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
         neg = self.neg_simple_index(v)
         if neg is not None:
             return self.psi_from[neg]
@@ -334,7 +348,7 @@ class CoxeterContext:
         v = vec(v)
         cls = self.root_info(v)[0]
         if cls is None:
-            raise NotInPhiC(f"{v} is not in the almost-positive set")
+            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
         if cls == DELTA:
             return ("delta", v, 0)
         if cls == NEG_SIMPLE:

@@ -12,15 +12,21 @@ compatible almost-positive roots.  The constructive path:
   expanded there by the same rotation and split, and pulled back through
   the deformed reflections.  By uniqueness any sequence of source moves
   gives the same expansion, so one rotation order serves every case.
+
+Expansions are positively homogeneous: a rational v is scaled once, by the
+lcm m of its denominators, m·v is expanded in int arithmetic and the
+coefficients are divided by m.  Imaginary-cone coordinates are one `mat_vec`
+by the context's cached integer inverse of the hyperplane basis.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .coxeter import CoxeterContext
 from .errors import NotInImaginaryCone
-from .linalg import canon, solve_general, vec
+from .linalg import canon, format_vector, mat_vec, scale_to_integers, vec
 from .roots import deformed_reflection, neg_simple
 
 
@@ -28,36 +34,26 @@ from .roots import deformed_reflection, neg_simple
 # the imaginary cone
 # ---------------------------------------------------------------------------
 
-def _hyperplane_coordinates(cc: CoxeterContext, v):
-    """Write v in the basis {delta} ∪ fin-simples of the hyperplane.
-
-    Returns (z, zf) with zf a dict fin-simple -> coefficient, or None when v
-    is outside the hyperplane's span.
-    """
-    basis = [cc.ctx.delta] + list(cc.fin_simples)
-    rows = [[b[i] for b in basis] for i in range(cc.n)]
-    sol = solve_general(rows, list(v))
-    if sol is None:
-        return None
-    return sol[0], dict(zip(cc.fin_simples, sol[1:]))
-
-
 def _cone_coordinates(cc: CoxeterContext, v):
-    """(fin-simple coordinates, per-component slack, margin) of a canonical
-    v on the hyperplane, or None off it.
+    """(fin-simple coordinates, per-component slack, margin, scale) of a
+    canonical v on the hyperplane, or None off it.  The first three are
+    ints, `scale` times their true values, read off the integer multiple of
+    v with one `mat_vec` by the context's hyperplane inverse.
 
     The slack of a component is the least t >= 0 keeping every fin-simple
     coefficient of the component at least -t; the margin is how far v's
     delta coefficient exceeds the least one that keeps v in the imaginary
     cone (negative outside it).
     """
-    coords = _hyperplane_coordinates(cc, v) if cc.phi(v) == 0 else None
-    if coords is None:
+    m, v = scale_to_integers(v)
+    if cc.phi(v) != 0:
         return None
-    z, zf = coords
+    rows, inv, den = cc.hyperplane_inverse
+    z, *zf = mat_vec(inv, [v[i] for i in rows])
+    zf = dict(zip(cc.fin_simples, zf))
     slack = [max([0] + [-zf[f] for f in comp.fin_simples]) for comp in cc.components]
     used = sum(comp.delta_multiple * t for comp, t in zip(cc.components, slack))
-    return zf, slack, canon(z - used)
+    return zf, slack, z - used, m * den
 
 
 def in_delta_cone(cc: CoxeterContext, v) -> bool:
@@ -76,21 +72,27 @@ def imaginary_expansion(cc: CoxeterContext, v):
     v = vec(v)
     coords = _cone_coordinates(cc, v)
     if coords is None:
-        raise NotInImaginaryCone(f"{v} lies off the hyperplane of the imaginary cone")
-    zf, slack, margin = coords
+        raise NotInImaginaryCone(
+            f"{format_vector(v)} lies off the hyperplane of the imaginary cone")
+    zf, slack, margin, scale = coords
     if margin < 0:
-        raise NotInImaginaryCone(f"{v} lies outside the imaginary cone")
+        raise NotInImaginaryCone(f"{format_vector(v)} lies outside the imaginary cone")
     terms = {}
     for comp, t in zip(cc.components, slack):
         # nonnegative, with a zero at the affine position or at the most
         # negative fin-simple
-        y = {p: t if p == comp.affine_pos else canon(zf[root] + t)
+        y = {p: t if p == comp.affine_pos else zf[root] + t
              for p, root in enumerate(comp.cycle)}
         for run in _cyclic_runs(comp.rank, [p for p in range(comp.rank) if y[p] == 0]):
             _peel_run(comp, y, run, terms)
     if margin != 0:
         terms[cc.ctx.delta] = margin
-    return terms
+    return _divided(terms, scale)
+
+
+def _divided(terms, m):
+    """terms with every coefficient divided by the positive int m."""
+    return terms if m == 1 else {r: canon(Fraction(c, m)) for r, c in terms.items()}
 
 
 def _cyclic_runs(k, zeros):
@@ -118,9 +120,9 @@ def _peel_run(comp, y, run, terms):
             for p in cur:
                 root = [a + b for a, b in zip(root, comp.cycle[p])]
             root = tuple(root)
-            terms[root] = canon(terms.get(root, 0) + low)
+            terms[root] = terms.get(root, 0) + low
             for p in cur:
-                y[p] = canon(y[p] - low)
+                y[p] -= low
         piece = []
         for p in cur:
             if y[p] > 0:
@@ -214,7 +216,8 @@ def cluster_expansion(cc: CoxeterContext, v):
     v = vec(v)
     if not any(v):
         return {}
+    m, v = scale_to_integers(v)
     if in_delta_cone(cc, v):
-        return imaginary_expansion(cc, v)
+        return _divided(imaginary_expansion(cc, v), m)
     letters, rotated, word = rotate_affine(cc, v)
-    return _pull_back(cc.cm, letters, expand_in_parabolic(cc.cm, word, rotated))
+    return _divided(_pull_back(cc.cm, letters, expand_in_parabolic(cc.cm, word, rotated)), m)

@@ -48,6 +48,19 @@ def format_rational(x) -> str:
     return str(int(x))
 
 
+def format_vector(v) -> str:
+    """A vector for a message, as (1/2, 0, 0)."""
+    return f"({', '.join(format_rational(x) for x in v)})"
+
+
+def scale_to_integers(values):
+    """(m, m·values) for a rational vector: m is the lcm of its
+    denominators, and m·values a tuple of ints."""
+    t = tuple(values)
+    m = lcm(*(x.denominator for x in t))
+    return m, tuple(x.numerator * (m // x.denominator) for x in t)
+
+
 def cross(a, b) -> tuple:
     """Cross product of two 3-vectors (`fan_svg` also applies it to floats)."""
     return (
@@ -97,9 +110,9 @@ def _eliminate(rows, ncols):
     a = []
     scale = 1
     for row in rows:
-        m = lcm(*(x.denominator for x in row))
+        m, ints = scale_to_integers(row)
         scale *= m
-        a.append([x.numerator * (m // x.denominator) for x in row])
+        a.append(ints)
     nrows = len(a)
     pivots = []
     d = sign = 1
@@ -179,9 +192,7 @@ def kernel_basis(m):
 def primitive_integer_vector(v) -> tuple:
     """Scale a nonzero rational vector to coprime integers, keeping direction;
     raises ValueError on the zero vector."""
-    fracs = [Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in fracs))
-    ints = [x.numerator * (m // x.denominator) for x in fracs]
+    _, ints = scale_to_integers(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector has no primitive form")

@@ -76,6 +76,8 @@ def test_malformed_input_exits_with_one_line(tmp_path):
     cases += [
         (("compat", "--type", "D3(2)", "--alpha", "5,0,0", "--beta", "0,1,0"),
          "(5, 0, 0) is not in the almost-positive set"),
+        (("compat", "--type", "D3(2)", "--alpha", "1/2,0,0", "--beta", "0,1,0"),
+         "error: (1/2, 0, 0) is not in the almost-positive set\n"),
         (("classify", "--type", "Q3(1)"), "Q3(1): not a catalog type label"),
         (("classify", "--type", "B2(1)"), "B2(1): rank out of the catalog's range"),
         (("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1", "--remove=1,0"),

@@ -9,7 +9,7 @@ from math import lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import context_from_label
+from aproots.cartan import CartanMatrix, catalog_labels, context_from_label
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext, _word_sources
@@ -20,7 +20,14 @@ from aproots.expansion import (
     in_delta_cone_interior,
     rotate_affine,
 )
-from aproots.linalg import integer_kernel_basis, primitive_integer_vector, vec
+from aproots.linalg import (
+    canon,
+    integer_kernel_basis,
+    mat_vec,
+    primitive_integer_vector,
+    solve_general,
+    vec,
+)
 
 from strategies import coxeter_contexts
 
@@ -231,3 +238,70 @@ def test_hyperplane_vectors_outside_the_cone_rotate_within_one_period(cc, data):
     assert _combine(terms, cc.n) == v
     for a, b in combinations(terms, 2):
         assert degree(cc, a, b) == 0 and degree(cc, b, a) == 0, (v, a, b)
+
+
+def _hyperplane_vector(cc, coeffs, den):
+    """The combination with integer `coeffs` of an integer basis of the
+    hyperplane phi = 0, divided by `den`."""
+    basis = integer_kernel_basis(primitive_integer_vector(cc._phi_fun))
+    return vec(Fraction(sum(c * b[i] for c, b in zip(coeffs, basis)), den)
+               for i in range(cc.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_expansion_and_interior_are_positively_homogeneous(cc, data):
+    kind = data.draw(st.sampled_from(("any", "hyperplane", "cone")))
+    if kind == "any":
+        v = vec(data.draw(st.lists(st.fractions(-9, 9, max_denominator=6),
+                                   min_size=cc.n, max_size=cc.n)))
+    elif kind == "hyperplane":
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=cc.n - 1, max_size=cc.n - 1))
+        v = _hyperplane_vector(cc, coeffs, data.draw(st.integers(1, 6)))
+    else:
+        # a nonnegative combination of the component cycles and delta
+        gens = [r for comp in cc.components for r in comp.cycle] + [cc.ctx.delta]
+        v = _combine({g: data.draw(_coefficients) for g in gens}, cc.n)
+    q = data.draw(st.fractions(Fraction(1, 7), 20, max_denominator=7))
+    qv = vec(q * x for x in v)
+    assert cluster_expansion(cc, qv) == {r: canon(q * c)
+                                         for r, c in cluster_expansion(cc, v).items()}
+    assert in_delta_cone_interior(cc, qv) == in_delta_cone_interior(cc, v)
+
+
+def test_cached_hyperplane_inverse_matches_a_fresh_solve():
+    # the reference: a fresh solve over the basis {delta} ∪ fin-simples
+    rng = random.Random(43)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        for w in [word] + [tuple(rng.sample(word, len(word))) for _ in range(2)]:
+            cc = CoxeterContext(ctx, w)
+            rows, inv, den = cc.hyperplane_inverse
+            assert den > 0 and all(type(x) is int for row in inv for x in row)
+            basis = [ctx.delta] + list(cc.fin_simples)
+            matrix = [[b[i] for b in basis] for i in range(cc.n)]
+            for den_v in (1, 1, rng.randint(2, 9), rng.randint(2, 9)):
+                coeffs = [rng.randint(-9, 9) for _ in range(cc.n - 1)]
+                v = _hyperplane_vector(cc, coeffs, den_v)
+                coords = mat_vec(inv, [v[i] for i in rows])
+                assert vec(Fraction(x) / den for x in coords) == solve_general(matrix, v)
+
+
+def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
+    reflect = CartanMatrix.reflect
+    seen = []
+
+    def recording(cm, i, v):
+        seen.append(v)
+        return reflect(cm, i, v)
+
+    monkeypatch.setattr(CartanMatrix, "reflect", recording)
+    rng = random.Random(47)
+    for label in ("D3(2)", "B3(1)", "A3(1):k=2"):
+        cc = cc_for(label)
+        seen.clear()
+        for _ in range(20):
+            cluster_expansion(cc, vec(Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+                                      for _ in range(cc.n)))
+        assert seen, label
+        assert not any(type(x) is Fraction for v in seen for x in v), label
