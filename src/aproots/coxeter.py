@@ -103,9 +103,8 @@ class CoxeterContext:
         self.fin_simples = tuple(
             r for comp in self.components for r in comp.fin_simples
         )
-        # {delta} ∪ fin-simples is a basis of the hyperplane phi = 0, and it
-        # stays one with a coordinate on which phi is nonzero dropped: a
-        # vector v of the hyperplane has coordinates inv·(v at `rows`)/den
+        # {delta} ∪ fin-simples stays a basis of the hyperplane phi = 0 with a coordinate
+        # where phi is nonzero dropped: v in it has coordinates inv·(v at `rows`)/den
         skip = next(i for i, x in enumerate(self._phi_fun) if x != 0)
         rows = tuple(i for i in range(n) if i != skip)
         inv = inverse([[b[i] for b in (ctx.delta,) + self.fin_simples] for i in rows])
@@ -178,9 +177,7 @@ class CoxeterContext:
         # aff-coordinate 0 and positive entries
         ups = {r for r in ctx._window
                if r[ctx.aff] == 0 and sum(r) > 0 and self.phi(r) == 0}
-        # simple roots found so far, by their first nonzero position: r - s
-        # is positive only if r is nonzero there
-        first = {}
+        first = {}  # found simple roots s by first nonzero p; r - s >= 0 needs r[p] > 0
         for r in sorted(ups, key=lambda r: (sum(r), r)):
             support = [i for i, x in enumerate(r) if x]
             if not any(tuple(a - b for a, b in zip(r, s)) in ups

@@ -55,10 +55,13 @@ def format_vector(v) -> str:
 
 def scale_to_integers(values):
     """(m, m·values) for a rational vector: m is the lcm of its
-    denominators, and m·values a tuple of ints."""
+    denominators, and m·values a tuple of ints (a tuple of ints as is)."""
     t = tuple(values)
-    m = lcm(*(x.denominator for x in t))
-    return m, tuple(x.numerator * (m // x.denominator) for x in t)
+    for x in t:
+        if type(x) is not int:
+            m = lcm(*(x.denominator for x in t))
+            return m, tuple(x.numerator * (m // x.denominator) for x in t)
+    return 1, t
 
 
 def cross(a, b) -> tuple:
