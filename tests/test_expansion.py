@@ -38,7 +38,7 @@ def cc_for(label, word=None):
 
 
 def test_zero_and_delta():
-    for label in ("A1(1)", "D3(2)", "G2(1)"):
+    for label in ("A1(1)", "D3(2)", "G2(1)", "A4(2)", "D4(3)"):
         cc = cc_for(label)
         zero = tuple(0 for _ in range(cc.n))
         assert cluster_expansion(cc, zero) == {}
