@@ -218,20 +218,20 @@ class CoxeterContext:
         return out
 
     def _build_omega(self):
-        def reflect_in(beta, v):
-            t = canon(Fraction(2) * self.ctx.k(beta, v) / self.ctx.k(beta, beta))
-            return tuple(canon(a - t * b) for a, b in zip(v, beta))
-
         ordered = []
         for comp in self.components:
             k = comp.rank
             start = (comp.affine_pos + 1) % k
             ordered.extend(comp.cycle[(start + t) % k] for t in range(k - 1))
+        coroots = [self.ctx.coroot_coords(beta) for beta in ordered]
         omega = []
         for i, beta in enumerate(ordered):
             v = beta
-            for b in reversed(ordered[:i]):
-                v = reflect_in(b, v)
+            for b, cv in zip(reversed(ordered[:i]), reversed(coroots[:i])):
+                # s_b(v) = v - <b^vee, v>·b, in int arithmetic: real roots
+                # have integer coroot coordinates
+                t = sum(c * self.cm.pairing(j, v) for j, c in enumerate(cv) if c)
+                v = tuple(a - t * x for a, x in zip(v, b))
             omega.append(v)
         return tuple(omega)
 

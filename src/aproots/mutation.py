@@ -304,7 +304,9 @@ def seed_bfs(b: tuple, depth: int):
     """All seeds within `depth` mutations of the initial seed.
 
     Returns (seeds, edges): seeds keyed by their unordered variable set, one
-    representative each; edges as key pairs of the mutation graph.
+    representative each; edges as key pairs of the mutation graph.  A seed
+    is never mutated at the last letter of its history: mutation is an
+    involution, so that gives back its parent, whose edge is already in.
     """
     start = Seed.initial(b)
     reps = {start.key(): start}
@@ -314,6 +316,8 @@ def seed_bfs(b: tuple, depth: int):
         nxt = []
         for seed in frontier:
             for k in range(seed.n):
+                if seed.history and seed.history[-1] == k:
+                    continue
                 new = seed.mutate(k)
                 kn = new.key()
                 edges.add(frozenset({seed.key(), kn}))

@@ -397,3 +397,36 @@ def test_construction_invariants_on_every_catalog_type():
 @given(coxeter_contexts())
 def test_construction_invariants_over_random_coxeter_words(cc):
     assert_construction_invariants(cc)
+
+
+def reference_omega(cc):
+    """ω with each reflection s_β(v) = v - (2·K(β, v)/K(β, β))·β formed
+    through Fraction pairings, the construction before int arithmetic."""
+    def reflect_in(beta, v):
+        t = Fraction(2) * cc.ctx.k(beta, v) / cc.ctx.k(beta, beta)
+        return tuple(a - t * b for a, b in zip(v, beta))
+
+    ordered = []
+    for comp in cc.components:
+        k = comp.rank
+        start = (comp.affine_pos + 1) % k
+        ordered.extend(comp.cycle[(start + t) % k] for t in range(k - 1))
+    omega = []
+    for i, beta in enumerate(ordered):
+        v = beta
+        for b in reversed(ordered[:i]):
+            v = reflect_in(b, v)
+        omega.append(v)
+    return tuple(omega)
+
+
+def test_omega_reflects_in_int_arithmetic_like_the_fraction_reference():
+    rng = random.Random(47)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        for w in (word, word[::-1], tuple(rng.sample(word, len(word)))):
+            cc = CoxeterContext(ctx, w)
+            omega = reference_omega(cc)
+            assert cc.omega == omega, (label, w)
+            assert all(type(x) is int for v in cc.omega for x in v)
+            assert cc.kappa == {v: cc._kappa(v) for v in omega}

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -319,3 +320,65 @@ def test_source_sink_mutation_transports_denominators():
             d_old = seed.d_vector(slot)
             d_new = mut.d_vector(slot)
             assert d_new == cc.sigma(s, d_old)
+
+
+def reference_seed_bfs(b, depth):
+    """Breadth-first search that mutates every seed at every slot, its
+    back-mutation included: the search before that edge was skipped."""
+    start = Seed.initial(b)
+    reps = {start.key(): start}
+    edges = set()
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for seed in frontier:
+            for k in range(seed.n):
+                new = seed.mutate(k)
+                kn = new.key()
+                edges.add(frozenset({seed.key(), kn}))
+                if kn not in reps:
+                    reps[kn] = new
+                    nxt.append(new)
+        frontier = nxt
+    return reps, edges
+
+
+def assert_bfs_matches_reference(b, depth):
+    reps, edges = seed_bfs(b, depth)
+    ref_reps, ref_edges = reference_seed_bfs(b, depth)
+    assert list(reps) == list(ref_reps)
+    for key, seed in reps.items():
+        ref = ref_reps[key]
+        assert seed.history == ref.history
+        assert seed.polys == ref.polys and seed.btilde == ref.btilde
+    assert edges == ref_edges
+
+
+@pytest.mark.parametrize("label", catalog_labels(3))
+def test_bfs_without_back_mutations_matches_reference_in_every_word(label):
+    ctx, word = context_from_label(label)
+    for w in permutations(word):
+        assert_bfs_matches_reference(exchange_matrix_from_cartan(ctx.cm, w), 5)
+
+
+@pytest.mark.parametrize("label", ["G2(1)", "D4(3)"])
+def test_bfs_without_back_mutations_matches_reference_at_depth_7(label):
+    b, _, _ = b_for(label)
+    assert_bfs_matches_reference(b, 7)
+
+
+def test_bfs_never_mutates_a_seed_at_its_last_letter(monkeypatch):
+    mutate = Seed.mutate
+    backs = []
+
+    def recording(seed, k):
+        if seed.history and seed.history[-1] == k:
+            backs.append(seed.history)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(Seed, "mutate", recording)
+    for label in ("A2(2)", "G2(1)", "D4(3)"):
+        b, _, _ = b_for(label)
+        reps, _ = seed_bfs(b, 5)
+        assert len(reps) > 1
+    assert backs == []
