@@ -314,9 +314,10 @@ def _untwisted_edges(family: str, n: int, k: int | None):
 
 
 def catalog_labels(max_rank: int = 8):
-    """All supported catalog labels up to the given rank, in a stable order."""
+    """All supported catalog labels up to the given rank (capped at the
+    catalog's largest rank), in a stable order."""
     labels = []
-    for n in range(2, max_rank + 1):
+    for n in range(2, min(max_rank, _MAX_RANK) + 1):
         if n == 2:
             labels.append("A1(1)")
         else:
@@ -332,7 +333,7 @@ def catalog_labels(max_rank: int = 8):
             labels.append("E6(1)")
         if n == 8:
             labels.append("E7(1)")
-        if n == 9 and max_rank >= 9:
+        if n == 9:
             labels.append("E8(1)")
         if n == 5:
             labels.append("F4(1)")

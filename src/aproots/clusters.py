@@ -16,8 +16,8 @@ from operator import mul
 
 from . import almost_positive as ap
 from . import compatibility as compat
-from .coxeter import DELTA, TUBE, CoxeterContext
-from .errors import NotACluster, NotInPhiC, RankOutOfRange, RootNotInCluster
+from .coxeter import DELTA, CoxeterContext
+from .errors import NotACluster, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
 from .linalg import (canon, cross, det, format_vector, gcd_of_maximal_minors,
                      in_simplicial_cone, vec)
@@ -32,39 +32,21 @@ def is_cluster(cc: CoxeterContext, roots):
     roots = sorted(vec(r) for r in roots)
     if len(set(roots)) != len(roots):
         return None, "repeated roots"
-    classes = {}
     for r in roots:
-        cls = cc.root_info(r)[0]
-        if cls is None:
+        if cc.root_info(r)[0] is None:
             return None, f"{r} is not almost positive"
-        classes[r] = cls
     for a, b in combinations(roots, 2):
         if compat.degree(cc, a, b) != 0:
             return None, f"{a} and {b} have degree {compat.degree(cc, a, b)}"
-    has_delta = any(cls == DELTA for cls in classes.values())
-    if has_delta:
+    # every other member has nonzero degree with delta, so a compatible set
+    # holding delta is delta and tube roots
+    if cc.ctx.delta in roots:
         if len(roots) != cc.n - 1:
             return None, f"imaginary cluster must have {cc.n - 1} roots"
-        if any(cls not in (DELTA, TUBE) for cls in classes.values()):
-            return None, "imaginary cluster may contain only finite-orbit roots"
         return IMAGINARY, ""
     if len(roots) == cc.n:
         return REAL, ""
-    witness = _extension_witness(cc, roots)
-    reason = "not maximal"
-    if witness is not None:
-        reason = f"not maximal: extendable by {witness}"
-    return None, reason
-
-
-def _extension_witness(cc, roots, m_bound: int = 4):
-    pool = ap.enumerate_phi_c(cc, m_bound)
-    for cand in pool:
-        if cand in roots:
-            continue
-        if all(compat.degree(cc, a, cand) == 0 for a in roots):
-            return cand
-    return None
+    return None, "not maximal"
 
 
 def require_real_cluster(cc, roots):
@@ -139,34 +121,22 @@ def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
 
 
 def _component_facets(cc, ci):
-    """Maximal pairwise-compatible sets of tube roots of component ci."""
+    """Maximal pairwise-compatible sets of tube roots of component ci: the
+    sets of rank - 1 roots pairwise of degree 0 both ways under compat_circ."""
     k = cc.components[ci].rank
-    root_of = {arc: root for root, (cj, arc) in cc.tube_arcs.items() if cj == ci}
-    arcs = sorted(root_of, key=sorted)
-
-    def compatible(a, b):
-        if a < b or b < a:
-            return True
-        if a & b:
-            return False
-        # spaced: no node of b adjacent to a
-        for p in a:
-            if (p - 1) % k in b or (p + 1) % k in b:
-                return False
-        return True
-
     facets = []
 
     def grow(chosen, rest):
         if len(chosen) == k - 1:
-            facets.append(tuple(sorted(chosen, key=sorted)))
+            facets.append(tuple(chosen))
             return
-        for idx, arc in enumerate(rest):
-            if all(compatible(arc, c) for c in chosen):
-                grow(chosen + [arc], rest[idx + 1:])
+        for idx, b in enumerate(rest):
+            if all(compat.compat_circ(cc, a, b) == 0 == compat.compat_circ(cc, b, a)
+                   for a in chosen):
+                grow(chosen + [b], rest[idx + 1:])
 
-    grow([], arcs)
-    return sorted({tuple(sorted(root_of[arc] for arc in facet)) for facet in facets})
+    grow([], sorted(r for r, (cj, _) in cc.tube_arcs.items() if cj == ci))
+    return facets
 
 
 def imaginary_clusters(cc: CoxeterContext):
@@ -190,11 +160,9 @@ def imaginary_clusters(cc: CoxeterContext):
 # ---------------------------------------------------------------------------
 
 def is_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
-    alpha, beta = vec(alpha), vec(beta)
-    classes = (cc.root_info(alpha)[0], cc.root_info(beta)[0])
-    if None in classes:
-        raise NotInPhiC("arguments must be almost positive")
-    if alpha == beta or DELTA in classes:
+    alpha, ca, _ = cc.member(alpha)
+    beta, cb, _ = cc.member(beta)
+    if alpha == beta or DELTA in (ca, cb):
         return False
     return compat.degree(cc, alpha, beta) == 1 and compat.degree(cc, beta, alpha) == 1
 

@@ -9,6 +9,9 @@ covers a whole component cycle; in that exceptional case it is the adjacency
 count of the two arcs.  The two "arrow" sums are coordinate formulas over
 the coroot coordinates of α and the root coordinates of β; on positive
 roots they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
+
+Arguments are admitted by `CoxeterContext.member`.  `compat_circ` is the
+rule for tube roots, which also grows the imaginary clusters.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import TUBE, CoxeterContext
-from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
+from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInTube
 from .linalg import canon, format_vector, vec
 
 
@@ -36,11 +39,7 @@ class CompatibilityValue:
 
 def coroot_coordinates(cc: CoxeterContext, v):
     """Simple-coroot coordinates of v^vee for any member of the set."""
-    v = vec(v)
-    cv = cc.root_info(v)[1]
-    if cv is None:
-        raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
-    return cv
+    return cc.member(v)[2]
 
 
 def tube_support(cc: CoxeterContext, v) -> TubeSupport:
@@ -89,11 +88,8 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
     The triangular parts follow the positions of the letters in the word
     for c, not the ambient numbering.
     """
-    cv = cc.root_info(alpha)[1]
-    if cv is None:
-        raise NotInPhiC(f"{format_vector(alpha)} is not in the almost-positive set")
-    if cc.root_info(beta)[0] is None:
-        raise NotInPhiC(f"{format_vector(beta)} is not in the almost-positive set")
+    alpha, _, cv = cc.member(alpha)
+    beta = cc.member(beta)[0]
     a = cc.cm.a
     n = cc.n
     pos = cc.pos
@@ -127,13 +123,8 @@ def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:
 
 
 def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
-    alpha, beta = vec(alpha), vec(beta)
-    ca = cc.root_info(alpha)[0]
-    cb = cc.root_info(beta)[0]
-    if ca is None:
-        raise NotInPhiC(f"{format_vector(alpha)} is not in the almost-positive set")
-    if cb is None:
-        raise NotInPhiC(f"{format_vector(beta)} is not in the almost-positive set")
+    alpha, ca, _ = cc.member(alpha)
+    beta, cb, _ = cc.member(beta)
     if ca == TUBE and cb == TUBE and _joint_component_full(cc, alpha, beta):
         return CompatibilityValue(
             degree=adjacency_count(cc, alpha, beta), branch="tube-adjacency"

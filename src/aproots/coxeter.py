@@ -86,6 +86,14 @@ class CoxeterContext:
 
         self.psi_to = self._psi(forward=True)
         self.psi_from = self._psi(forward=False)
+        # tau_c differs from c only on the negative simples and psi_from:
+        # -α_i -> psi_to[i] and psi_from[i] -> -α_i; tau_c^{-1} reads the
+        # mirror table
+        self._tau = {}
+        for i in range(n):
+            self._tau[neg_simple(n, i)] = self.psi_to[i]
+            self._tau[self.psi_from[i]] = neg_simple(n, i)
+        self._tau_inverse = {w: v for v, w in self._tau.items()}
 
         self.components = self._build_tubes()
         # tube root -> (component index, its arc of cycle positions): one
@@ -206,13 +214,10 @@ class CoxeterContext:
             m = self._kappa(total)
             aff_root = tuple(m * dx - tx for dx, tx in zip(ctx.delta, total))
             start = min(block)
+            # the cycle holds the block and the affine root: len(block) + 1 roots
             cycle = [start]
-            cur = start
             for _ in range(len(block)):
-                cur = self.c_action(cur)
-                if cur == start:
-                    break
-                cycle.append(cur)
+                cycle.append(self.c_action(cycle[-1]))
             out.append(TubeComponent(cycle, cycle.index(aff_root), m))
         out.sort(key=lambda comp: min(comp.fin_simples))
         return out
@@ -271,6 +276,16 @@ class CoxeterContext:
         """Membership class of v in the almost-positive set, or None."""
         return self.root_info(vec(v))[0]
 
+    def member(self, v):
+        """(v canonicalized, its class, simple-coroot coordinates of v^vee)
+        for a member of the almost-positive set: the one place a vector is
+        admitted into the set."""
+        v = vec(v)
+        cls, cv = self.root_info(v)
+        if cls is None:
+            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
+        return v, cls, cv
+
     def root_info(self, v):
         """(class, simple-coroot coordinates of v^vee) of a canonical tuple v
         in the almost-positive set; (None, None) when v is outside it."""
@@ -311,28 +326,12 @@ class CoxeterContext:
         return deformed_reflection(self.cm, s, v)
 
     def tau(self, v):
-        v = vec(v)
-        if self.root_info(v)[0] is None:
-            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
-        neg = self.neg_simple_index(v)
-        if neg is not None:
-            return self.psi_to[neg]
-        for i, psi in self.psi_from.items():
-            if psi == v:
-                return neg_simple(self.n, i)
-        return self.c_action(v)
+        v = self.member(v)[0]
+        return self._tau.get(v) or self.c_action(v)
 
     def tau_inverse(self, v):
-        v = vec(v)
-        if self.root_info(v)[0] is None:
-            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
-        neg = self.neg_simple_index(v)
-        if neg is not None:
-            return self.psi_from[neg]
-        for i, psi in self.psi_to.items():
-            if psi == v:
-                return neg_simple(self.n, i)
-        return self.c_inverse_action(v)
+        v = self.member(v)[0]
+        return self._tau_inverse.get(v) or self.c_inverse_action(v)
 
     # -- orbit classification ----------------------------------------------------
 
@@ -342,10 +341,7 @@ class CoxeterContext:
         kind is 'infinite' (representative a negative simple), 'finite'
         (representative in omega) or 'delta'.
         """
-        v = vec(v)
-        cls = self.root_info(v)[0]
-        if cls is None:
-            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
+        v, cls, _ = self.member(v)
         if cls == DELTA:
             return ("delta", v, 0)
         if cls == NEG_SIMPLE:
@@ -358,18 +354,13 @@ class CoxeterContext:
                     return ("finite", cur, p)
                 cur = self.c_inverse_action(cur)
             raise AssertionError("finite orbit missed its transversal")
+        # transient: walk toward the negative simple on its side of phi = 0
+        step, sign = (self.tau_inverse, 1) if self.phi(v) > 0 else (self.tau, -1)
         cur = v
-        cap = 4 * self.m_bound + 8 * sum(abs(x) for x in v) + 8
-        if self.phi(v) > 0:
-            for m in range(1, cap):
-                cur = self.tau_inverse(cur)
-                if self.neg_simple_index(cur) is not None:
-                    return ("infinite", cur, m)
-        else:
-            for m in range(1, cap):
-                cur = self.tau(cur)
-                if self.neg_simple_index(cur) is not None:
-                    return ("infinite", cur, -m)
+        for m in range(1, 4 * self.m_bound + 8 * sum(abs(x) for x in v) + 8):
+            cur = step(cur)
+            if self.neg_simple_index(cur) is not None:
+                return ("infinite", cur, sign * m)
         raise AssertionError("infinite-orbit walk exhausted")
 
 

@@ -181,6 +181,13 @@ def test_catalog_types_classify_affine_with_consistent_form():
         assert all(x > 0 for x in ctx.delta)
 
 
+def test_catalog_labels_stop_at_the_catalogs_largest_rank():
+    labels = catalog_labels(cartan._MAX_RANK + 2)
+    assert labels == catalog_labels(cartan._MAX_RANK)
+    for label in labels:
+        assert catalog(label)[0].n <= cartan._MAX_RANK, label
+
+
 def test_affine_node_choice_matches_parabolic_root_systems():
     # reference: an index is a valid affine node when θ = δ - [δ:α_i]·α_i
     # is among the enumerated positive roots of the parabolic without i

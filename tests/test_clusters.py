@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import context_from_label
+from aproots.cartan import catalog_labels, context_from_label
 from aproots.clusters import (
     IMAGINARY,
     REAL,
@@ -20,12 +20,14 @@ from aproots.clusters import (
     exchange,
     imaginary_clusters,
     is_cluster,
+    is_exchangeable,
+    is_pair_exchangeable_with_delta,
     nu,
     nu_inverse,
 )
 from aproots.compatibility import degree
-from aproots.coxeter import CoxeterContext
-from aproots.errors import NotACluster, RootNotInCluster
+from aproots.coxeter import DELTA, TUBE, CoxeterContext
+from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import cross, det, in_simplicial_cone, vec
 
@@ -50,10 +52,42 @@ def test_is_cluster_basic():
     assert kind == IMAGINARY
     kind, reason = is_cluster(cc, [(-1, 0, 0), (1, 0, 0)])
     assert kind is None and "degree" in reason
-    kind, reason = is_cluster(cc, [(-1, 0, 0), (0, -1, 0)])
-    assert kind is None and "maximal" in reason
+    assert is_cluster(cc, [(-1, 0, 0), (0, -1, 0)]) == (None, "not maximal")
+    assert is_cluster(cc, [cc.ctx.delta]) == (None, "imaginary cluster must have 2 roots")
     kind, reason = is_cluster(cc, [(9, 9, 9), (0, 1, 0)])
     assert kind is None
+
+
+def test_only_tube_roots_have_degree_zero_with_delta_both_ways():
+    # is_cluster relies on this: a compatible set holding delta is delta
+    # and tube roots
+    rng = random.Random(53)
+    for label in catalog_labels(6):
+        ctx, word = context_from_label(label)
+        for w in (word, tuple(rng.sample(word, len(word)))):
+            cc = CoxeterContext(ctx, w)
+            pool = set(ctx.positive_real_roots(2)) | {
+                tuple(-int(j == i) for j in range(cc.n)) for i in range(cc.n)}
+            for v in pool:
+                if cc.phi_c_class(v) in (None, DELTA, TUBE):
+                    continue
+                assert (degree(cc, v, ctx.delta), degree(cc, ctx.delta, v)) != (0, 0), \
+                    (label, w, v)
+
+
+def test_pair_exchange_with_delta_skips_imaginary_clusters_holding_a_root():
+    cc = cc_for("D3(2)")
+    tube = (0, 1, 0)
+    assert any(tube in cim for cim in imaginary_clusters(cc))
+    assert not is_pair_exchangeable_with_delta(cc, tube, (-1, 0, 0))
+    assert not is_pair_exchangeable_with_delta(cc, (0, -1, 0), (0, 0, -1))
+    assert is_pair_exchangeable_with_delta(cc, (-1, 0, 0), (0, 0, -1))
+
+
+def test_is_exchangeable_names_the_vector_outside_the_set():
+    cc = cc_for("D3(2)")
+    with pytest.raises(NotInPhiC, match=r"^\(9, 9, 9\) is not in the almost-positive set$"):
+        is_exchangeable(cc, (-1, 0, 0), (9, 9, 9))
 
 
 def test_exchange_basics():

@@ -16,7 +16,7 @@ from aproots.cartan import (
     validate_cartan,
 )
 from aproots.coxeter import CoxeterContext, source_sink_counts
-from aproots.errors import NotAlmostPositive, NotInPhiC
+from aproots.errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec
 from aproots.roots import roots_up_to_level
 
@@ -329,6 +329,12 @@ def test_rank_20_cycle_builds_without_enumerating_orientations():
     cc = CoxeterContext(AffineContext(validate_cartan(raw)), tuple(range(n)))
     ranks = [comp.rank for comp in cc.components]
     assert cc.m_bound == 2 ** n - 2 + n * lcm(*ranks)
+
+
+def test_source_sink_move_rejects_a_middle_letter():
+    cc = cc_for("A2(1):k=1")
+    with pytest.raises(IndexOutOfRange, match="neither initial nor final"):
+        cc.source_sink_move(1)
 
 
 def test_coxeter_words_validate():

@@ -135,6 +135,23 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_not_in_phi_c_is_raised_only_by_member():
+    # CoxeterContext.member is the one boundary of the almost-positive set
+    package = Path(roots.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and any(
+                    getattr(sub, "id", getattr(sub, "attr", None)) == "NotInPhiC"
+                    for sub in ast.walk(node)):
+                owner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert found == ["coxeter.py:member"]
+
+
 def _reads(tree):
     """(name, line) of every name or attribute that the tree reads."""
     for node in ast.walk(tree):
