@@ -17,6 +17,7 @@ coroot-side imaginary root delta_vee.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -209,12 +210,10 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
     kernel = kernel_basis([list(r) for r in cm.a])
     if len(kernel) != 1:
         return TypeClassification(kind=Kind.OTHER)
+    # kernel_basis puts +1 at a free column, so an affine delta is positive
     delta = primitive_integer_vector(kernel[0])
     if any(x <= 0 for x in delta):
-        if all(x <= 0 for x in delta) and any(x < 0 for x in delta):
-            delta = tuple(-x for x in delta)
-        else:
-            return TypeClassification(kind=Kind.OTHER)
+        return TypeClassification(kind=Kind.OTHER)
     if aff is None:
         aff = next((i for i in sorted(range(n), key=lambda i: (delta[i], i))
                     if _is_aff_node(cm, delta, i)), None)
@@ -227,12 +226,11 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
     theta = tuple(theta)
 
     # coroot-side imaginary root: primitive kernel vector of the transpose,
-    # read in simple-coroot coordinates
+    # positive like delta as the transpose is affine, in simple-coroot
+    # coordinates
     dvee_coroot = primitive_integer_vector(
         kernel_basis([list(r) for r in zip(*cm.a)])[0]
     )
-    if any(x < 0 for x in dvee_coroot):
-        dvee_coroot = tuple(-x for x in dvee_coroot)
     delta_vee = vec(Fraction(m) / Fraction(di) for m, di in zip(dvee_coroot, cm.d))
     return TypeClassification(
         kind=Kind.AFFINE,
@@ -251,66 +249,66 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
 _MAX_RANK = 12
 
 
-def _edges_to_matrix(n, edges):
-    """Build a Cartan matrix from {(i, j): (a_ij, a_ji)} with 0-based i < j."""
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), (aij, aji) in edges.items():
-        a[i][j] = aij
-        a[j][i] = aji
-    return a
+def _path(nodes, bonds=None, forks=()):
+    """Dynkin edges (i, j, a_ij, a_ji) along the path through `nodes`,
+    simply laced except at `bonds` {i: (a_ij, a_ji)} for the step leaving
+    node i, with the simply-laced edges `forks` added."""
+    bonds = bonds or {}
+    return ([(i, j, *bonds.get(i, (-1, -1))) for i, j in zip(nodes, nodes[1:])]
+            + [(i, j, -1, -1) for i, j in forks])
 
 
-def _cycle_edges(order):
-    """Simply-laced edges along a cyclic node order."""
-    edges = {}
-    k = len(order)
-    for t in range(k):
-        i, j = order[t], order[(t + 1) % k]
-        edges[(min(i, j), max(i, j))] = (-1, -1)
-    return edges
+def _b_edges(n, k):
+    return _path(range(n - 1), {0: (-2, -1)}, [(n - 3, n - 1)])
 
 
-def _path(lo, hi):
-    """Simply-laced edges lo-(lo+1)-...-hi, 0-based inclusive."""
-    return {(i, i + 1): (-1, -1) for i in range(lo, hi)}
+def _c_edges(n, k):
+    return _path(range(n), {0: (-1, -2), n - 2: (-2, -1)})
 
 
-def _untwisted_edges(family: str, n: int, k: int | None):
-    if family == "A":
-        if n == 2:
-            return {(0, 1): (-2, -2)}
-        order = list(range(k)) + [n - 1] + list(range(n - 2, k - 1, -1))
-        return _cycle_edges(order)
-    if family == "B":
-        edges = {(0, 1): (-2, -1)}
-        edges.update(_path(1, n - 3))
-        edges[(n - 3, n - 2)] = (-1, -1)
-        edges[(n - 3, n - 1)] = (-1, -1)
-        return edges
-    if family == "C":
-        edges = {(0, 1): (-1, -2)}
-        edges.update(_path(1, n - 2))
-        edges[(n - 2, n - 1)] = (-2, -1)
-        return edges
-    if family == "D":
-        edges = {(0, 2): (-1, -1), (1, 2): (-1, -1)}
-        edges.update(_path(2, n - 3))
-        edges[(n - 3, n - 2)] = (-1, -1)
-        edges[(n - 3, n - 1)] = (-1, -1)
-        return edges
-    if family == "E":
-        if n == 7:
-            pairs = [(2, 3), (3, 4), (4, 5), (5, 6), (1, 4), (0, 1)]
-        elif n == 8:
-            pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 4)]
-        else:
-            pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (0, 3)]
-        return {(min(i, j), max(i, j)): (-1, -1) for i, j in pairs}
-    if family == "F":
-        return {(0, 1): (-1, -1), (1, 2): (-2, -1), (2, 3): (-1, -1), (3, 4): (-1, -1)}
-    if family == "G":
-        return {(0, 1): (-3, -1), (1, 2): (-1, -1)}
-    raise AssertionError(family)
+def _f_edges(n, k):
+    return _path(range(5), {1: (-2, -1)})
+
+
+def _g_edges(n, k):
+    return _path(range(3), {0: (-3, -1)})
+
+
+@dataclass(frozen=True)
+class _Type:
+    family: str
+    twist: int
+    a: int                  # the number in the label is a·n + b at rank n
+    b: int
+    ranks: range | tuple    # a range for a series, a tuple for exceptional types
+    edges: Callable         # (n, k) -> Dynkin edges; the affine node is n - 1
+    transposed: bool = False
+    oriented: bool = False  # the label carries :k=, the orientation of the cycle
+
+
+# Kac, Tables Aff 1-3, in the order catalog_labels lists them at each rank.
+# Every twisted type but A_2l^(2) is the transpose of an untwisted one.
+_TYPES = (
+    _Type("A", 1, 1, -1, (2,), lambda n, k: [(0, 1, -2, -2)]),
+    _Type("A", 1, 1, -1, range(3, _MAX_RANK + 1),
+          lambda n, k: _path([*range(k), n - 1, *range(n - 2, k - 1, -1), 0]), oriented=True),
+    _Type("B", 1, 1, -1, range(4, _MAX_RANK + 1), _b_edges),
+    _Type("C", 1, 1, -1, range(3, _MAX_RANK + 1), _c_edges),
+    _Type("D", 1, 1, -1, range(5, _MAX_RANK + 1),
+          lambda n, k: _path(range(1, n - 1), forks=[(0, 2), (n - 3, n - 1)])),
+    _Type("E", 1, 1, -1, (7,), lambda n, k: _path(range(2, 7), forks=[(1, 4), (0, 1)])),
+    _Type("E", 1, 1, -1, (8,), lambda n, k: _path(range(1, 8), forks=[(0, 4)])),
+    _Type("E", 1, 1, -1, (9,), lambda n, k: _path(range(1, 9), forks=[(0, 3)])),
+    _Type("F", 1, 1, -1, (5,), _f_edges),
+    _Type("G", 1, 1, -1, (3,), _g_edges),
+    _Type("A", 2, 2, -2, (2,), lambda n, k: [(0, 1, -1, -4)]),
+    _Type("A", 2, 2, -2, range(3, _MAX_RANK + 1),
+          lambda n, k: _path(range(n), {0: (-1, -2), n - 2: (-1, -2)})),
+    _Type("A", 2, 2, -3, range(4, _MAX_RANK + 1), _b_edges, transposed=True),
+    _Type("D", 2, 1, 0, range(3, _MAX_RANK + 1), _c_edges, transposed=True),
+    _Type("E", 2, 1, 1, (5,), _f_edges, transposed=True),
+    _Type("D", 3, 1, 1, (3,), _g_edges, transposed=True),
+)
 
 
 def catalog_labels(max_rank: int = 8):
@@ -318,37 +316,10 @@ def catalog_labels(max_rank: int = 8):
     catalog's largest rank), in a stable order."""
     labels = []
     for n in range(2, min(max_rank, _MAX_RANK) + 1):
-        if n == 2:
-            labels.append("A1(1)")
-        else:
-            for k in range(1, n - 1 + 1):
-                labels.append(f"A{n - 1}(1):k={k}")
-        if n >= 4:
-            labels.append(f"B{n - 1}(1)")
-        if n >= 3:
-            labels.append(f"C{n - 1}(1)")
-        if n >= 5:
-            labels.append(f"D{n - 1}(1)")
-        if n == 7:
-            labels.append("E6(1)")
-        if n == 8:
-            labels.append("E7(1)")
-        if n == 9:
-            labels.append("E8(1)")
-        if n == 5:
-            labels.append("F4(1)")
-        if n == 3:
-            labels.append("G2(1)")
-        # twisted families
-        labels.append(f"A{2 * (n - 1)}(2)")
-        if n >= 4:
-            labels.append(f"A{2 * n - 3}(2)")
-        if n >= 3:
-            labels.append(f"D{n}(2)")
-        if n == 5:
-            labels.append("E6(2)")
-        if n == 3:
-            labels.append("D4(3)")
+        for t in _TYPES:
+            if n in t.ranks:
+                label = f"{t.family}{t.a * n + t.b}({t.twist})"
+                labels += [f"{label}:k={k}" for k in range(1, n)] if t.oriented else [label]
     return labels
 
 
@@ -375,93 +346,30 @@ def _parse_label(label: str):
 def catalog(label: str):
     """Resolve a type label to (CartanMatrix, aff index, canonical word).
 
-    The canonical Coxeter element is always s_1···s_n in the returned node
-    order, and the distinguished affine node is the last one.
+    The rank n solves a·n + b = the number in the label for a row of
+    `_TYPES`.  The canonical Coxeter element is always s_1···s_n in the
+    returned node order, and the distinguished affine node is the last one.
     """
-    family, sub, twist, k = _parse_label(label)
+    family, number, twist, k = _parse_label(label)
     unknown = f"{label}: not a catalog type label"
-    out_of_range = f"{label}: rank out of the catalog's range"
-    if twist == 1:
-        if family == "A":
-            n = sub + 1
-            if n == 2:
-                if k is not None:
-                    raise UnknownLabel(unknown)
-            else:
-                if n < 3:
-                    raise RankOutOfRange(out_of_range)
-                if k is None:
-                    raise UnknownLabel(f"{label}: orientation parameter k=1..{n - 1} required")
-                if not 1 <= k <= n - 1:
-                    raise UnknownLabel(f"{label}: k ranges over 1..{n - 1}")
-        elif family == "B":
-            n = sub + 1
-            if n < 4:
-                raise RankOutOfRange(out_of_range)
-        elif family == "C":
-            n = sub + 1
-            if n < 3:
-                raise RankOutOfRange(out_of_range)
-        elif family == "D":
-            n = sub + 1
-            if n < 5:
-                raise RankOutOfRange(out_of_range)
-        elif family == "E":
-            if sub not in (6, 7, 8):
-                raise UnknownLabel(unknown)
-            n = sub + 1
-        elif family == "F":
-            if sub != 4:
-                raise UnknownLabel(unknown)
-            n = 5
-        elif family == "G":
-            if sub != 2:
-                raise UnknownLabel(unknown)
-            n = 3
-        else:
-            raise UnknownLabel(unknown)
-        if n > _MAX_RANK:
-            raise RankOutOfRange(out_of_range)
-        edges = _untwisted_edges(family, n, k)
-        raw = _edges_to_matrix(n, edges)
-    else:
-        if twist == 2 and family == "A" and sub % 2 == 0:
-            n = sub // 2 + 1
-            if n < 2 or n > _MAX_RANK:
-                raise RankOutOfRange(out_of_range)
-            if n == 2:
-                raw = [[2, -1], [-4, 2]]
-            else:
-                edges = {(0, 1): (-1, -2)}
-                edges.update(_path(1, n - 2))
-                edges[(n - 2, n - 1)] = (-1, -2)
-                raw = _edges_to_matrix(n, edges)
-        elif twist == 2 and family == "A" and sub % 2 == 1:
-            n = (sub + 1) // 2 + 1
-            if n < 4 or n > _MAX_RANK:
-                raise RankOutOfRange(out_of_range)
-            raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("B", n, None)))]
-            for i in range(n):
-                raw[i][i] = 2
-        elif twist == 2 and family == "D":
-            n = sub
-            if n < 3 or n > _MAX_RANK:
-                raise RankOutOfRange(out_of_range)
-            raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("C", n, None)))]
-        elif twist == 2 and family == "E":
-            if sub != 6:
-                raise UnknownLabel(unknown)
-            n = 5
-            raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("F", n, None)))]
-        elif twist == 3 and family == "D":
-            if sub != 4:
-                raise UnknownLabel(unknown)
-            n = 3
-            raw = [list(r) for r in zip(*_edges_to_matrix(n, _untwisted_edges("G", n, None)))]
-        else:
-            raise UnknownLabel(unknown)
-    cm = validate_cartan(raw)
-    return cm, n - 1, tuple(range(n))
+    rows = [(t, n) for t in _TYPES if (t.family, t.twist) == (family, twist)
+            for n, rest in [divmod(number - t.b, t.a)] if not rest]
+    t, n = next(((t, n) for t, n in rows if n in t.ranks), (None, None))
+    if t is None:
+        if any(isinstance(row.ranks, range) for row, _ in rows):
+            raise RankOutOfRange(f"{label}: rank out of the catalog's range")
+        raise UnknownLabel(unknown)
+    if t.oriented:
+        if k is None:
+            raise UnknownLabel(f"{label}: orientation parameter k=1..{n - 1} required")
+        if not 1 <= k <= n - 1:
+            raise UnknownLabel(f"{label}: k ranges over 1..{n - 1}")
+    elif k is not None:
+        raise UnknownLabel(unknown)
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, aij, aji in t.edges(n, k):
+        a[i][j], a[j][i] = (aji, aij) if t.transposed else (aij, aji)
+    return validate_cartan(a), n - 1, tuple(range(n))
 
 
 class AffineContext:

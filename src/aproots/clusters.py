@@ -19,8 +19,8 @@ from . import compatibility as compat
 from .coxeter import DELTA, CoxeterContext
 from .errors import NotACluster, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import (canon, cross, det, format_vector, gcd_of_maximal_minors,
-                     in_simplicial_cone, vec)
+from .linalg import (canon, cross, det, format_vector, in_simplicial_cone,
+                     primitive_integer_vector, vec)
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -34,10 +34,10 @@ def is_cluster(cc: CoxeterContext, roots):
         return None, "repeated roots"
     for r in roots:
         if cc.root_info(r)[0] is None:
-            return None, f"{r} is not almost positive"
+            return None, f"{format_vector(r)} is not in the almost-positive set"
     for a, b in combinations(roots, 2):
-        if compat.degree(cc, a, b) != 0:
-            return None, f"{a} and {b} have degree {compat.degree(cc, a, b)}"
+        if d := compat.degree(cc, a, b):
+            return None, f"{format_vector(a)} and {format_vector(b)} have degree {d}"
     # every other member has nonzero degree with delta, so a compatible set
     # holding delta is delta and tube roots
     if cc.ctx.delta in roots:
@@ -302,12 +302,12 @@ def real_cluster_determinant(cl) -> int:
 
 def imaginary_cluster_spans_hyperplane_lattice(cc: CoxeterContext, cl) -> bool:
     """The n-1 roots of an imaginary cluster base the lattice of integer
-    vectors in the hyperplane."""
-    from .linalg import integer_kernel_basis, primitive_integer_vector
-
-    rows = [list(r) for r in cl]
-    fun = primitive_integer_vector(cc._phi_fun)
-    basis = integer_kernel_basis(fun)
-    target = gcd_of_maximal_minors(basis)
-    ours = gcd_of_maximal_minors(rows)
-    return ours == target and ours != 0
+    vectors on the hyperplane φ = 0.  For roots on it and the primitive
+    integer form f of φ, det(roots, x) = ±index·f(x), so they base it
+    exactly when det(roots, e_j) = ±f_j at some j with f_j ≠ 0."""
+    f = primitive_integer_vector(cc._phi_fun)
+    if any(sum(map(mul, f, r)) for r in cl):
+        return False
+    j = next(j for j, x in enumerate(f) if x)
+    e_j = [int(i == j) for i in range(cc.n)]
+    return abs(det([list(r) for r in cl] + [e_j])) == abs(f[j])

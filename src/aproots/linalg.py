@@ -202,50 +202,6 @@ def primitive_integer_vector(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def gcd_of_maximal_minors(rows) -> int:
-    """gcd of all maximal minors of an integer matrix given by its rows.
-
-    For k independent rows this is the covolume of the lattice they span,
-    relative to the standard lattice of their coordinate span.
-    """
-    from itertools import combinations
-
-    rows = [tuple(int(x) for x in r) for r in rows]
-    k = len(rows)
-    n = len(rows[0])
-    g = 0
-    for cols in combinations(range(n), k):
-        sub = tuple(tuple(r[c] for c in cols) for r in rows)
-        g = gcd(g, abs(int(det(sub))))
-    return g
-
-
-def integer_kernel_basis(f) -> list:
-    """Basis of {v in Z^n : f·v = 0} for an integer vector f, via a
-    unimodular column reduction f·U = (gcd, 0, ..., 0)."""
-    f = [int(x) for x in f]
-    n = len(f)
-    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
-    g = list(f)
-
-    def ext_gcd(a, b):
-        if b == 0:
-            return abs(a), (1 if a >= 0 else -1), 0
-        d, x, y = ext_gcd(b, a % b)
-        return d, y, x - (a // b) * y
-
-    for i in range(1, n):
-        a, b = g[0], g[i]
-        if b == 0:
-            continue
-        d, x, y = ext_gcd(a, b)
-        c0 = [x * cols[0][r] + y * cols[i][r] for r in range(n)]
-        ci = [-(b // d) * cols[0][r] + (a // d) * cols[i][r] for r in range(n)]
-        cols[0], cols[i] = c0, ci
-        g[0], g[i] = d, 0
-    return [tuple(cols[i]) for i in range(1, n)]
-
-
 def in_simplicial_cone(gens, v):
     """Coefficients of v over independent generators if all nonnegative, else None."""
     coeffs = solve_general([list(col) for col in zip(*gens)], v)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import compatibility as compat
 from .almost_positive import neg_simples
-from .cartan import context_from_label
+from .cartan import _parse_label, catalog_labels, context_from_label
 from .clusters import (
     REAL,
     cones_intersect_in_face,
@@ -138,13 +138,7 @@ def _expected_fin_simples(label, n):
 
 
 def criterion_table_regeneration():
-    labels = ["A1(1)"]
-    for n in range(3, 9):
-        labels += [f"A{n - 1}(1):k={k}" for k in range(1, n)]
-    labels += [f"B{n - 1}(1)" for n in range(4, 8)]
-    labels += [f"C{n - 1}(1)" for n in range(3, 8)]
-    labels += [f"D{n - 1}(1)" for n in range(5, 8)]
-    labels += ["E6(1)", "E7(1)", "E8(1)", "F4(1)", "G2(1)"]
+    labels = [label for label in catalog_labels(9) if _parse_label(label)[2] == 1]
     rows = []
     t0 = time.perf_counter()
     for label in labels:
@@ -511,8 +505,7 @@ def run_for_type(label: str):
     cluster structure, and (rank at most 3) expansions and oracle bridge."""
     rows = []
     cc = _cc(label)
-    is_standard = label.endswith("(1)")
-    if is_standard:
+    if _parse_label(label)[2] == 1:
         got = set(cc.fin_simples)
         expected = _expected_fin_simples(label, cc.n)
         ok = got == expected

@@ -37,3 +37,29 @@ def euler(cc, u_coroot, w_root):
 def euler_roots(cc, v, w):
     """E_c(v, w) for arbitrary vectors in simple-root coordinates."""
     return euler(cc, [x * d for x, d in zip(v, cc.cm.d)], w)
+
+
+def integer_kernel_basis(f) -> list:
+    """Basis of {v in Z^n : f·v = 0} for an integer vector f, via a
+    unimodular column reduction f·U = (gcd, 0, ..., 0)."""
+    f = [int(x) for x in f]
+    n = len(f)
+    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
+    g = list(f)
+
+    def ext_gcd(a, b):
+        if b == 0:
+            return abs(a), (1 if a >= 0 else -1), 0
+        d, x, y = ext_gcd(b, a % b)
+        return d, y, x - (a // b) * y
+
+    for i in range(1, n):
+        a, b = g[0], g[i]
+        if b == 0:
+            continue
+        d, x, y = ext_gcd(a, b)
+        c0 = [x * cols[0][r] + y * cols[i][r] for r in range(n)]
+        ci = [-(b // d) * cols[0][r] + (a // d) * cols[i][r] for r in range(n)]
+        cols[0], cols[i] = c0, ci
+        g[0], g[i] = d, 0
+    return [tuple(cols[i]) for i in range(1, n)]

@@ -7,7 +7,7 @@ inside the criterion functions themselves.
 
 import pytest
 
-from aproots.verification import CRITERIA
+from aproots.verification import CRITERIA, run_for_type
 
 ORDER = (
     "worked-example",
@@ -34,3 +34,11 @@ def test_criterion(name, capsys):
             print(f"[{mark}] {name}: {row['name']}{detail}")
     failed = [row["name"] for row in rows if not row["ok"]]
     assert not failed, f"{name}: {failed}"
+
+
+@pytest.mark.parametrize("label, untwisted", [("A3(1):k=1", True), ("D3(2)", False)])
+def test_scoped_verification_checks_finite_simples_of_untwisted_types(label, untwisted):
+    rows = run_for_type(label)
+    assert all(row["ok"] for row in rows), rows
+    simples = [row for row in rows if row["name"].startswith("finite-orbit simples")]
+    assert len(simples) == untwisted

@@ -1,5 +1,6 @@
 """Cartan validation, classification, and catalog checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -179,6 +180,26 @@ def test_catalog_types_classify_affine_with_consistent_form():
                 assert lhs == cm.d[i] * cm.a[i][j]
         ctx = AffineContext(cm, aff=aff, label=label)
         assert all(x > 0 for x in ctx.delta)
+
+
+def test_catalog_table_reproduces_the_pinned_matrices():
+    rows = [(label, *catalog(label)) for label in catalog_labels(12)]
+    assert len(rows) == 130
+    text = repr([(label, cm.a, aff, word) for label, cm, aff, word in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "46fe9defa839e8cf5dedf391837fb591d1ddd2f424a68a040530c4a5041bbcfe")
+
+
+def test_catalog_accepts_k_only_on_the_cycle():
+    for label in ("B3(1):k=1", "D3(2):k=2", "G2(1):k=1", "A2(2):k=1"):
+        with pytest.raises(UnknownLabel, match="not a catalog type label"):
+            catalog(label)
+
+
+def test_catalog_rejects_malformed_labels():
+    for label in ("A3(1):j=1", "A3(1):k=x", "A3", "A3(4)", "Z9(9)"):
+        with pytest.raises(UnknownLabel):
+            catalog(label)
 
 
 def test_catalog_labels_stop_at_the_catalogs_largest_rank():

@@ -82,6 +82,9 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         (("classify", "--type", "B2(1)"), "B2(1): rank out of the catalog's range"),
         (("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1", "--remove=1,0"),
          "(1, 0) is not in the cluster"),
+        (("exchange", "--type", "D3(2)", "--cluster=1/2,0,0;0,-1,0;0,0,-1",
+          "--remove=0,-1,0"),
+         "error: (1/2, 0, 0) is not in the almost-positive set\n"),
     ]
     for args, reason in cases:
         proc = run_cli(*args)

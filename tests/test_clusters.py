@@ -18,6 +18,7 @@ from aproots.clusters import (
     cones_intersect_in_face,
     enumerate_clusters,
     exchange,
+    imaginary_cluster_spans_hyperplane_lattice,
     imaginary_clusters,
     is_cluster,
     is_exchangeable,
@@ -56,6 +57,16 @@ def test_is_cluster_basic():
     assert is_cluster(cc, [cc.ctx.delta]) == (None, "imaginary cluster must have 2 roots")
     kind, reason = is_cluster(cc, [(9, 9, 9), (0, 1, 0)])
     assert kind is None
+
+
+def test_hyperplane_lattice_check_needs_roots_on_the_hyperplane():
+    # phi(alpha_1) = 1 in D3(2), so {alpha_1, alpha_2} does not lie on phi = 0
+    cc = cc_for("D3(2)")
+    assert not imaginary_cluster_spans_hyperplane_lattice(cc, [(1, 0, 0), (0, 1, 0)])
+    for label in catalog_labels(6):
+        cc = cc_for(label)
+        for cl in imaginary_clusters(cc):
+            assert imaginary_cluster_spans_hyperplane_lattice(cc, cl), (label, cl)
 
 
 def test_only_tube_roots_have_degree_zero_with_delta_both_ways():

@@ -22,14 +22,13 @@ from aproots.expansion import (
 )
 from aproots.linalg import (
     canon,
-    integer_kernel_basis,
     mat_vec,
     primitive_integer_vector,
     solve_general,
     vec,
 )
 
-from strategies import coxeter_contexts
+from strategies import coxeter_contexts, integer_kernel_basis
 
 
 def cc_for(label, word=None):
