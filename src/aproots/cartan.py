@@ -337,8 +337,8 @@ def _parse_label(label: str):
     if "(" not in text or not text.endswith(")"):
         raise UnknownLabel(label)
     base, twist = text[:-1].split("(", 1)
-    family, sub = base[0], base[1:]
-    if not sub.isdecimal() or twist not in {"1", "2", "3"}:
+    family, sub = base[:1], base[1:]
+    if not family or not sub.isdecimal() or twist not in {"1", "2", "3"}:
         raise UnknownLabel(label)
     return family, int(sub), int(twist), k
 

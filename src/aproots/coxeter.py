@@ -3,11 +3,20 @@
 Builds the Euler form, the matrix of c (once, as c = -E_{c^-1}^{-1}·E_c
 from the unitriangular Euler matrices), the generalized 1-eigenvector
 gamma_c with its functional phi_c, the finite-orbit hyperplane data, the
-rotation subsystem living inside that hyperplane (its type-A components,
-cyclically ordered simple roots, per-component delta multiple), the
-transversals psi_to / psi_from / omega, the kappa function, the deformed
-maps sigma_s and tau_c, and the closed-form counts of source-sink
-orientations and their classes.
+rotation subsystem living inside that hyperplane, the transversals
+psi_to / psi_from, the kappa function, the deformed maps sigma_s and
+tau_c, and the closed-form counts of source-sink orientations and their
+classes.
+
+The rotation subsystem is a set of type-A cycles that c rotates.  Each
+cycle is found by following c from a finite-orbit simple root until it
+returns; it holds exactly one root outside the finite parabolic, and sums
+to a multiple of delta.  The tube roots are the proper arcs of the
+cycles, kept in one table in both directions: root -> (component, arc)
+and (component, start, length) -> root.  As c moves every arc one
+position along its cycle, the finite-orbit transversal omega is the arcs
+starting just after the affine root, and a tube root's orbit data is read
+off its arc.
 
 Each context is built once, with no runtime self-checks: the invariants of
 the construction (c as the product of its reflections, c·delta = delta,
@@ -96,9 +105,11 @@ class CoxeterContext:
         self._tau_inverse = {w: v for v, w in self._tau.items()}
 
         self.components = self._build_tubes()
-        # tube root -> (component index, its arc of cycle positions): one
-        # entry per proper arc, a non-empty run of at most rank - 1 positions
+        # tube root -> (component index, its arc of cycle positions), and
+        # back from (component index, start, length): one entry per proper
+        # arc, a non-empty run of at most rank - 1 positions
         self.tube_arcs = {}
+        self.arc_roots = {}
         for ci, comp in enumerate(self.components):
             k = comp.rank
             for start in range(k):
@@ -106,8 +117,9 @@ class CoxeterContext:
                 for length in range(1, k):
                     node = comp.cycle[(start + length - 1) % k]
                     acc = [a + b for a, b in zip(acc, node)]
-                    arc = frozenset((start + t) % k for t in range(length))
-                    self.tube_arcs[tuple(acc)] = (ci, arc)
+                    root = tuple(acc)
+                    self.tube_arcs[root] = (ci, frozenset((start + t) % k for t in range(length)))
+                    self.arc_roots[ci, start, length] = root
         self.fin_simples = tuple(
             r for comp in self.components for r in comp.fin_simples
         )
@@ -124,7 +136,11 @@ class CoxeterContext:
         # member of the almost-positive set -> (class, coroot coordinates),
         # filled by root_info; non-members are never stored
         self._root_info = {}
-        self.omega = self._build_omega()
+        # the arcs starting just after the affine root, one of each length
+        self.omega = tuple(
+            self.arc_roots[ci, (comp.affine_pos + 1) % comp.rank, length]
+            for ci, comp in enumerate(self.components) for length in range(1, comp.rank)
+        )
         self.kappa = {w: self._kappa(w) for w in self.omega}
 
         orientations, _ = source_sink_counts(ctx)
@@ -179,7 +195,8 @@ class CoxeterContext:
         height order, since a positive root is simple exactly when
         subtracting no simple root found before it leaves a subsystem root
         (Humphreys, *Introduction to Lie Algebras*, §10.2, Lemma A); each
-        component is then put in the order in which c rotates it."""
+        component is the cycle c walks from its least simple root, through
+        its other simple roots and one affine root, back to the start."""
         ctx = self.ctx
         # the finite parabolic's positive roots are the window's roots with
         # aff-coordinate 0 and positive entries
@@ -191,54 +208,23 @@ class CoxeterContext:
             if not any(tuple(a - b for a, b in zip(r, s)) in ups
                        for i in support for s in first.get(i, ())):
                 first.setdefault(support[0], []).append(r)
-        # group into K-connected components
-        comps = []
-        unused = {s for found in first.values() for s in found}
-        while unused:
-            seed = min(unused)
-            block = {seed}
-            frontier = [seed]
-            while frontier:
-                x = frontier.pop()
-                for y in list(unused - block):
-                    if self.ctx.k(x, y) != 0:
-                        block.add(y)
-                        frontier.append(y)
-            unused -= block
-            comps.append(sorted(block))
+        simples = {s for found in first.values() for s in found}
+        placed = set()
         out = []
-        for block in comps:
-            total = [0] * self.n
-            for r in block:
-                total = [a + b for a, b in zip(total, r)]
-            m = self._kappa(total)
-            aff_root = tuple(m * dx - tx for dx, tx in zip(ctx.delta, total))
-            start = min(block)
-            # the cycle holds the block and the affine root: len(block) + 1 roots
+        for start in sorted(simples):
+            if start in placed:
+                continue
             cycle = [start]
-            for _ in range(len(block)):
-                cycle.append(self.c_action(cycle[-1]))
-            out.append(TubeComponent(cycle, cycle.index(aff_root), m))
-        out.sort(key=lambda comp: min(comp.fin_simples))
+            for _ in simples:   # a cycle holds at most every simple and one more root
+                nxt = self.c_action(cycle[-1])
+                if nxt == start:
+                    break
+                cycle.append(nxt)
+            placed.update(cycle)
+            affine_pos = next(p for p, r in enumerate(cycle) if r not in simples)
+            m = sum(r[ctx.aff] for r in cycle) // ctx.delta[ctx.aff]
+            out.append(TubeComponent(cycle, affine_pos, m))
         return out
-
-    def _build_omega(self):
-        ordered = []
-        for comp in self.components:
-            k = comp.rank
-            start = (comp.affine_pos + 1) % k
-            ordered.extend(comp.cycle[(start + t) % k] for t in range(k - 1))
-        coroots = [self.ctx.coroot_coords(beta) for beta in ordered]
-        omega = []
-        for i, beta in enumerate(ordered):
-            v = beta
-            for b, cv in zip(reversed(ordered[:i]), reversed(coroots[:i])):
-                # s_b(v) = v - <b^vee, v>·b, in int arithmetic: real roots
-                # have integer coroot coordinates
-                t = sum(c * self.cm.pairing(j, v) for j, c in enumerate(cv) if c)
-                v = tuple(a - t * x for a, x in zip(v, b))
-            omega.append(v)
-        return tuple(omega)
 
     def _kappa(self, beta):
         """Least m ≥ 1 with m·delta - beta real, for a real root beta: since
@@ -347,13 +333,13 @@ class CoxeterContext:
         if cls == NEG_SIMPLE:
             return ("infinite", v, 0)
         if cls == TUBE:
-            comp = self.components[self.tube_arcs[v][0]]
-            cur = v
-            for p in range(comp.rank):
-                if cur in self.kappa:
-                    return ("finite", cur, p)
-                cur = self.c_inverse_action(cur)
-            raise AssertionError("finite orbit missed its transversal")
+            # c moves an arc one position along its cycle: c^-p carries the
+            # arc at `start` to the one of the same length in omega
+            ci, arc = self.tube_arcs[v]
+            k = self.components[ci].rank
+            first = (self.components[ci].affine_pos + 1) % k
+            start = next(p for p in arc if (p - 1) % k not in arc)
+            return ("finite", self.arc_roots[ci, first, len(arc)], (start - first) % k)
         # transient: walk toward the negative simple on its side of phi = 0
         step, sign = (self.tau_inverse, 1) if self.phi(v) > 0 else (self.tau, -1)
         cur = v

@@ -3,9 +3,12 @@
 Every vector has a unique expansion as a nonnegative combination of pairwise
 compatible almost-positive roots.  The constructive path:
 
-* vectors inside the imaginary cone (the span of the finite-orbit simples)
-  are peeled greedily within each component cycle after normalizing out a
-  delta multiple;
+* a vector inside the imaginary cone (the span of the finite-orbit simples
+  and delta) has, after normalizing out a delta multiple, a nonnegative
+  coefficient vector y on each component cycle with a zero in it; it is
+  split by level: for each positive value of y, every maximal cyclic run of
+  positions where y reaches it is a proper arc, and its tube root takes the
+  step from the next lower value;
 * any other vector is rotated by source moves (sink moves when phi(v) < 0)
   until a simple-root coordinate becomes nonpositive, split into negative
   simples plus a vector supported on a proper (hence finite) parabolic,
@@ -78,13 +81,20 @@ def imaginary_expansion(cc: CoxeterContext, v):
     if margin < 0:
         raise NotInImaginaryCone(f"{format_vector(v)} lies outside the imaginary cone")
     terms = {}
-    for comp, t in zip(cc.components, slack):
+    for ci, (comp, t) in enumerate(zip(cc.components, slack)):
         # nonnegative, with a zero at the affine position or at the most
-        # negative fin-simple
-        y = {p: t if p == comp.affine_pos else zf[root] + t
-             for p, root in enumerate(comp.cycle)}
-        for run in _cyclic_runs(comp.rank, [p for p in range(comp.rank) if y[p] == 0]):
-            _peel_run(comp, y, run, terms)
+        # negative fin-simple, so that every run below is a proper arc
+        y = [t if p == comp.affine_pos else zf[root] + t for p, root in enumerate(comp.cycle)]
+        below = 0
+        for level in sorted(set(y) - {0}):
+            for start in range(comp.rank):
+                if y[start] >= level > y[start - 1]:
+                    length = 1
+                    while y[(start + length) % comp.rank] >= level:
+                        length += 1
+                    root = cc.arc_roots[ci, start, length]
+                    terms[root] = terms.get(root, 0) + level - below
+            below = level
     if margin != 0:
         terms[cc.ctx.delta] = margin
     return _divided(terms, scale)
@@ -93,45 +103,6 @@ def imaginary_expansion(cc: CoxeterContext, v):
 def _divided(terms, m):
     """terms with every coefficient divided by the positive int m."""
     return terms if m == 1 else {r: canon(Fraction(c, m)) for r, c in terms.items()}
-
-
-def _cyclic_runs(k, zeros):
-    """Maximal arcs of {0..k-1} avoiding the zero positions."""
-    zs = sorted(zeros)
-    runs = []
-    for idx, z in enumerate(zs):
-        nxt = zs[(idx + 1) % len(zs)]
-        length = (nxt - z - 1) % k
-        if length:
-            runs.append([(z + 1 + t) % k for t in range(length)])
-    return runs
-
-
-def _peel_run(comp, y, run, terms):
-    """Strip min-coefficient times the full-run root, recursing on the pieces."""
-    stack = [run]
-    while stack:
-        cur = stack.pop()
-        if not cur:
-            continue
-        low = min(y[p] for p in cur)
-        if low > 0:
-            root = [0] * len(comp.cycle[0])
-            for p in cur:
-                root = [a + b for a, b in zip(root, comp.cycle[p])]
-            root = tuple(root)
-            terms[root] = terms.get(root, 0) + low
-            for p in cur:
-                y[p] -= low
-        piece = []
-        for p in cur:
-            if y[p] > 0:
-                piece.append(p)
-            elif piece:
-                stack.append(piece)
-                piece = []
-        if piece and len(piece) < len(cur):
-            stack.append(piece)
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,9 @@ def criterion_cluster_structure(labels=None, depth=5):
         rows.append(_row(f"real clusters unimodular {label} ({len(real)})", ok_real))
         rows.append(_row(f"imaginary clusters base the hyperplane lattice {label} "
                          f"({len(imag)})", ok_imag))
-    cc = _cc("D3(2)")
-    rows.append(_row("D3(2) has exactly 2 imaginary clusters",
-                     len(imaginary_clusters(cc)) == 2))
+    if "D3(2)" in labels:
+        rows.append(_row("D3(2) has exactly 2 imaginary clusters",
+                         len(imaginary_clusters(_cc("D3(2)"))) == 2))
     return rows
 
 
@@ -514,9 +514,7 @@ def run_for_type(label: str):
         rows.append(_row(f"finite-orbit simples = {{{listing}}}", ok))
     for row in criterion_axioms([label], level=2):
         rows.append(row)
-    for row in criterion_cluster_structure([label], depth=4):
-        if label in row["name"] or "D3(2)" not in row["name"]:
-            rows.append(row)
+    rows.extend(criterion_cluster_structure([label], depth=4))
     if cc.n <= 3:
         rows.extend(criterion_expansion_oracle([label], samples=100, depth=5))
         rows.extend(criterion_oracle_bridge([label], depth=6))

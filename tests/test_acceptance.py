@@ -42,3 +42,6 @@ def test_scoped_verification_checks_finite_simples_of_untwisted_types(label, unt
     assert all(row["ok"] for row in rows), rows
     simples = [row for row in rows if row["name"].startswith("finite-orbit simples")]
     assert len(simples) == untwisted
+    # the fixed D3(2) row comes only with D3(2)
+    fixed = [row for row in rows if row["name"] == "D3(2) has exactly 2 imaginary clusters"]
+    assert len(fixed) == (label == "D3(2)")

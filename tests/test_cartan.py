@@ -197,7 +197,7 @@ def test_catalog_accepts_k_only_on_the_cycle():
 
 
 def test_catalog_rejects_malformed_labels():
-    for label in ("A3(1):j=1", "A3(1):k=x", "A3", "A3(4)", "Z9(9)"):
+    for label in ("A3(1):j=1", "A3(1):k=x", "A3", "A3(4)", "Z9(9)", "(1)"):
         with pytest.raises(UnknownLabel):
             catalog(label)
 

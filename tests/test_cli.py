@@ -62,6 +62,8 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         ("phic", "--type", "D3(2)", "--m-bound", "-1"),
         ("classify", "--type", "A3(1):k=x"),
         ("verify", "--type", "A3(1):k=x"),
+        ("classify", "--type", "(1)"),
+        ("verify", "--type", "(1)"),
         ("classify", "--type", "A3(1):k="),
         ("classify", "--type", "A\u00b2(1)"),
         ("roots", "--type", "D3(2)", "--level", "-1"),

@@ -240,6 +240,23 @@ def test_orbit_classification():
     assert rep == beta
 
 
+def test_tube_orbit_powers_reach_their_representative():
+    rng = random.Random(53)
+    for label in catalog_labels(6):
+        ctx, word = context_from_label(label)
+        for w in (word, tuple(rng.sample(word, len(word)))):
+            cc = CoxeterContext(ctx, w)
+            for tube in cc.tube_roots():
+                kind, rep, power = cc.orbit_classification(tube)
+                rank = cc.components[cc.tube_arcs[tube][0]].rank
+                assert kind == "finite" and rep in cc.kappa, (label, w, tube)
+                assert 0 <= power < rank, (label, w, tube)
+                cur = tube
+                for _ in range(power):
+                    cur = cc.c_inverse_action(cur)
+                assert cur == rep, (label, w, tube)
+
+
 def test_orbit_power_matches_hyperplane_side():
     # the functional of the eigenvector is positive exactly on the forward
     # side of each infinite orbit
@@ -383,6 +400,7 @@ def assert_construction_invariants(cc):
     assert set(cc.fin_simples) == phi_zero_simples(cc), where
     for comp in cc.components:
         assert len(set(comp.cycle)) == comp.rank, where
+        assert [p for p, r in enumerate(comp.cycle) if r[ctx.aff]] == [comp.affine_pos], where
         for p, r in enumerate(comp.cycle):
             assert cc.c_action(r) == comp.cycle[(p + 1) % comp.rank], where
         total = [sum(col) for col in zip(*comp.cycle)]

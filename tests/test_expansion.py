@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,10 @@ from aproots.cartan import CartanMatrix, catalog_labels, context_from_label
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext, _word_sources
+from aproots.errors import NotInImaginaryCone
 from aproots.expansion import (
+    _cone_coordinates,
+    _divided,
     cluster_expansion,
     imaginary_expansion,
     in_delta_cone,
@@ -90,6 +94,81 @@ def test_imaginary_expansion_nested_arcs():
             assert degree(cc, a, b) == 0, (v, a, b)
 
 
+def _cyclic_runs(k, zeros):
+    """Maximal arcs of {0..k-1} avoiding the zero positions."""
+    zs = sorted(zeros)
+    runs = []
+    for idx, z in enumerate(zs):
+        nxt = zs[(idx + 1) % len(zs)]
+        length = (nxt - z - 1) % k
+        if length:
+            runs.append([(z + 1 + t) % k for t in range(length)])
+    return runs
+
+
+def _peel_run(comp, y, run, terms):
+    """Strip min-coefficient times the full-run root, recursing on the pieces."""
+    stack = [run]
+    while stack:
+        cur = stack.pop()
+        low = min(y[p] for p in cur)
+        if low > 0:
+            root = [0] * len(comp.cycle[0])
+            for p in cur:
+                root = [a + b for a, b in zip(root, comp.cycle[p])]
+            root = tuple(root)
+            terms[root] = terms.get(root, 0) + low
+            for p in cur:
+                y[p] -= low
+        piece = []
+        for p in cur:
+            if y[p] > 0:
+                piece.append(p)
+            elif piece:
+                stack.append(piece)
+                piece = []
+        if piece and len(piece) < len(cur):
+            stack.append(piece)
+
+
+def reference_imaginary_expansion(cc, v):
+    """The greedy peel the level split replaced: each maximal run of
+    positive cycle coefficients gives up its least coefficient times the
+    run's root, and the pieces left positive are peeled in turn."""
+    zf, slack, margin, scale = _cone_coordinates(cc, vec(v))
+    terms = {}
+    for comp, t in zip(cc.components, slack):
+        y = {p: t if p == comp.affine_pos else zf[root] + t
+             for p, root in enumerate(comp.cycle)}
+        for run in _cyclic_runs(comp.rank, [p for p in range(comp.rank) if y[p] == 0]):
+            _peel_run(comp, y, run, terms)
+    if margin != 0:
+        terms[cc.ctx.delta] = margin
+    return _divided(terms, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_imaginary_expansion_splits_by_level_like_the_peel(cc, data):
+    coeff = st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4))
+    v = [0] * cc.n
+    for comp in cc.components:
+        for root in comp.cycle:
+            x = data.draw(coeff)
+            v = [a + x * r for a, r in zip(v, root)]
+    d = data.draw(coeff)
+    v = vec(a + d * b for a, b in zip(v, cc.ctx.delta))
+    assert imaginary_expansion(cc, v) == reference_imaginary_expansion(cc, v)
+
+
+def test_imaginary_expansion_rejects_vectors_outside_the_cone():
+    cc = cc_for("D3(2)")
+    with pytest.raises(NotInImaginaryCone, match="off the hyperplane"):
+        imaginary_expansion(cc, cc.psi_to[0])
+    with pytest.raises(NotInImaginaryCone, match="outside the imaginary cone"):
+        imaginary_expansion(cc, tuple(-x for x in cc.ctx.delta))
+
+
 def test_expansion_supports_are_compatible_members():
     rng = random.Random(29)
     for label in ("D3(2)", "G2(1)", "A4(2)"):
@@ -111,7 +190,7 @@ def test_rotation_records_are_replayable():
     while done < 100:
         v = vec(rng.randint(1, 9) for _ in range(cc.n))
         if cc.phi(v) == 0 and in_delta_cone(cc, v):
-            continue   # cone vectors never rotate out; the peel handles them
+            continue   # cone vectors never rotate out; the level split handles them
         done += 1
         letters, rotated, word = rotate_affine(cc, v)
         replay = v
