@@ -275,7 +275,7 @@ def cmd_oracle(args):
         elif check == "conj14":
             payload["conj14"] = conjecture_evidence(cc, min(args.depth, 4))
         else:
-            raise AprootsError(f"unknown check {check}")
+            raise AprootsError(f"unknown check {check!r}")
     lines = []
     for name, report in payload.items():
         if name == "conj14":
@@ -309,7 +309,7 @@ def cmd_verify(args):
         if names:
             unknown = [n for n in names if n not in CRITERIA]
             if unknown:
-                raise AprootsError(f"unknown criteria: {', '.join(unknown)}")
+                raise AprootsError(f"unknown criteria: {', '.join(map(repr, unknown))}")
         rows = run_all(names)
     width = max(len(r["name"]) for r in rows)
     failed = 0

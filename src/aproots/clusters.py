@@ -4,14 +4,15 @@ weight map.
 A cluster is a maximal set of pairwise compatible almost-positive roots:
 real clusters have n elements and form a lattice basis, imaginary clusters
 have n-1 elements, contain delta, and otherwise consist of finite-orbit
-roots.  Every facet of a real cluster cone is shared with exactly one other
-real cone, so exchange across it always produces the unique neighbouring
-real cluster.
+roots: one maximal set of pairwise nested-or-apart arcs per tube,
+generated from the arcs, not searched.  Every facet of a real cluster cone
+is shared with exactly one other real cone, so exchange across it always
+produces the unique neighbouring real cluster.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from . import almost_positive as ap
@@ -121,38 +122,27 @@ def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
 
 
 def _component_facets(cc, ci):
-    """Maximal pairwise-compatible sets of tube roots of component ci: the
-    sets of rank - 1 roots pairwise of degree 0 both ways under compat_circ."""
+    """Maximal pairwise-compatible sets of tube roots of component ci, made
+    directly: at each start the arc of length rank - 1, filled recursively
+    with the two arcs left when one of its positions is removed, so any two
+    arcs are nested or apart.  A rank-r component gives r·Catalan(r - 1)."""
     k = cc.components[ci].rank
-    facets = []
 
-    def grow(chosen, rest):
-        if len(chosen) == k - 1:
-            facets.append(tuple(chosen))
-            return
-        for idx, b in enumerate(rest):
-            if all(compat.compat_circ(cc, a, b) == 0 == compat.compat_circ(cc, b, a)
-                   for a in chosen):
-                grow(chosen + [b], rest[idx + 1:])
+    def fillings(start, length):
+        if not length:
+            return [()]
+        root = cc.arc_roots[ci, start % k, length]
+        return [(root,) + left + right for t in range(length)
+                for left, right in product(fillings(start, t),
+                                           fillings(start + t + 1, length - t - 1))]
 
-    grow([], sorted(r for r, (cj, _) in cc.tube_arcs.items() if cj == ci))
-    return facets
+    return [facet for start in range(k) for facet in fillings(start, k - 1)]
 
 
 def imaginary_clusters(cc: CoxeterContext):
     """All imaginary clusters: delta plus one cyclohedron facet per component."""
     options = [_component_facets(cc, ci) for ci in range(len(cc.components))]
-    out = set()
-
-    def build(idx, acc):
-        if idx == len(options):
-            out.add(tuple(sorted(acc + [cc.ctx.delta])))
-            return
-        for choice in options[idx]:
-            build(idx + 1, acc + list(choice))
-
-    build(0, [])
-    return out
+    return {tuple(sorted(sum(choice, (cc.ctx.delta,)))) for choice in product(*options)}
 
 
 # ---------------------------------------------------------------------------

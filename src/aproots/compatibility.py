@@ -11,7 +11,8 @@ the coroot coordinates of α and the root coordinates of β; on positive
 roots they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
 
 Arguments are admitted by `CoxeterContext.member`.  `compat_circ` is the
-rule for tube roots, which also grows the imaginary clusters.
+rule for tube roots; it reads each root's arc, its (component, start,
+length), and tests nesting, adjacency and covering as cyclic intervals.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ def coroot_coordinates(cc: CoxeterContext, v):
 
 def tube_support(cc: CoxeterContext, v) -> TubeSupport:
     """Arc support of a tube root over its component's cycle."""
-    return TubeSupport(*_arc_positions(cc, vec(v)))
+    ci, start, length = _arc(cc, vec(v))
+    k = cc.components[ci].rank
+    return TubeSupport(ci, frozenset((start + t) % k for t in range(length)))
 
 
-def _arc_positions(cc: CoxeterContext, v):
+def _arc(cc: CoxeterContext, v):
+    """(component, start, length) of a tube root."""
     entry = cc.tube_arcs.get(v)
     if entry is not None:
         return entry
@@ -56,28 +60,30 @@ def _arc_positions(cc: CoxeterContext, v):
     raise NotInTube(f"{format_vector(v)} is not a tube root")
 
 
+def _inside(k, start, length, outer_start, outer_length):
+    """Whether the arc (start, length) of a k-cycle lies in the outer one."""
+    return (start - outer_start) % k + length <= outer_length
+
+
 def adjacency_count(cc: CoxeterContext, alpha, beta) -> int:
     """Number of cycle nodes adjacent to the arc of α and inside the arc of β."""
-    ca, arc_a = _arc_positions(cc, alpha)
-    cb, arc_b = _arc_positions(cc, beta)
+    ca, sa, la = _arc(cc, alpha)
+    cb, sb, lb = _arc(cc, beta)
     if ca != cb:
         return 0
     k = cc.components[ca].rank
-    neighbours = set()
-    for p in arc_a:
-        for q in ((p - 1) % k, (p + 1) % k):
-            if q not in arc_a:
-                neighbours.add(q)
-    return len(neighbours & arc_b)
+    # the neighbours of α's arc, one node when the arc leaves one out
+    return sum(_inside(k, q, 1, sb, lb) for q in {(sa - 1) % k, (sa + la) % k})
 
 
 def compat_circ(cc: CoxeterContext, alpha, beta):
     """Support-combinatorial expression of the degree on finite-orbit roots."""
-    if alpha == beta:
+    ca, sa, la = _arc(cc, alpha)
+    cb, sb, lb = _arc(cc, beta)
+    if (ca, sa, la) == (cb, sb, lb):
         return -1
-    ca, arc_a = _arc_positions(cc, alpha)
-    cb, arc_b = _arc_positions(cc, beta)
-    if ca == cb and (arc_a < arc_b or arc_b < arc_a):
+    k = cc.components[ca].rank
+    if ca == cb and (_inside(k, sa, la, sb, lb) or _inside(k, sb, lb, sa, la)):
         return 0
     return adjacency_count(cc, alpha, beta)
 
@@ -115,11 +121,12 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
 
 
 def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:
-    ca, arc_a = _arc_positions(cc, alpha)
-    cb, arc_b = _arc_positions(cc, beta)
-    if ca != cb:
-        return False
-    return len(arc_a | arc_b) == cc.components[ca].rank
+    """Whether the two arcs cover their cycle: β's complement, the arc
+    (sb + lb, k - lb), lies in α's arc."""
+    ca, sa, la = _arc(cc, alpha)
+    cb, sb, lb = _arc(cc, beta)
+    k = cc.components[ca].rank
+    return ca == cb and _inside(k, sb + lb, k - lb, sa, la)
 
 
 def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:

@@ -12,8 +12,8 @@ The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
 returns; it holds exactly one root outside the finite parabolic, and sums
 to a multiple of delta.  The tube roots are the proper arcs of the
-cycles, kept in one table in both directions: root -> (component, arc)
-and (component, start, length) -> root.  As c moves every arc one
+cycles, each recorded as one (component, start, length), kept in one table
+in both directions: root -> arc and arc -> root.  As c moves every arc one
 position along its cycle, the finite-orbit transversal omega is the arcs
 starting just after the affine root, and a tube root's orbit data is read
 off its arc.
@@ -105,10 +105,8 @@ class CoxeterContext:
         self._tau_inverse = {w: v for v, w in self._tau.items()}
 
         self.components = self._build_tubes()
-        # tube root -> (component index, its arc of cycle positions), and
-        # back from (component index, start, length): one entry per proper
-        # arc, a non-empty run of at most rank - 1 positions
-        self.tube_arcs = {}
+        # tube root <-> its arc (component index, start, length): one entry
+        # per proper arc, a run of 1 to rank - 1 cycle positions from start
         self.arc_roots = {}
         for ci, comp in enumerate(self.components):
             k = comp.rank
@@ -117,9 +115,8 @@ class CoxeterContext:
                 for length in range(1, k):
                     node = comp.cycle[(start + length - 1) % k]
                     acc = [a + b for a, b in zip(acc, node)]
-                    root = tuple(acc)
-                    self.tube_arcs[root] = (ci, frozenset((start + t) % k for t in range(length)))
-                    self.arc_roots[ci, start, length] = root
+                    self.arc_roots[ci, start, length] = tuple(acc)
+        self.tube_arcs = {root: arc for arc, root in self.arc_roots.items()}
         self.fin_simples = tuple(
             r for comp in self.components for r in comp.fin_simples
         )
@@ -335,11 +332,10 @@ class CoxeterContext:
         if cls == TUBE:
             # c moves an arc one position along its cycle: c^-p carries the
             # arc at `start` to the one of the same length in omega
-            ci, arc = self.tube_arcs[v]
+            ci, start, length = self.tube_arcs[v]
             k = self.components[ci].rank
             first = (self.components[ci].affine_pos + 1) % k
-            start = next(p for p in arc if (p - 1) % k not in arc)
-            return ("finite", self.arc_roots[ci, first, len(arc)], (start - first) % k)
+            return ("finite", self.arc_roots[ci, first, length], (start - first) % k)
         # transient: walk toward the negative simple on its side of phi = 0
         step, sign = (self.tau_inverse, 1) if self.phi(v) > 0 else (self.tau, -1)
         cur = v

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
+from aproots.errors import DeltaHasNoTubeSupport, NotInTube
+from aproots.linalg import format_vector, vec
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 _affine = lru_cache(maxsize=None)(context_from_label)
@@ -63,3 +65,94 @@ def integer_kernel_basis(f) -> list:
         cols[0], cols[i] = c0, ci
         g[0], g[i] = d, 0
     return [tuple(cols[i]) for i in range(1, n)]
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+class FrozensetArcs:
+    """The tube-arc rules on arcs kept as sets of cycle positions, as a
+    reference for the (component, start, length) record: the table built
+    from the component cycles, the set tests for nesting, adjacency and
+    covering, the scan for an arc's start, and the backtracking search for
+    the maximal compatible sets of a component."""
+
+    def __init__(self, cc):
+        self.cc = cc
+        self.table = {}     # tube root -> (component, frozenset of positions)
+        for ci, comp in enumerate(cc.components):
+            k = comp.rank
+            for start in range(k):
+                for length in range(1, k):
+                    arc = frozenset((start + t) % k for t in range(length))
+                    self.table[vec(map(sum, zip(*(comp.cycle[p] for p in arc))))] = (ci, arc)
+
+    def arc(self, v):
+        entry = self.table.get(v)
+        if entry is not None:
+            return entry
+        if v == self.cc.ctx.delta or self.cc.ctx.is_imaginary_root(v):
+            raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
+        raise NotInTube(f"{format_vector(v)} is not a tube root")
+
+    def adjacency_count(self, alpha, beta):
+        (ca, arc_a), (cb, arc_b) = self.arc(alpha), self.arc(beta)
+        if ca != cb:
+            return 0
+        k = self.cc.components[ca].rank
+        neighbours = {q for p in arc_a for q in ((p - 1) % k, (p + 1) % k)} - arc_a
+        return len(neighbours & arc_b)
+
+    def compat_circ(self, alpha, beta):
+        # both arcs first, so an equal pair outside the tubes raises
+        (ca, arc_a), (cb, arc_b) = self.arc(alpha), self.arc(beta)
+        if alpha == beta:
+            return -1
+        if ca == cb and (arc_a < arc_b or arc_b < arc_a):
+            return 0
+        return self.adjacency_count(alpha, beta)
+
+    def joint_full(self, alpha, beta):
+        (ca, arc_a), (cb, arc_b) = self.arc(alpha), self.arc(beta)
+        return ca == cb and len(arc_a | arc_b) == self.cc.components[ca].rank
+
+    def orbit(self, v):
+        """(kind, representative in omega, power) of a tube root."""
+        ci, arc = self.arc(v)
+        comp = self.cc.components[ci]
+        k = comp.rank
+        first = (comp.affine_pos + 1) % k
+        start = next(p for p in arc if (p - 1) % k not in arc)
+        rep = frozenset((first + t) % k for t in range(len(arc)))
+        return ("finite", next(r for r, e in self.table.items() if e == (ci, rep)),
+                (start - first) % k)
+
+    def facets(self, ci):
+        """The sets of rank - 1 tube roots of component ci pairwise of degree
+        0 both ways, by a search over the compatible subsets."""
+        k = self.cc.components[ci].rank
+        roots = sorted(r for r, (cj, _) in self.table.items() if cj == ci)
+        # bit j of ok[i]: roots i and j have degree 0 both ways
+        ok = [sum(1 << j for j, b in enumerate(roots)
+                  if self.compat_circ(a, b) == 0 == self.compat_circ(b, a)) for a in roots]
+        found = []
+
+        def grow(chosen, allowed):
+            # allowed: the roots after the last chosen one that fit all chosen
+            if len(chosen) == k - 1:
+                found.append(tuple(roots[i] for i in chosen))
+                return
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                grow(chosen + [i], allowed & ok[i] & -(low << 1))
+                rest ^= low
+
+        grow([], (1 << len(roots)) - 1)
+        return found

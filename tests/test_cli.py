@@ -87,6 +87,10 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         (("exchange", "--type", "D3(2)", "--cluster=1/2,0,0;0,-1,0;0,0,-1",
           "--remove=0,-1,0"),
          "error: (1/2, 0, 0) is not in the almost-positive set\n"),
+        # a blank name is quoted, so the message does not end in nothing
+        (("oracle", "--type", "A1(1)", "--depth", "1", "--check", "thm12,"),
+         "error: unknown check ''\n"),
+        (("verify", "--criteria", "axioms,"), "error: unknown criteria: ''\n"),
     ]
     for args, reason in cases:
         proc = run_cli(*args)

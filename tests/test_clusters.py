@@ -14,6 +14,7 @@ from aproots.cartan import catalog_labels, context_from_label
 from aproots.clusters import (
     IMAGINARY,
     REAL,
+    _component_facets,
     cone_contains,
     cones_intersect_in_face,
     enumerate_clusters,
@@ -32,7 +33,7 @@ from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import cross, det, in_simplicial_cone, vec
 
-from strategies import coxeter_contexts
+from strategies import FrozensetArcs, coxeter_contexts
 
 
 def cc_for(label, word=None):
@@ -148,14 +149,25 @@ def test_enumerate_depth_zero():
 
 
 def test_imaginary_cluster_counts_match_cyclohedron_facets():
-    from math import comb
+    from math import comb, prod
 
-    for label in ("D3(2)", "C3(1)", "B3(1)", "A3(1):k=1"):
+    for label in catalog_labels(10):
         cc = cc_for(label)
-        expected = 1
-        for comp in cc.components:
-            expected *= comb(2 * (comp.rank - 1), comp.rank - 1)
-        assert len(imaginary_clusters(cc)) == expected, label
+        counts = [comb(2 * comp.rank - 2, comp.rank - 1) for comp in cc.components]
+        assert [len(_component_facets(cc, ci)) for ci in range(len(counts))] == counts, label
+        assert len(imaginary_clusters(cc)) == prod(counts), label
+
+
+def test_component_facets_match_the_search_reference():
+    rng = random.Random(19)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        for w in (word, tuple(rng.sample(word, len(word)))):
+            cc = CoxeterContext(ctx, w)
+            ref = FrozensetArcs(cc)
+            for ci in range(len(cc.components)):
+                facets = [tuple(sorted(f)) for f in _component_facets(cc, ci)]
+                assert sorted(facets) == sorted(ref.facets(ci)), (label, w, ci)
 
 
 def test_transport_by_moves_and_tau():

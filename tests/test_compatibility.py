@@ -1,5 +1,6 @@
 """Compatibility degree: computation paths and structural laws."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInT
 from aproots.linalg import vec
 from aproots.roots import roots_up_to_level
 
-from strategies import coxeter_contexts, euler
+from strategies import FrozensetArcs, coxeter_contexts, euler, outcome
 
 
 def cc_for(label, word=None):
@@ -88,18 +89,67 @@ def test_tube_table_arcs_are_proper_and_sum_to_their_roots():
         ctx, word = context_from_label(label)
         for w in (word, tuple(word)[::-1]):
             cc = CoxeterContext(ctx, w)
+            assert cc.arc_roots == {arc: root for root, arc in cc.tube_arcs.items()}
             for ci, comp in enumerate(cc.components):
                 k = comp.rank
-                entries = [(r, arc) for r, (cj, arc) in cc.tube_arcs.items() if cj == ci]
+                entries = [(r, s, l) for r, (cj, s, l) in cc.tube_arcs.items() if cj == ci]
                 assert len(entries) == k * (k - 1), (label, w)
-                for root, arc in entries:
-                    runs = [frozenset((s + t) % k for t in range(len(arc))) for s in range(k)]
-                    assert 0 < len(arc) < k and arc in runs, (label, w, root)
+                for root, start, length in entries:
+                    assert 0 <= start < k and 0 < length < k, (label, w, root)
+                    arc = frozenset((start + t) % k for t in range(length))
                     total = vec(sum(comp.cycle[p][i] for p in arc) for i in range(cc.n))
                     assert total == root, (label, w, root)
                     assert compat.tube_support(cc, root) == compat.TubeSupport(ci, arc)
                     with pytest.raises(NotInTube):
                         compat.tube_support(cc, vec(a + d for a, d in zip(root, ctx.delta)))
+
+
+def _assert_arc_rules_match_reference(cc):
+    ref = FrozensetArcs(cc)
+    tubes = cc.tube_roots()
+    d = cc.ctx.delta
+    extra = [d, vec(-x for x in d), vec([1, -1] + [0] * (cc.n - 2))]
+    for v in tubes + extra:
+        want = outcome(lambda v: compat.TubeSupport(*ref.arc(v)), v)
+        assert outcome(compat.tube_support, cc, v) == want, v
+        if v in ref.table:
+            assert cc.orbit_classification(v) == ref.orbit(v), v
+    pairs = [(a, b) for a in tubes for b in tubes]
+    pairs += [(x, y) for x in extra for y in tubes + extra]
+    pairs += [(y, x) for x in extra for y in tubes]
+    for a, b in pairs:
+        for new, old in ((compat.compat_circ, ref.compat_circ),
+                         (compat.adjacency_count, ref.adjacency_count),
+                         (compat._joint_component_full, ref.joint_full)):
+            assert outcome(new, cc, a, b) == outcome(old, a, b), (new.__name__, a, b)
+
+
+def test_arc_rules_match_the_frozenset_reference_over_the_catalog():
+    rng = random.Random(19)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        for w in (word, tuple(rng.sample(word, len(word)))):
+            cc = CoxeterContext(ctx, w)
+            _assert_arc_rules_match_reference(cc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_contexts())
+def test_arc_rules_match_the_frozenset_reference(cc):
+    _assert_arc_rules_match_reference(cc)
+
+
+def test_compat_circ_looks_up_both_arcs_before_comparing():
+    cc = cc_for("D3(2)")
+    d = cc.ctx.delta
+    for a, b in (((9, 9, 9), (9, 9, 9)), (d, d), (d, (0, 1, 0))):
+        with pytest.raises(DeltaHasNoTubeSupport):
+            compat.compat_circ(cc, a, b)
+    with pytest.raises(NotInTube, match=r"^\(1, -1, 0\) is not a tube root$"):
+        compat.compat_circ(cc, (1, -1, 0), (1, -1, 0))
+    # a tube root with itself is -1, as the degree is
+    tube = (0, 1, 0)
+    assert compat.compat_circ(cc, tube, tube) == -1 == compat.degree(cc, tube, tube)
 
 
 def test_adjacency_counts_on_three_cycle():
