@@ -151,36 +151,6 @@ def _positive_definite(gram) -> bool:
     return True
 
 
-def finite_positive_roots(cm: CartanMatrix, active):
-    """All positive roots supported on `active`, in ambient coordinates.
-
-    Only valid when the restriction to `active` is of finite type; a hard
-    cap guards against misuse.
-    """
-    n = cm.n
-    seen = set()
-    frontier = []
-    for i in active:
-        root = tuple(1 if j == i else 0 for j in range(n))
-        seen.add(root)
-        frontier.append(root)
-    cap = 10 ** 5
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in active:
-                img = cm.reflect(i, root)
-                if img in seen:
-                    continue
-                if all(x >= 0 for x in img):
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > cap:
-                        raise AssertionError("parabolic is not of finite type")
-        frontier = nxt
-    return seen
-
-
 def _is_aff_node(cm: CartanMatrix, delta, i) -> bool:
     """Whether delta - [delta:α_i]·α_i is a positive root of the parabolic
     without i, which has finite type.  There, a positive root other than a

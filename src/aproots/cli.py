@@ -201,10 +201,11 @@ def cmd_clusters(args):
         "real": [[list(r) for r in cl] for cl in sorted(real)],
         "imaginary": [[list(r) for r in cl] for cl in sorted(imag)],
     }
+    text = {r: _format_vector(r) for r in {r for cl in real | imag for r in cl}}
     lines = [f"real clusters: {len(real)}"]
-    lines += ["  " + "; ".join(_format_vector(r) for r in cl) for cl in sorted(real)]
+    lines += ["  " + "; ".join(map(text.get, cl)) for cl in sorted(real)]
     lines.append(f"imaginary clusters: {len(imag)}")
-    lines += ["  " + "; ".join(_format_vector(r) for r in cl) for cl in sorted(imag)]
+    lines += ["  " + "; ".join(map(text.get, cl)) for cl in sorted(imag)]
     _emit(args, payload, lines)
     return 0
 

@@ -201,39 +201,37 @@ def is_pair_exchangeable_with_delta(cc: CoxeterContext, alpha, beta) -> bool:
 def nu(cc: CoxeterContext, v):
     """The piecewise-linear map into fundamental-weight coordinates.
 
-    On the positive orthant it is -E_c; negative coordinates contribute
-    their weight instead, with the positive truncation still feeding every
-    row.  This is the unique extension of the values on roots that is
+    On the positive orthant it is -E_c = -(I + lower), read off the rows of
+    `lower`; negative coordinates contribute their weight instead, with the
+    positive truncation still feeding every row: coordinate i is
+    -[v_i]+ - sum a_ij·[v_j]+ over (j, a_ij) in lower[i], less min(v_i, 0).
+    This is the unique extension of the values on roots that is
     linear on each cone of the fan (compatibility zeroes out the mixed
     terms there), and it is a piecewise-linear homeomorphism.  The map of
     c^{-1} is `nu(CoxeterContext(cc.ctx, cc.word[::-1]), v)`.
     """
     v = vec(v)
     plus = tuple(x if x > 0 else 0 for x in v)
-    out = []
-    for i in range(cc.n):
-        val = -sum(e * p for e, p in zip(cc.E[i], plus) if e)
-        if v[i] < 0:
-            val -= v[i]
-        out.append(canon(val))
-    return tuple(out)
+    return tuple(canon(-p - sum(a * plus[j] for j, a in row) - min(x, 0))
+                 for x, p, row in zip(v, plus, cc.lower))
 
 
 def nu_inverse(cc: CoxeterContext, weight):
     """Inverse of the weight map, by forward substitution.
 
-    E_c is unitriangular in the order of the word for c, so for w = nu(v)
+    E_c = I + lower is unitriangular in the order of the word for c, so for
+    w = nu(v)
 
-        w_i = -v_i - sum_j a_ij·max(v_j, 0)   over the letters j before i,
+        w_i = -v_i - sum a_ij·max(v_j, 0)   over (j, a_ij) in lower[i],
 
     and, taking the letters in word order, each coordinate follows from the
-    ones already found: v_i = -w_i - sum_j a_ij·max(v_j, 0).  Every weight
+    ones already found: v_i = -w_i - sum a_ij·max(v_j, 0).  Every weight
     has exactly one preimage.
     """
     weight = vec(weight)
     v = [0] * cc.n
-    for p, i in enumerate(cc.word):
-        v[i] = -weight[i] - sum(cc.E[i][j] * max(v[j], 0) for j in cc.word[:p])
+    for i in cc.word:
+        v[i] = -weight[i] - sum(a * max(v[j], 0) for j, a in cc.lower[i])
     return vec(v)
 
 

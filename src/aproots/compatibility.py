@@ -7,8 +7,9 @@ For roots α, β in the almost-positive set the degree is
 except when both roots have finite tau-orbits and their joint arc support
 covers a whole component cycle; in that exceptional case it is the adjacency
 count of the two arcs.  The two "arrow" sums are coordinate formulas over
-the coroot coordinates of α and the root coordinates of β; on positive
-roots they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
+the coroot coordinates of α and the root coordinates of β, read through
+the context's strict Euler parts `lower` and `upper`; on positive roots
+they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
 
 Arguments are admitted by `CoxeterContext.member`.  `compat_circ` is the
 rule for tube roots; it reads each root's arc, its (component, start,
@@ -89,35 +90,21 @@ def compat_circ(cc: CoxeterContext, alpha, beta):
 
 
 def compat_arrows(cc: CoxeterContext, alpha, beta):
-    """(arrow_to, arrow_from): the two coordinate sums.
-
-    The triangular parts follow the positions of the letters in the word
-    for c, not the ambient numbering.
-    """
+    """(arrow_to, arrow_from): the two coordinate sums, -cv·β less the
+    positive parts of cv and β paired through the strict part `lower` of
+    E_c for arrow_to and `upper` of E_{c^-1} for arrow_from."""
     alpha, _, cv = cc.member(alpha)
     beta = cc.member(beta)[0]
-    a = cc.cm.a
-    n = cc.n
-    pos = cc.pos
-    base = sum(x * y for x, y in zip(cv, beta))
-    cv_pos = [x if x > 0 else 0 for x in cv]
-    beta_pos = [x if x > 0 else 0 for x in beta]
-    lower = 0
-    upper = 0
-    for i in range(n):
-        ci = cv_pos[i]
-        if not ci:
-            continue
-        row = a[i]
-        pi = pos[i]
-        for j in range(n):
-            if j == i or not row[j] or not beta_pos[j]:
-                continue
-            if pi > pos[j]:
-                lower += row[j] * ci * beta_pos[j]
-            else:
-                upper += row[j] * ci * beta_pos[j]
-    return canon(-base - lower), canon(-base - upper)
+    to = frm = -sum(x * y for x, y in zip(cv, beta))
+    for i, x in enumerate(cv):
+        if x > 0:
+            for j, a in cc.lower[i]:
+                if beta[j] > 0:
+                    to -= x * a * beta[j]
+            for j, a in cc.upper[i]:
+                if beta[j] > 0:
+                    frm -= x * a * beta[j]
+    return canon(to), canon(frm)
 
 
 def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:

@@ -1,12 +1,17 @@
 """Everything attached to a fixed Coxeter element c.
 
-Builds the Euler form, the matrix of c (once, as c = -E_{c^-1}^{-1}·E_c
-from the unitriangular Euler matrices), the generalized 1-eigenvector
-gamma_c with its functional phi_c, the finite-orbit hyperplane data, the
-rotation subsystem living inside that hyperplane, the transversals
-psi_to / psi_from, the kappa function, the deformed maps sigma_s and
-tau_c, and the closed-form counts of source-sink orientations and their
-classes.
+The word for c is recorded once, as the strict parts of its two
+unitriangular Euler matrices: `lower`, with E_c = I + lower, and `upper`,
+with E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry).
+Substitution through them, in word order for `lower` and reversed for
+`upper`, gives the matrix of c = -E_{c^-1}^{-1}·E_c, its inverse and the
+transversals psi_to / psi_from of tau_c (the columns of E_{c^-1}^{-1} and
+E_c^{-1}); the degree's arrows, the weight map and source/sink moves read
+the same two tables.  Also built: the generalized 1-eigenvector gamma_c
+with its functional phi_c, the finite-orbit hyperplane data, the rotation
+subsystem living inside that hyperplane, the kappa function, the deformed
+maps sigma_s and tau_c, and the closed-form counts of source-sink
+orientations and their classes.
 
 The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
@@ -33,7 +38,7 @@ from math import lcm
 from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
-from .linalg import canon, format_vector, inverse, mat_mul, mat_vec, vec
+from .linalg import canon, format_vector, inverse, mat_vec, vec
 from .roots import deformed_reflection, neg_simple, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
@@ -68,33 +73,37 @@ class CoxeterContext:
         self.cm = ctx.cm
         self.n = ctx.n
         self.word = word
-        self.pos = {letter: p for p, letter in enumerate(word)}
-
+        # the strict parts of the Euler matrices, the one record of the word
+        # order: lower[i] holds (j, a_ij) for the neighbours j before i, so
+        # E_c = I + lower, and upper[i] those after i, so E_{c^-1} = I + upper
         a = ctx.cm.a
         n = ctx.n
-        self.E = tuple(
-            tuple(a[i][j] if self.pos[i] > self.pos[j] else (1 if i == j else 0)
-                  for j in range(n))
-            for i in range(n)
-        )
-        e_inv_word = tuple(
-            tuple(a[i][j] if self.pos[i] < self.pos[j] else (1 if i == j else 0)
-                  for j in range(n))
-            for i in range(n)
-        )
-        self.c_mat = tuple(
-            tuple(canon(-x) for x in row)
-            for row in mat_mul(inverse(e_inv_word), self.E)
-        )
-        self.c_inv_mat = inverse(self.c_mat)
+        lower, upper, seen = [()] * n, [()] * n, set()
+        for i in word:
+            row = [(j, x) for j, x in enumerate(a[i]) if x and j != i]
+            lower[i] = tuple(p for p in row if p[0] in seen)
+            upper[i] = tuple(p for p in row if p[0] not in seen)
+            seen.add(i)
+        self.lower = lower = tuple(lower)
+        self.upper = upper = tuple(upper)
+        self.E = tuple(tuple(row.get(j, int(i == j)) for j in range(n))
+                       for i, row in enumerate(map(dict, lower)))
+        # c = -(I + upper)^-1·(I + lower) and c^-1 = -(I + lower)^-1·(I + upper),
+        # column by column; psi_to and psi_from are the columns of
+        # (I + upper)^-1 and (I + lower)^-1
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        self.c_mat = tuple(zip(*(self._solve(upper, [-x for x in _apply(lower, e)])
+                                 for e in units)))
+        self.c_inv_mat = tuple(zip(*(self._solve(lower, [-x for x in _apply(upper, e)])
+                                     for e in units)))
+        self.psi_to = {i: self._solve(upper, units[i]) for i in word}
+        self.psi_from = {i: self._solve(lower, units[i]) for i in word}
 
         self.gamma = self._solve_gamma()
         # phi as a functional on simple-root coordinates: phi(v) = f · v
         self._phi_fun = mat_vec(ctx.cm.gram, self.gamma)
         self.phi_weight = self._normalized_phi_weight()
 
-        self.psi_to = self._psi(forward=True)
-        self.psi_from = self._psi(forward=False)
         # tau_c differs from c only on the negative simples and psi_from:
         # -α_i -> psi_to[i] and psi_from[i] -> -α_i; tau_c^{-1} reads the
         # mirror table
@@ -133,12 +142,14 @@ class CoxeterContext:
         # member of the almost-positive set -> (class, coroot coordinates),
         # filled by root_info; non-members are never stored
         self._root_info = {}
-        # the arcs starting just after the affine root, one of each length
-        self.omega = tuple(
-            self.arc_roots[ci, (comp.affine_pos + 1) % comp.rank, length]
+        # omega: the arcs starting just after the affine root, one of each
+        # length, each with kappa(w), the least m with m·delta - w real; the
+        # complementary arc sums to its component's delta_multiple·delta - w
+        self.kappa = {
+            self.arc_roots[ci, (comp.affine_pos + 1) % comp.rank, length]: comp.delta_multiple
             for ci, comp in enumerate(self.components) for length in range(1, comp.rank)
-        )
-        self.kappa = {w: self._kappa(w) for w in self.omega}
+        }
+        self.omega = tuple(self.kappa)
 
         orientations, _ = source_sink_counts(ctx)
         ranks = [comp.rank for comp in self.components]
@@ -173,18 +184,13 @@ class CoxeterContext:
         scale = abs(next(w for w in weight if w != 0))
         return vec(w / scale for w in weight)
 
-    def _psi(self, forward: bool):
-        out = {}
-        word = self.word
-        for p, letter in enumerate(word):
-            v = tuple(1 if j == letter else 0 for j in range(self.n))
-            # s_{w_1}···s_{w_{p-1}}·α (forward) or s_{w_n}···s_{w_{p+1}}·α:
-            # rightmost factor acts first
-            seq = reversed(word[:p]) if forward else word[p + 1:]
-            for s in seq:
-                v = self.cm.reflect(s, v)
-            out[letter] = v
-        return out
+    def _solve(self, part, rhs):
+        """x with (I + part)·x = rhs, for part `lower` or `upper`: each letter
+        after those it reads, in word order for lower and reversed for upper."""
+        x = list(rhs)
+        for i in self.word if part is self.lower else reversed(self.word):
+            x[i] -= sum(a * x[j] for j, a in part[i])
+        return tuple(x)
 
     def _build_tubes(self):
         """Components of the finite-orbit subsystem: the roots of the finite
@@ -223,29 +229,16 @@ class CoxeterContext:
             out.append(TubeComponent(cycle, affine_pos, m))
         return out
 
-    def _kappa(self, beta):
-        """Least m ≥ 1 with m·delta - beta real, for a real root beta: since
-        -beta is real, m is at most the period of the real roots."""
-        ctx = self.ctx
-        for m in range(1, ctx.period):
-            if ctx.is_real_root(tuple(m * dx - bx for dx, bx in zip(ctx.delta, beta))):
-                return m
-        return ctx.period
-
     # -- conjugation ----------------------------------------------------------
 
     def source_sink_move(self, s: int) -> "CoxeterContext":
-        """Context for scs; s must be initial or final in c."""
-        word = list(self.word)
-        if s in _word_sources(self.cm, self.word):
-            word.remove(s)
-            word.append(s)
-        elif s in _word_sources(self.cm, self.word[::-1]):
-            word.remove(s)
-            word.insert(0, s)
-        else:
+        """Context for scs; s must be initial in c (no neighbour before it,
+        `lower[s]` empty) or final (`upper[s]` empty)."""
+        if s not in range(self.n) or (self.lower[s] and self.upper[s]):
             raise IndexOutOfRange(f"letter {s + 1} is neither initial nor final")
-        return CoxeterContext(self.ctx, word)
+        # an initial letter moves to the end of the word, a final one to the front
+        rest = [t for t in self.word if t != s]
+        return CoxeterContext(self.ctx, rest + [s] if not self.lower[s] else [s] + rest)
 
     # -- almost-positive membership -------------------------------------------
 
@@ -346,15 +339,9 @@ class CoxeterContext:
         raise AssertionError("infinite-orbit walk exhausted")
 
 
-def _word_sources(cm, word):
-    """Letters of `word` that come before every neighbour in the word: the
-    sources of its orientation (the sinks are the sources of the reverse)."""
-    pos = {s: p for p, s in enumerate(word)}
-    active = set(word)
-    return [
-        s for s in word
-        if all(pos[s] < pos[t] for t in active if t != s and cm.a[s][t] != 0)
-    ]
+def _apply(part, v):
+    """(I + part)·v for a strict part of an Euler matrix."""
+    return [x + sum(a * v[j] for j, a in row) for x, row in zip(v, part)]
 
 
 def source_sink_counts(ctx: AffineContext):

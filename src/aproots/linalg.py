@@ -81,13 +81,6 @@ def mat_vec(m, v) -> tuple:
     return tuple(canon(sum(a * b for a, b in zip(row, v))) for row in m)
 
 
-def mat_mul(a, b) -> tuple:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(canon(sum(x * y for x, y in zip(row, col))) for col in bt) for row in a
-    )
-
-
 def _ratio(x: int, d: int):
     """x/d as a canonical rational: an int when d divides x."""
     q, r = divmod(x, d)

@@ -7,7 +7,7 @@ lexicographic order so results are deterministic.
 
 from __future__ import annotations
 
-from .cartan import AffineContext, CartanMatrix, Kind, classify, finite_positive_roots
+from .cartan import AffineContext, CartanMatrix
 from .errors import NotAffine
 
 
@@ -39,16 +39,9 @@ def deformed_reflection(cm: CartanMatrix, s: int, v):
 
 
 def roots_up_to_level(ctx, bound: int):
-    """All roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], plus ±k·delta.
-
-    For a finite-type Cartan matrix, pass the matrix itself: the full finite
-    root set is returned and the bound is ignored.
-    """
-    if isinstance(ctx, CartanMatrix) and classify(ctx).kind is Kind.FINITE:
-        pos = finite_positive_roots(ctx, range(ctx.n))
-        return sorted(pos | {tuple(-x for x in r) for r in pos})
+    """All roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], plus ±k·delta."""
     if not isinstance(ctx, AffineContext):
-        raise NotAffine("expected a finite-type matrix or an AffineContext")
+        raise NotAffine("expected an AffineContext")
     pos = ctx.ensure_level(bound)
     # the simples are part of every bounded enumeration, whatever the bound
     for i in range(ctx.n):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
-from aproots.errors import DeltaHasNoTubeSupport, NotInTube
-from aproots.linalg import format_vector, vec
+from aproots.errors import DeltaHasNoTubeSupport, IndexOutOfRange, NotInTube
+from aproots.linalg import canon, format_vector, vec
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 _affine = lru_cache(maxsize=None)(context_from_label)
@@ -156,3 +156,126 @@ class FrozensetArcs:
 
         grow([], (1 << len(roots)) - 1)
         return found
+
+
+def finite_positive_roots(cm, active):
+    """All positive roots supported on `active`, in ambient coordinates, by
+    closing the simple roots under the reflections in `active`.
+
+    Only valid when the restriction to `active` is of finite type; a hard
+    cap guards against misuse.
+    """
+    n = cm.n
+    seen = set()
+    frontier = []
+    for i in active:
+        root = tuple(1 if j == i else 0 for j in range(n))
+        seen.add(root)
+        frontier.append(root)
+    cap = 10 ** 5
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for i in active:
+                img = cm.reflect(i, root)
+                if img in seen:
+                    continue
+                if all(x >= 0 for x in img):
+                    seen.add(img)
+                    nxt.append(img)
+                    if len(seen) > cap:
+                        raise AssertionError("parabolic is not of finite type")
+        frontier = nxt
+    return seen
+
+
+def word_sources(cm, word):
+    """Letters of `word` that come before every neighbour in the word: the
+    sources of its orientation (the sinks are the sources of the reverse)."""
+    pos = {s: p for p, s in enumerate(word)}
+    active = set(word)
+    return [
+        s for s in word
+        if all(pos[s] < pos[t] for t in active if t != s and cm.a[s][t] != 0)
+    ]
+
+
+class DenseWordOrder:
+    """The readers of the word for c built from the positions of its
+    letters, as a reference for the strict Euler parts `lower` and `upper`:
+    the dense Euler matrix, the transversals as reflections over word
+    prefixes and suffixes, the degree's arrows by a dense loop that compares
+    positions, the weight map and its inverse through the dense rows, and
+    source/sink moves through the sources of the word and of its reverse."""
+
+    def __init__(self, cc):
+        self.cc = cc
+        self.pos = pos = {letter: p for p, letter in enumerate(cc.word)}
+        a, n = cc.cm.a, cc.n
+        self.E = tuple(tuple(a[i][j] if pos[i] > pos[j] else int(i == j) for j in range(n))
+                       for i in range(n))
+
+    def psi(self, forward):
+        out = {}
+        word = self.cc.word
+        for p, letter in enumerate(word):
+            v = tuple(1 if j == letter else 0 for j in range(self.cc.n))
+            # s_{w_1}···s_{w_{p-1}}·α (forward) or s_{w_n}···s_{w_{p+1}}·α:
+            # rightmost factor acts first
+            for s in (reversed(word[:p]) if forward else word[p + 1:]):
+                v = self.cc.cm.reflect(s, v)
+            out[letter] = v
+        return out
+
+    def arrows(self, alpha, beta):
+        cc, pos = self.cc, self.pos
+        alpha, _, cv = cc.member(alpha)
+        beta = cc.member(beta)[0]
+        a = cc.cm.a
+        base = sum(x * y for x, y in zip(cv, beta))
+        cv_pos = [x if x > 0 else 0 for x in cv]
+        beta_pos = [x if x > 0 else 0 for x in beta]
+        lower = upper = 0
+        for i in range(cc.n):
+            if not cv_pos[i]:
+                continue
+            for j in range(cc.n):
+                if j == i or not a[i][j] or not beta_pos[j]:
+                    continue
+                if pos[i] > pos[j]:
+                    lower += a[i][j] * cv_pos[i] * beta_pos[j]
+                else:
+                    upper += a[i][j] * cv_pos[i] * beta_pos[j]
+        return canon(-base - lower), canon(-base - upper)
+
+    def nu(self, v):
+        v = vec(v)
+        plus = tuple(x if x > 0 else 0 for x in v)
+        out = []
+        for i in range(self.cc.n):
+            val = -sum(e * p for e, p in zip(self.E[i], plus) if e)
+            if v[i] < 0:
+                val -= v[i]
+            out.append(canon(val))
+        return tuple(out)
+
+    def nu_inverse(self, weight):
+        weight = vec(weight)
+        word = self.cc.word
+        v = [0] * self.cc.n
+        for p, i in enumerate(word):
+            v[i] = -weight[i] - sum(self.E[i][j] * max(v[j], 0) for j in word[:p])
+        return vec(v)
+
+    def source_sink_move(self, s):
+        """The word of the moved context."""
+        cm, word = self.cc.cm, list(self.cc.word)
+        if s in word_sources(cm, self.cc.word):
+            word.remove(s)
+            word.append(s)
+        elif s in word_sources(cm, self.cc.word[::-1]):
+            word.remove(s)
+            word.insert(0, s)
+        else:
+            raise IndexOutOfRange(f"letter {s + 1} is neither initial nor final")
+        return tuple(word)

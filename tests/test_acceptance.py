@@ -7,7 +7,7 @@ inside the criterion functions themselves.
 
 import pytest
 
-from aproots.verification import CRITERIA, run_for_type
+from aproots.verification import CRITERIA, run_all, run_for_type
 
 ORDER = (
     "worked-example",
@@ -45,3 +45,9 @@ def test_scoped_verification_checks_finite_simples_of_untwisted_types(label, unt
     # the fixed D3(2) row comes only with D3(2)
     fixed = [row for row in rows if row["name"] == "D3(2) has exactly 2 imaginary clusters"]
     assert len(fixed) == (label == "D3(2)")
+
+
+def test_run_all_tags_each_row_with_its_criterion():
+    rows = run_all(["worked-example"])
+    assert [row["name"] for row in rows] == [row["name"] for row in CRITERIA["worked-example"]()]
+    assert {row["criterion"] for row in rows} == {"worked-example"}

@@ -11,6 +11,8 @@ from aproots.coxeter import (
 )
 from aproots.roots import roots_up_to_level
 
+from strategies import finite_positive_roots
+
 
 def cc_for(label, word=None):
     ctx, default = context_from_label(label)
@@ -86,8 +88,6 @@ def test_parabolic_restriction_of_membership():
         n = cc.n
         for drop in range(n):
             keep = [j for j in range(n) if j != drop]
-            from aproots.roots import finite_positive_roots
-
             fin = finite_positive_roots(cc.ctx.cm, keep)
             classical = set(fin)
             classical.update(tuple(-1 if j == i else 0 for j in range(n))

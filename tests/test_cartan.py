@@ -21,7 +21,6 @@ from aproots.cartan import (
     classify,
     context_from_label,
     dual,
-    finite_positive_roots,
     validate_cartan,
 )
 from aproots.errors import (
@@ -34,6 +33,8 @@ from aproots.errors import (
     UnknownLabel,
 )
 from aproots.roots import roots_up_to_level
+
+from strategies import finite_positive_roots
 
 
 def brute_force_symmetrizers(a):
@@ -335,10 +336,10 @@ def test_classify_matches_the_corank_one_criterion(cm):
 
 
 def test_large_cycle_classifies_without_enumerating_parabolics(monkeypatch):
-    def no_enumeration(cm, active):
-        raise AssertionError("classify enumerated a parabolic root system")
+    def no_enumeration(cm, i, v):
+        raise AssertionError("classify reflected a root")
 
-    monkeypatch.setattr(cartan, "finite_positive_roots", no_enumeration)
+    monkeypatch.setattr(cartan.CartanMatrix, "reflect", no_enumeration)
     n = 30
     cm = cycle_matrix(n)
     cls = classify(cm)

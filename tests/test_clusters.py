@@ -24,6 +24,7 @@ from aproots.clusters import (
     is_cluster,
     is_exchangeable,
     is_pair_exchangeable_with_delta,
+    is_real_exchangeable,
     nu,
     nu_inverse,
 )
@@ -100,6 +101,16 @@ def test_is_exchangeable_names_the_vector_outside_the_set():
     cc = cc_for("D3(2)")
     with pytest.raises(NotInPhiC, match=r"^\(9, 9, 9\) is not in the almost-positive set$"):
         is_exchangeable(cc, (-1, 0, 0), (9, 9, 9))
+
+
+def test_exchangeability_is_false_with_delta_an_equal_pair_or_a_compatible_pair():
+    cc = cc_for("D3(2)")
+    a, b, delta = (-1, 0, 0), (0, -1, 0), cc.ctx.delta
+    assert is_exchangeable(cc, a, (1, 0, 0)) and is_real_exchangeable(cc, a, (1, 0, 0))
+    assert not is_exchangeable(cc, a, delta) and not is_exchangeable(cc, delta, a)
+    assert not is_exchangeable(cc, a, a)
+    assert degree(cc, a, b) == 0 and not is_real_exchangeable(cc, a, b)
+    assert not is_pair_exchangeable_with_delta(cc, a, a)
 
 
 def test_exchange_basics():

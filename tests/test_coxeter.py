@@ -6,21 +6,31 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aproots.cartan import (
     AffineContext,
     catalog,
     catalog_labels,
     context_from_label,
-    finite_positive_roots,
     validate_cartan,
 )
+from aproots.clusters import nu, nu_inverse
+from aproots.compatibility import compat_arrows
 from aproots.coxeter import CoxeterContext, source_sink_counts
 from aproots.errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec
 from aproots.roots import roots_up_to_level
 
-from strategies import coxeter_contexts, euler, euler_roots
+from strategies import (
+    DenseWordOrder,
+    coxeter_contexts,
+    euler,
+    euler_roots,
+    finite_positive_roots,
+    outcome,
+    word_sources,
+)
 
 
 def cc_for(label, word=None):
@@ -374,6 +384,16 @@ def reflection_product(cm, word):
     return tuple(zip(*columns))
 
 
+def reference_kappa(cc, beta):
+    """Least m ≥ 1 with m·delta - beta real, by search: -beta is real, so m
+    is at most the period of the real roots."""
+    ctx = cc.ctx
+    for m in range(1, ctx.period):
+        if ctx.is_real_root(tuple(m * dx - bx for dx, bx in zip(ctx.delta, beta))):
+            return m
+    return ctx.period
+
+
 def phi_zero_simples(cc):
     """Simple roots of the finite-orbit subsystem by the all-pairs scan: the
     positive roots on which phi vanishes that are no sum of two others."""
@@ -405,6 +425,7 @@ def assert_construction_invariants(cc):
             assert cc.c_action(r) == comp.cycle[(p + 1) % comp.rank], where
         total = [sum(col) for col in zip(*comp.cycle)]
         assert total == [comp.delta_multiple * x for x in ctx.delta], where
+    assert cc.kappa == {w: reference_kappa(cc, w) for w in cc.omega}, where
 
 
 def test_construction_invariants_on_every_catalog_type():
@@ -421,6 +442,48 @@ def test_construction_invariants_on_every_catalog_type():
 @given(coxeter_contexts())
 def test_construction_invariants_over_random_coxeter_words(cc):
     assert_construction_invariants(cc)
+
+
+def assert_word_order_readers_match_the_dense_reference(cc, rng):
+    """Everything read off `lower` and `upper` against the readers built
+    from the positions of the letters; values are compared with their
+    types (an int is not a Fraction)."""
+    ref = DenseWordOrder(cc)
+    where = (cc.ctx.label, cc.word)
+    assert cc.E == ref.E, where
+    assert cc.c_inv_mat == reflection_product(cc.cm, cc.word[::-1]), where
+    assert repr((cc.psi_to, cc.psi_from)) == repr((ref.psi(True), ref.psi(False))), where
+    assert [s for s in cc.word if not cc.lower[s]] == word_sources(cc.cm, cc.word), where
+    assert ([s for s in reversed(cc.word) if not cc.upper[s]]
+            == word_sources(cc.cm, cc.word[::-1])), where
+    for s in {cc.word[0], cc.word[len(cc.word) // 2], cc.word[-1], -1, cc.n}:
+        got = outcome(lambda s: cc.source_sink_move(s).word, s)
+        assert got == outcome(ref.source_sink_move, s), (where, s)
+    roots = roots_up_to_level(cc.ctx, 1)
+    pool = [r for r in rng.sample(roots, min(30, len(roots))) if cc.phi_c_class(r) is not None]
+    for a in pool:
+        for b in pool:
+            assert repr(compat_arrows(cc, a, b)) == repr(ref.arrows(a, b)), (where, a, b)
+    for _ in range(10):
+        v = rand_vec(rng, cc.n)
+        w = nu(cc, v)
+        assert repr(w) == repr(ref.nu(v)), (where, v)
+        assert repr(nu_inverse(cc, w)) == repr(ref.nu_inverse(w)), (where, w)
+        assert repr(nu_inverse(cc, v)) == repr(ref.nu_inverse(v)), (where, v)
+
+
+def test_word_order_readers_match_the_dense_reference_over_the_catalog():
+    rng = random.Random(53)
+    for label in catalog_labels(9):
+        ctx, word = context_from_label(label)
+        for w in (word, word[::-1], tuple(rng.sample(word, len(word)))):
+            assert_word_order_readers_match_the_dense_reference(CoxeterContext(ctx, w), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_contexts(), st.randoms(use_true_random=False))
+def test_word_order_readers_match_the_dense_reference_over_random_words(cc, rng):
+    assert_word_order_readers_match_the_dense_reference(cc, rng)
 
 
 def reference_omega(cc):
@@ -453,4 +516,3 @@ def test_omega_reflects_in_int_arithmetic_like_the_fraction_reference():
             omega = reference_omega(cc)
             assert cc.omega == omega, (label, w)
             assert all(type(x) is int for v in cc.omega for x in v)
-            assert cc.kappa == {v: cc._kappa(v) for v in omega}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from aproots.cartan import CartanMatrix, catalog_labels, context_from_label
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
-from aproots.coxeter import CoxeterContext, _word_sources
+from aproots.coxeter import CoxeterContext
 from aproots.errors import NotInImaginaryCone
 from aproots.expansion import (
     _cone_coordinates,
@@ -32,7 +32,7 @@ from aproots.linalg import (
     vec,
 )
 
-from strategies import coxeter_contexts, integer_kernel_basis
+from strategies import coxeter_contexts, integer_kernel_basis, word_sources
 
 
 def cc_for(label, word=None):
@@ -227,7 +227,7 @@ def test_inequality_description_of_the_cone():
             for _ in range(cc.m_bound):
                 nxt = []
                 for word, cur in frontier:
-                    for s in _word_sources(cc.cm, word):
+                    for s in word_sources(cc.cm, word):
                         nword = [t for t in word if t != s] + [s]
                         nv = cc.cm.reflect(s, cur)
                         if nv[s] < 0:

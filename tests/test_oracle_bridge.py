@@ -174,6 +174,21 @@ def test_grading_failures_reported_at_every_seed_and_slot(label, monkeypatch):
         monkeypatch.setattr(oracle_bridge, "nu", nu)
 
 
+@pytest.mark.parametrize("label", ["A2(2)", "D3(2)"])
+def test_membership_failures_reported_at_every_seed_and_slot(label, monkeypatch):
+    for cc in catalog_and_reversed(label):
+        wrong = tuple(-int(i == cc.word[0]) for i in range(cc.n))
+        member = cc.phi_c_class
+        monkeypatch.setattr(cc, "phi_c_class", lambda d: None if d == wrong else member(d))
+        report = verify_bijection(cc, 4)
+        reps, _ = seed_bfs(exchange_matrix_from_cartan(cc.cm, cc.word), 4)
+        holders = sum(seed.d_vector(s) == wrong for seed in reps.values() for s in range(cc.n))
+        assert holders > 1
+        assert report["failures"] == [("membership", wrong)] * holders
+        assert not report["all_d_in_set"] and not report["ok"]
+        assert report["d_injective"] and report["g_equals_nu_of_d"]
+
+
 def test_self_loop_edge_fails_the_exchange_check(monkeypatch):
     cc = cc_for("A2(2)")
     reps, _ = seed_bfs(exchange_matrix_from_cartan(cc.cm, cc.word), 3)

@@ -12,9 +12,11 @@ import pytest
 
 import aproots
 from aproots import roots
-from aproots.cartan import context_from_label, validate_cartan
+from aproots.cartan import context_from_label
 from aproots.errors import IndexOutOfRange
-from aproots.roots import finite_positive_roots, roots_up_to_level
+from aproots.roots import roots_up_to_level
+
+from strategies import finite_positive_roots
 
 
 def test_simple_reflection_examples():
@@ -48,13 +50,6 @@ def test_roots_level_one_rank2():
     assert ctx.delta in out
     assert (2, 1) in out           # alpha_1 + delta
     assert (1, 2) in set(roots_up_to_level(ctx, 2))   # alpha_2 + delta: level 2
-
-
-def test_finite_fallback():
-    cm = validate_cartan([[2, -1], [-1, 2]])
-    out = roots_up_to_level(cm, 99)
-    assert len(out) == 6
-    assert (1, 1) in out
 
 
 def test_closure_invariant():
