@@ -3,9 +3,9 @@
 The package builds, for an affine Cartan matrix and a Coxeter element, the
 almost-positive root set with its compatibility degree, enumerates clusters
 and the exchange graph, computes unique cluster expansions and the cone fan
-they define, and cross-checks everything against a principal-coefficient
-seed-mutation oracle through denominator vectors and the piecewise-linear
-weight map.  All arithmetic is exact rational.
+they define, and cross-checks everything against a coefficient-free
+seed-mutation oracle through denominator vectors, g-vectors and the
+piecewise-linear weight map.  All arithmetic is exact rational.
 """
 
 from .cartan import (

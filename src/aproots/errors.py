@@ -92,8 +92,8 @@ class NonExactDivision(AprootsError):
     """Laurent-phenomenon violation; signals an implementation bug."""
 
 
-class NotHomogeneous(AprootsError):
-    """Principal-grading violation; signals an implementation bug."""
+class NotSignCoherent(AprootsError):
+    """A c-vector with entries of both signs; signals an implementation bug."""
 
 
 class DepthTooDeep(AprootsError):

@@ -1,15 +1,14 @@
 """Ground-truth cluster-algebra engine: exchange-matrix mutation and
-principal-coefficient Laurent seeds.
+coefficient-free Laurent seeds with g-vectors.
 
-Cluster variables are sparse Laurent polynomials over 2n variables
-(x_1..x_n, y_1..y_n) with nonzero integer coefficients, stored as a dict
-from packed exponent to coefficient.  A packed exponent is one int with a
-FIELD_BITS-wide field per variable, x_1 in the top field.  Each field holds
-its exponent plus the bias 2**(FIELD_BITS - 1), so negative exponents fit
-and comparing two packed ints compares their exponent vectors
-lexicographically.  The packed exponent of the monomial 1 (every field at
-its bias) is also the mask of the fields' high bits; multiplying two
-monomials is one addition, e1 + e2 - unit.
+Cluster variables are sparse Laurent polynomials in x_1..x_n with nonzero
+integer coefficients, stored as a dict from packed exponent to coefficient.
+A packed exponent is one int with a FIELD_BITS-wide field per variable, x_1
+in the top field.  Each field holds its exponent plus the bias
+2**(FIELD_BITS - 1), so negative exponents fit and comparing two packed ints
+compares their exponent vectors lexicographically.  The packed exponent of
+the monomial 1 (every field at its bias) is also the mask of the fields'
+high bits; multiplying two monomials is one addition, e1 + e2 - unit.
 
 Packed sums stay field by field only while every exponent fits its field,
 and no term-level check watches that.  Instead, each Seed variable carries
@@ -18,11 +17,18 @@ them and derives the ranges of its numerator, which poly_div_exact takes
 with the divisor's to bound its quotient, before any term is formed; an
 exponent that could leave its field raises DepthTooDeep.
 
+A seed keeps no coefficient variables.  Setting every y_j to 1 is a ring
+map that commutes with the exchange relation, and the principal-coefficient
+variables have positive coefficients only, so the coefficient-free variable
+keeps their x-support and d-vector.  The C-matrix still rides under B in
+`btilde`: the sign of c-vector k drives the tropical recursion that carries
+each variable's g-vector (Nakanishi and Zelevinsky 2012).
+
 Every mutation divides exactly (the Laurent phenomenon); a failed division
-raises and means a bug.  Denominator vectors and principal-grading degrees
-are extracted per variable and cross-checked against the root-theoretic
-model elsewhere.  The packed format stays inside this module: callers read
-d-vectors, g-vectors and hashable keys.
+raises and means a bug.  Denominator vectors and g-vectors are kept per
+variable and cross-checked against the root-theoretic model elsewhere.  The
+packed format stays inside this module: callers read d-vectors, g-vectors
+and hashable keys.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 
-from .errors import DepthTooDeep, NonExactDivision, NotHomogeneous
+from .errors import DepthTooDeep, NonExactDivision, NotSignCoherent
 
 TERM_CAP = 200_000
 FIELD_BITS = 32
@@ -55,20 +61,6 @@ def pack(exps) -> int:
             raise DepthTooDeep(f"exponent {e} does not fit a {FIELD_BITS}-bit field")
         packed = (packed << FIELD_BITS) | (e + bias)
     return packed
-
-
-def _fields(p: dict, nvars: int) -> list:
-    """Biased exponent fields of p, one list per variable, in term order."""
-    mask = (1 << FIELD_BITS) - 1
-    return [[(e >> (FIELD_BITS * (nvars - 1 - i))) & mask for e in p]
-            for i in range(nvars)]
-
-
-def _ranges(p: dict, nvars: int):
-    """Lowest and highest exponent of each variable in a nonzero polynomial."""
-    bias = 1 << (FIELD_BITS - 1)
-    fields = _fields(p, nvars)
-    return tuple(min(f) - bias for f in fields), tuple(max(f) - bias for f in fields)
 
 
 def poly_add(p: dict, q: dict) -> dict:
@@ -203,36 +195,43 @@ def matrix_mutation(btilde: tuple, k: int) -> tuple:
 
 
 class Seed:
-    """Exchange matrix with principal coefficients plus its Laurent cluster.
+    """Exchange matrix over its C-matrix, a coefficient-free Laurent cluster
+    and the cluster's g-vectors.
 
-    Each variable's hashable key, d-vector and exponent ranges are computed
-    once, when the variable is made, and shared by every seed that mutation
-    carries it into."""
+    `btilde` stacks B over C, the c-vectors as C's columns.  Each variable's
+    hashable key (its g-vector and terms), d-vector and exponent ranges are
+    computed once, when the variable is made, and shared by every seed that
+    mutation carries it into."""
 
     __slots__ = ("n", "btilde", "polys", "history", "_info", "_key")
 
-    def __init__(self, n, btilde, polys, history=(), info=None):
+    def __init__(self, n, btilde, polys, info, history=()):
         self.n = n
         self.btilde = btilde
         self.polys = tuple(polys)
         self.history = tuple(history)
-        # per slot: (variable key, d-vector, (lo, hi) exponent ranges)
-        self._info = info or tuple(_describe(p, n, _ranges(p, 2 * n)) for p in self.polys)
-        self._key = frozenset(key for key, _, _ in self._info)
+        # per slot: ((g-vector, terms) key, d-vector, (lo, hi) exponent ranges)
+        self._info = info
+        self._key = frozenset(key for key, _, _ in info)
 
     @classmethod
     def initial(cls, b: tuple) -> "Seed":
         n = len(b)
-        polys = [{pack([int(i == j) for j in range(2 * n)]): 1} for i in range(n)]
-        return cls(n, initial_btilde(b), polys)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        polys = [{pack(e): 1} for e in units]
+        return cls(n, initial_btilde(b), polys,
+                   tuple(_describe(p, e, (e, e)) for p, e in zip(polys, units)))
 
     def mutate(self, k: int) -> "Seed":
         n = self.n
-        nvars = 2 * n
         col = [row[k] for row in self.btilde]
+        bcol, ccol = col[:n], col[n:]
+        if min(ccol) < 0 < max(ccol):
+            raise NotSignCoherent(f"c-vector {k + 1} has entries of both signs")
+        eps = 1 if max(ccol) > 0 else -1
         # no exponent of any partial exchange product exceeds this in absolute value
-        reach = max(map(abs, col[n:])) + sum(
-            abs(c) * max(map(abs, lo + hi)) for c, (_, _, (lo, hi)) in zip(col, self._info))
+        reach = sum(abs(c) * max(map(abs, lo + hi))
+                    for c, (_, _, (lo, hi)) in zip(bcol, self._info))
         if reach >= _limit():
             raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
         # lowest and highest forms multiply, so a product's ranges are the sums
@@ -242,62 +241,51 @@ class Seed:
         # the quotient's are the differences from the divisor's
         halves = []
         for sign in (1, -1):
-            lo = hi = [0] * n + [max(sign * c, 0) for c in col[n:]]
+            lo = hi = [0] * n
             poly = {pack(lo): 1}
-            for i, c in enumerate(col[:n]):
+            for i, c in enumerate(bcol):
                 for _ in range(sign * c):
-                    poly = poly_mul(poly, self.polys[i], nvars)
+                    poly = poly_mul(poly, self.polys[i], n)
                     ilo, ihi = self._info[i][2]
                     lo, hi = list(map(add, lo, ilo)), list(map(add, hi, ihi))
             halves.append((poly, lo, hi))
         (plus, plo, phi), (minus, mlo, mhi) = halves
         nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
         qlo, qhi = self._info[k][2]
-        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars,
+        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], n,
                                  (nlo, nhi), (qlo, qhi))
         newrange = tuple(map(sub, nlo, qlo)), tuple(map(sub, nhi, qhi))
+        # g'_k = -g_k + sum_i [-eps * b_ik]_+ g_i, which needs sign-coherent
+        # c-vectors (Gross-Hacking-Keel-Kontsevich 2018, hence the check above)
+        g = [-x for x in self.g_vector(k)]
+        for i, c in enumerate(bcol):
+            if -eps * c > 0:
+                g = [a - eps * c * x for a, x in zip(g, self.g_vector(i))]
         polys = list(self.polys)
         polys[k] = newpoly
         info = list(self._info)
-        info[k] = _describe(newpoly, n, newrange)
-        return Seed(n, matrix_mutation(self.btilde, k), polys,
-                    self.history + (k,), tuple(info))
+        info[k] = _describe(newpoly, tuple(g), newrange)
+        return Seed(n, matrix_mutation(self.btilde, k), polys, tuple(info),
+                    self.history + (k,))
 
     def key(self) -> frozenset:
         """The unordered set of the seed's variable keys."""
         return self._key
 
-    def variable_key(self, slot: int) -> frozenset:
-        """Hashable key of one cluster variable; equal exactly when the
-        Laurent polynomials are equal."""
+    def variable_key(self, slot: int) -> tuple:
+        """Hashable key of one cluster variable: its g-vector and its terms."""
         return self._info[slot][0]
 
     def d_vector(self, slot: int) -> tuple:
         return self._info[slot][1]
 
-    def g_vector(self, slot: int, b0: tuple) -> tuple:
-        """Principal-grading degree: x_i has degree e_i and y_j the negated
-        column j of b0; raises NotHomogeneous unless every term agrees."""
-        n = self.n
-        fields = _fields(self.polys[slot], 2 * n)
-        columns = []
-        for i in range(n):
-            column = fields[i]
-            for j in range(n):
-                if b0[i][j]:
-                    column = [g - b0[i][j] * y for g, y in zip(column, fields[n + j])]
-            columns.append(column)
-        grades = set(zip(*columns))
-        if len(grades) != 1:
-            raise NotHomogeneous(f"slot {slot + 1} is not homogeneous")
-        # the fields carry a bias: remove it once from the common grade
-        bias = 1 << (FIELD_BITS - 1)
-        return tuple(g - bias * (1 - sum(b0[i])) for i, g in enumerate(grades.pop()))
+    def g_vector(self, slot: int) -> tuple:
+        return self._info[slot][0][0]
 
 
-def _describe(p: dict, n: int, ranges) -> tuple:
+def _describe(p: dict, g: tuple, ranges) -> tuple:
     """(key, d-vector, exponent ranges) of a nonzero variable."""
-    return frozenset(p.items()), tuple(-m for m in ranges[0][:n]), ranges
+    return (g, frozenset(p.items())), tuple(-m for m in ranges[0]), ranges
 
 
 def seed_bfs(b: tuple, depth: int):

@@ -2,10 +2,10 @@
 
 The oracle side knows nothing about roots; the model side knows nothing
 about Laurent polynomials.  These functions compare them: denominator
-vectors against the almost-positive set and clusters, principal-grading
-degrees against the piecewise-linear weight map, the mutation graph against
-the exchange graph, and the compatibility-degree description of
-re-rooted denominator vectors.
+vectors against the almost-positive set and clusters, g-vectors against
+the piecewise-linear weight map, the mutation graph against the exchange
+graph, and the compatibility-degree description of re-rooted denominator
+vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .mutation import Seed, exchange_matrix_from_cartan, seed_bfs
 
 def verify_bijection(cc: CoxeterContext, depth: int) -> dict:
     """Denominator vectors land in the almost-positive set, injectively, seed
-    clusters are real clusters, and grading degrees equal the weight map.
+    clusters are real clusters, and g-vectors equal the weight map.
 
     Membership and grading are checked once per distinct cluster variable;
     its failures are reported at every (seed, slot) that holds it."""
@@ -43,7 +43,7 @@ def verify_bijection(cc: CoxeterContext, depth: int) -> dict:
             dvecs.append(d)
             var = seed.variable_key(slot)
             if var not in checked:
-                g = seed.g_vector(slot, b)
+                g = seed.g_vector(slot)
                 found = checked[var] = []
                 if cc.phi_c_class(d) is None or d == delta:
                     found.append(("membership", d))
@@ -94,9 +94,8 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     """Compare re-rooted denominator vectors with compatibility-degree
     vectors; a mismatch is reported, never raised.
 
-    Re-rooting at seed' puts fresh principal coefficients at its exchange
-    matrix b' and mutates back along its history, then out along the other
-    seed's.  Mutation is an involution, so only the reduced word (equal
+    Re-rooting at seed' starts a fresh seed at its exchange matrix b' and
+    mutates back along its history, then out along the other seed's.  Mutation is an involution, so only the reduced word (equal
     adjacent letters cancelled) matters.  Seeds with the same b' share one
     memo of replays keyed by reduced word, dropped after the last of them."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
@@ -119,14 +118,16 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
                                      else Seed.initial(b_prime))
             return seed
 
+        degrees = {}    # beta -> its degrees against seed_prime's labels
         for other in by_length:
             replay = replay_at(_reduced(back + other.history))
             for slot in range(other.n):
                 beta = other.d_vector(slot)
                 d_prime = replay.d_vector(slot)
-                expected = tuple(
-                    compat.degree(cc, label, beta) for label in beta_labels
-                )
+                expected = degrees.get(beta)
+                if expected is None:
+                    expected = degrees[beta] = tuple(
+                        compat.degree(cc, label, beta) for label in beta_labels)
                 comparisons += 1
                 if d_prime != expected:
                     mismatches.append({

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 import aproots.mutation as mutation
 from aproots.cartan import catalog_labels, context_from_label
 from aproots.coxeter import CoxeterContext
-from aproots.errors import DepthTooDeep, NonExactDivision
+from aproots.errors import DepthTooDeep, NonExactDivision, NotSignCoherent
 from aproots.mutation import (
     Seed,
     exchange_matrix_from_cartan,
     initial_btilde,
     matrix_mutation,
-    _ranges,
     pack,
     poly_add,
     poly_div_exact,
@@ -49,6 +48,134 @@ def unpack(packed: int, nvars: int) -> tuple:
 
 def unpacked(p, nvars):
     return {unpack(e, nvars): c for e, c in p.items()}
+
+
+def _fields(p: dict, nvars: int) -> list:
+    """Biased exponent fields of p, one list per variable, in term order."""
+    mask = (1 << mutation.FIELD_BITS) - 1
+    return [[(e >> (mutation.FIELD_BITS * (nvars - 1 - i))) & mask for e in p]
+            for i in range(nvars)]
+
+
+def _ranges(p: dict, nvars: int):
+    """Lowest and highest exponent of each variable, read by a scan."""
+    bias = 1 << (mutation.FIELD_BITS - 1)
+    fields = _fields(p, nvars)
+    return tuple(min(f) - bias for f in fields), tuple(max(f) - bias for f in fields)
+
+
+class NotHomogeneous(Exception):
+    """A principal-coefficient variable whose terms differ in degree."""
+
+
+class PrincipalSeed:
+    """Reference seed: Laurent polynomials over x_1..x_n, y_1..y_n with
+    principal coefficients, g-vectors read off the principal grading.  This
+    was the oracle's seed before it dropped the coefficients and carried
+    g-vectors by the tropical recursion."""
+
+    __slots__ = ("n", "btilde", "polys", "history", "_info", "_key")
+
+    def __init__(self, n, btilde, polys, history=(), info=None):
+        self.n = n
+        self.btilde = btilde
+        self.polys = tuple(polys)
+        self.history = tuple(history)
+        # per slot: (variable key, d-vector, (lo, hi) exponent ranges)
+        self._info = info or tuple(self._describe(p, _ranges(p, 2 * n)) for p in self.polys)
+        self._key = frozenset(key for key, _, _ in self._info)
+
+    def _describe(self, p, ranges):
+        return frozenset(p.items()), tuple(-m for m in ranges[0][:self.n]), ranges
+
+    @classmethod
+    def initial(cls, b):
+        n = len(b)
+        polys = [{pack([int(i == j) for j in range(2 * n)]): 1} for i in range(n)]
+        return cls(n, initial_btilde(b), polys)
+
+    def mutate(self, k):
+        n = self.n
+        nvars = 2 * n
+        col = [row[k] for row in self.btilde]
+        reach = max(map(abs, col[n:])) + sum(
+            abs(c) * max(map(abs, lo + hi)) for c, (_, _, (lo, hi)) in zip(col, self._info))
+        if reach >= mutation._limit():
+            raise DepthTooDeep("exponents exceed a field")
+        halves = []
+        for sign in (1, -1):
+            lo = hi = [0] * n + [max(sign * c, 0) for c in col[n:]]
+            poly = {pack(lo): 1}
+            for i, c in enumerate(col[:n]):
+                for _ in range(sign * c):
+                    poly = poly_mul(poly, self.polys[i], nvars)
+                    ilo, ihi = self._info[i][2]
+                    lo = [a + b for a, b in zip(lo, ilo)]
+                    hi = [a + b for a, b in zip(hi, ihi)]
+            halves.append((poly, lo, hi))
+        (plus, plo, phi), (minus, mlo, mhi) = halves
+        nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
+        qlo, qhi = self._info[k][2]
+        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars,
+                                 (nlo, nhi), (qlo, qhi))
+        newrange = (tuple(a - b for a, b in zip(nlo, qlo)),
+                    tuple(a - b for a, b in zip(nhi, qhi)))
+        polys = list(self.polys)
+        polys[k] = newpoly
+        info = list(self._info)
+        info[k] = self._describe(newpoly, newrange)
+        return PrincipalSeed(n, matrix_mutation(self.btilde, k), polys,
+                             self.history + (k,), tuple(info))
+
+    def key(self):
+        return self._key
+
+    def variable_key(self, slot):
+        return self._info[slot][0]
+
+    def d_vector(self, slot):
+        return self._info[slot][1]
+
+    def g_vector(self, slot, b0):
+        """Principal-grading degree: x_i has degree e_i and y_j the negated
+        column j of b0; raises NotHomogeneous unless every term agrees."""
+        n = self.n
+        fields = _fields(self.polys[slot], 2 * n)
+        columns = []
+        for i in range(n):
+            column = fields[i]
+            for j in range(n):
+                if b0[i][j]:
+                    column = [g - b0[i][j] * y for g, y in zip(column, fields[n + j])]
+            columns.append(column)
+        grades = set(zip(*columns))
+        if len(grades) != 1:
+            raise NotHomogeneous(f"slot {slot + 1} is not homogeneous")
+        bias = 1 << (mutation.FIELD_BITS - 1)
+        return tuple(g - bias * (1 - sum(b0[i])) for i, g in enumerate(grades.pop()))
+
+
+def bfs_from(start, depth, skip_back=True):
+    """seed_bfs from any start seed; with `skip_back` false it also mutates
+    every seed at the last letter of its history, as the search did before
+    that edge was skipped."""
+    reps = {start.key(): start}
+    edges = set()
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for seed in frontier:
+            for k in range(seed.n):
+                if skip_back and seed.history and seed.history[-1] == k:
+                    continue
+                new = seed.mutate(k)
+                kn = new.key()
+                edges.add(frozenset({seed.key(), kn}))
+                if kn not in reps:
+                    reps[kn] = new
+                    nxt.append(new)
+        frontier = nxt
+    return reps, edges
 
 
 def b_for(label):
@@ -93,13 +220,22 @@ def test_seed_mutation_rank2_exchange_relation():
     b, _, _ = b_for("A1(1)")
     seed = Seed.initial(b)
     mutated = seed.mutate(0)
-    # (y1 + x2^2) / x1
-    assert unpacked(mutated.polys[0], 4) == {(-1, 0, 1, 0): 1, (-1, 2, 0, 0): 1}
+    # (x2^2 + 1) / x1
+    assert unpacked(mutated.polys[0], 2) == {(-1, 0): 1, (-1, 2): 1}
     assert mutated.mutate(0).key() == seed.key()
     assert mutated.d_vector(0) == (1, 0)
-    assert mutated.g_vector(0, b) == (-1, 2)
+    assert mutated.g_vector(0) == (-1, 2)
     assert seed.d_vector(0) == (-1, 0)
-    assert seed.g_vector(0, b) == (1, 0)
+    assert seed.g_vector(0) == (1, 0)
+    ref = PrincipalSeed.initial(b)
+    ref_mutated = ref.mutate(0)
+    # (y1 + x2^2) / x1
+    assert unpacked(ref_mutated.polys[0], 4) == {(-1, 0, 1, 0): 1, (-1, 2, 0, 0): 1}
+    assert ref_mutated.mutate(0).key() == ref.key()
+    assert ref_mutated.d_vector(0) == (1, 0)
+    assert ref_mutated.g_vector(0, b) == (-1, 2)
+    assert ref.d_vector(0) == (-1, 0)
+    assert ref.g_vector(0, b) == (1, 0)
 
 
 def test_positivity_observed():
@@ -234,7 +370,7 @@ def test_carried_ranges_equal_a_scan(label):
         reps, _ = seed_bfs(b, 7)
         for seed in reps.values():
             for slot, p in enumerate(seed.polys):
-                assert seed._info[slot][2] == _ranges(p, 2 * seed.n)
+                assert seed._info[slot][2] == _ranges(p, seed.n)
 
 
 def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
@@ -244,7 +380,7 @@ def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
         reps, edges = seed_bfs(b, 5)
         return sorted(
             (seed.history,
-             [sorted(unpacked(p, 2 * seed.n).items()) for p in seed.polys],
+             [sorted(unpacked(p, seed.n).items()) for p in seed.polys],
              [seed.d_vector(s) for s in range(seed.n)])
             for seed in reps.values()), len(edges)
 
@@ -267,14 +403,22 @@ def test_guards_hold_under_python_O():
         import aproots.mutation as m
         from aproots.errors import DepthTooDeep, NonExactDivision
 
+        from aproots.errors import NotSignCoherent
+
         print(__debug__)
         x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
         y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
         try:
             m.poly_div_exact(x_plus_1, y_plus_3, 2,
-                             m._ranges(x_plus_1, 2), m._ranges(y_plus_3, 2))
+                             ((0, 0), (1, 0)), ((0, 0), (0, 1)))
         except NonExactDivision:
             print("NonExactDivision")
+        seed = m.Seed.initial(((0, 2), (-2, 0)))
+        seed.btilde = ((0, 2), (-2, 0), (1, 0), (-1, 1))
+        try:
+            seed.mutate(0)
+        except NotSignCoherent:
+            print("NotSignCoherent")
         m.FIELD_BITS = 4
         try:
             m.seed_bfs(((0, 2), (-2, 0)), 8)
@@ -287,16 +431,95 @@ def test_guards_hold_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "NonExactDivision", "DepthTooDeep"]
+    assert run.stdout.split() == ["False", "NonExactDivision", "NotSignCoherent",
+                                  "DepthTooDeep"]
 
 
 def test_homogeneity_everywhere():
     for label in ("A2(2)", "C2(1)"):
         b, _, _ = b_for(label)
-        reps, _ = seed_bfs(b, 5)
+        reps, _ = bfs_from(PrincipalSeed.initial(b), 5)
         for seed in reps.values():
             for slot in range(seed.n):
                 seed.g_vector(slot, b)   # raises NotHomogeneous on failure
+
+
+def coefficient_free(p, n):
+    """A principal-coefficient polynomial with every y_j set to 1."""
+    out = {}
+    for exp, c in unpacked(p, 2 * n).items():
+        out[exp[:n]] = out.get(exp[:n], 0) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def assert_matches_principal(b, depth):
+    """The coefficient-free search against the principal-coefficient one:
+    same seeds in the same order, polynomials equal at y = 1, the same
+    d-vectors and g-vectors, the same partition of variables into keys and
+    the same mutation graph."""
+    reps, edges = seed_bfs(b, depth)
+    ref_reps, ref_edges = bfs_from(PrincipalSeed.initial(b), depth)
+    assert len(reps) == len(ref_reps)
+    seed_keys = {}
+    var_keys = set()
+    for (key, seed), (ref_key, ref) in zip(reps.items(), ref_reps.items()):
+        assert seed.history == ref.history and seed.btilde == ref.btilde
+        seed_keys[key] = ref_key
+        for slot in range(seed.n):
+            assert unpacked(seed.polys[slot], seed.n) == coefficient_free(ref.polys[slot], seed.n)
+            assert seed.d_vector(slot) == ref.d_vector(slot)
+            assert seed.g_vector(slot) == ref.g_vector(slot, b)
+            var_keys.add((seed.variable_key(slot), ref.variable_key(slot)))
+    # the key pairs match one to one: equal keys on one side exactly when on the other
+    assert len(var_keys) == len({v for v, _ in var_keys}) == len({r for _, r in var_keys})
+    assert {frozenset(map(seed_keys.get, pair)) for pair in edges} == ref_edges
+
+
+@pytest.mark.parametrize("label", catalog_labels(3))
+def test_coefficient_free_seeds_match_principal_reference_in_every_word(label):
+    ctx, word = context_from_label(label)
+    for w in permutations(word):
+        assert_matches_principal(exchange_matrix_from_cartan(ctx.cm, w), 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(catalog_labels(4)), st.data())
+def test_coefficient_free_seeds_match_principal_reference_in_random_words(label, data):
+    ctx, word = context_from_label(label)
+    w = data.draw(st.permutations(word))
+    assert_matches_principal(exchange_matrix_from_cartan(ctx.cm, w), 4)
+
+
+@pytest.mark.parametrize("label", catalog_labels(3))
+def test_g_vectors_and_c_vectors_are_tropically_dual(label):
+    # G^T D C = D, with D the symmetrizer, G's columns the g-vectors and C
+    # the bottom half of btilde (Nakanishi and Zelevinsky 2012)
+    ctx, word = context_from_label(label)
+    d = ctx.cm.d
+    for w in permutations(word):
+        reps, _ = seed_bfs(exchange_matrix_from_cartan(ctx.cm, w), 6)
+        for seed in reps.values():
+            n = seed.n
+            g = [seed.g_vector(j) for j in range(n)]
+            c = seed.btilde[n:]
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(g[i][a] * d[a] * c[a][j] for a in range(n))
+                    assert entry == (d[i] if i == j else 0), (w, seed.history, i, j)
+
+
+def test_mixed_sign_c_vector_raises():
+    b, _, _ = b_for("D3(2)")
+    seed = Seed.initial(b).mutate(0).mutate(1)
+    n = seed.n
+    k = 2
+    assert seed.mutate(k).n == n
+    # plant c-vector k with entries of both signs
+    rows = [list(row) for row in seed.btilde]
+    rows[n][k], rows[n + 1][k] = 1, -1
+    seed.btilde = tuple(map(tuple, rows))
+    with pytest.raises(NotSignCoherent):
+        seed.mutate(k)
 
 
 def test_source_sink_mutation_transports_denominators():
@@ -322,30 +545,9 @@ def test_source_sink_mutation_transports_denominators():
             assert d_new == cc.sigma(s, d_old)
 
 
-def reference_seed_bfs(b, depth):
-    """Breadth-first search that mutates every seed at every slot, its
-    back-mutation included: the search before that edge was skipped."""
-    start = Seed.initial(b)
-    reps = {start.key(): start}
-    edges = set()
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for seed in frontier:
-            for k in range(seed.n):
-                new = seed.mutate(k)
-                kn = new.key()
-                edges.add(frozenset({seed.key(), kn}))
-                if kn not in reps:
-                    reps[kn] = new
-                    nxt.append(new)
-        frontier = nxt
-    return reps, edges
-
-
 def assert_bfs_matches_reference(b, depth):
     reps, edges = seed_bfs(b, depth)
-    ref_reps, ref_edges = reference_seed_bfs(b, depth)
+    ref_reps, ref_edges = bfs_from(Seed.initial(b), depth, skip_back=False)
     assert list(reps) == list(ref_reps)
     for key, seed in reps.items():
         ref = ref_reps[key]

@@ -76,7 +76,7 @@ def reference_verify_bijection(cc, depth):
         dvecs = []
         for slot in range(seed.n):
             d = seed.d_vector(slot)
-            g = seed.g_vector(slot, b)
+            g = seed.g_vector(slot)
             dvecs.append(d)
             if cc.phi_c_class(d) is None or d == cc.ctx.delta:
                 report["all_d_in_set"] = False
