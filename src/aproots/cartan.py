@@ -43,6 +43,7 @@ class CartanMatrix:
     a: tuple            # integer entries, row tuples
     d: tuple            # symmetrizers, positive rationals with min = 1
     gram: tuple         # K(α_i, α_j) = d_i·a_ij
+    rows: tuple         # rows[i]: the (j, a_ij) with a_ij ≠ 0, diagonal included
 
     def k(self, v, w):
         """K(v, w) = Σ_i v_i·d_i·K(α_i^vee, w) for vectors in simple-root
@@ -50,8 +51,8 @@ class CartanMatrix:
         return canon(sum(vi * self.d[i] * self.pairing(i, w) for i, vi in enumerate(v) if vi))
 
     def pairing(self, i, v):
-        """K(α_i^vee, v) = Σ_j a_ij v_j."""
-        return canon(sum(x * y for x, y in zip(self.a[i], v)))
+        """K(α_i^vee, v) = Σ_j a_ij v_j over the nonzero a_ij."""
+        return canon(sum(x * v[j] for j, x in self.rows[i]))
 
     def reflect(self, i, v):
         """Simple reflection s_i(v) = v - K(α_i^vee, v)·α_i."""
@@ -112,7 +113,8 @@ def validate_cartan(raw) -> CartanMatrix:
         for j in comp:
             d[j] = canon(d[j] / low)
     gram = mat([[canon(d[i] * a[i][j]) for j in range(n)] for i in range(n)])
-    return CartanMatrix(n=n, a=a, d=vec(d), gram=gram)
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+    return CartanMatrix(n=n, a=a, d=vec(d), gram=gram, rows=rows)
 
 
 def dual(cm: CartanMatrix) -> CartanMatrix:
@@ -373,11 +375,6 @@ class AffineContext:
     def k(self, v, w):
         return self.cm.k(v, w)
 
-    def reflect(self, i, v):
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"index {i + 1} out of range 1..{self.n}")
-        return self.cm.reflect(i, v)
-
     def coroot_coords(self, v):
         """Simple-coroot coordinates of the coroot of a real root v."""
         norm = self.k(v, v)
@@ -395,12 +392,11 @@ class AffineContext:
         cap = bound * self.delta[self.aff]
         units = (tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
         seen = {e for e in units if e[self.aff] <= cap}
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.cm.a]
         frontier = list(seen)
         while frontier:
             nxt = []
             for root in frontier:
-                for i, row in enumerate(rows):
+                for i, row in enumerate(self.cm.rows):
                     t = sum(x * root[j] for j, x in row)
                     if t >= 0 or (i == self.aff and root[i] - t > cap):
                         continue

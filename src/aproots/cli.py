@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .cartan import AffineContext, Kind, catalog, classify, validate_cartan
+from .cartan import AffineContext, Kind, catalog, classify, context_from_label, validate_cartan
 from .coxeter import CoxeterContext, source_sink_counts
 from .errors import AprootsError, MalformedInput, NegativeBound
 from .linalg import format_rational, parse_rational
@@ -58,8 +58,7 @@ def _load_context(args):
         return AffineContext(cm, aff=aff), tuple(range(cm.n))
     if not args.type:
         raise AprootsError("pass --type LABEL or --cartan-json FILE")
-    cm, aff, word = catalog(args.type)
-    return AffineContext(cm, aff=aff, label=args.type), word
+    return context_from_label(args.type)
 
 
 def _word(args, default):
@@ -78,7 +77,7 @@ def _load_coxeter(args):
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
         for line in text_lines:
             print(line)
@@ -126,10 +125,14 @@ def cmd_roots(args):
 def cmd_context(args):
     cc = _load_coxeter(args)
     orientations, classes = source_sink_counts(cc.ctx)
+    units = [tuple(int(i == j) for i in range(cc.n)) for j in range(cc.n)]
+    euler = [[dict(row).get(j, int(i == j)) for j in range(cc.n)]
+             for i, row in enumerate(cc.lower)]
+    coxeter = _matrix_json(zip(*map(cc.c_action, units)))
     payload = {
         "word": [i + 1 for i in cc.word],
-        "euler_matrix": _matrix_json(cc.E),
-        "coxeter_matrix": _matrix_json(cc.c_mat),
+        "euler_matrix": _matrix_json(euler),
+        "coxeter_matrix": coxeter,
         "gamma": [format_rational(x) for x in cc.gamma],
         "phi_weight": [format_rational(x) for x in cc.phi_weight],
         "psi_to": {i + 1: list(v) for i, v in cc.psi_to.items()},
@@ -150,7 +153,7 @@ def cmd_context(args):
     }
     lines = [
         f"word: {' '.join(str(i + 1) for i in cc.word)}",
-        f"coxeter matrix: {_matrix_json(cc.c_mat)}",
+        f"coxeter matrix: {coxeter}",
         f"gamma: {_format_vector(cc.gamma)}",
         f"phi (weight coords): {_format_vector(cc.phi_weight)}",
         f"components: {[(len(c.cycle), c.delta_multiple) for c in cc.components]}",
@@ -286,18 +289,8 @@ def cmd_oracle(args):
             )
         else:
             lines.append(f"{name}: {'ok' if report['ok'] else 'FAILED'}")
-    _emit(args, {k: _scrub(v) for k, v in payload.items()}, lines)
+    _emit(args, payload, lines)
     return 2 if failed else 0
-
-
-def _scrub(obj):
-    if isinstance(obj, dict):
-        return {str(k): _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(x) for x in obj]
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def cmd_verify(args):

@@ -1,17 +1,20 @@
 """Everything attached to a fixed Coxeter element c.
 
-The word for c is recorded once, as the strict parts of its two
-unitriangular Euler matrices: `lower`, with E_c = I + lower, and `upper`,
-with E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry).
-Substitution through them, in word order for `lower` and reversed for
-`upper`, gives the matrix of c = -E_{c^-1}^{-1}·E_c, its inverse and the
-transversals psi_to / psi_from of tau_c (the columns of E_{c^-1}^{-1} and
-E_c^{-1}); the degree's arrows, the weight map and source/sink moves read
-the same two tables.  Also built: the generalized 1-eigenvector gamma_c
-with its functional phi_c, the finite-orbit hyperplane data, the rotation
-subsystem living inside that hyperplane, the kappa function, the deformed
-maps sigma_s and tau_c, and the closed-form counts of source-sink
-orientations and their classes.
+c = s_{w_1}···s_{w_n} is kept as its word and applied as one: `c_action`
+walks the simple reflections `CartanMatrix.reflect` from the last letter to
+the first, `c_inverse_action` from the first to the last.  The transversals
+of tau_c are the inversion roots of the word, walks of one simple root over
+part of it: psi_to[w_k] = s_{w_1}···s_{w_{k-1}}(α_{w_k}) and
+psi_from[w_k] = s_{w_n}···s_{w_{k+1}}(α_{w_k}).  The word order is read off
+the Cartan rows once, as the strict parts of the two unitriangular Euler
+matrices: `lower`, with E_c = I + lower, and `upper`, with
+E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry); the
+degree's arrows, the weight map and source/sink moves read them, and so
+does the generalized 1-eigenvector gamma_c, solved from the Cartan matrix
+as A·gamma = (I + lower)·delta.  Also built: the functional phi_c, the
+finite-orbit hyperplane data, the rotation subsystem living inside that
+hyperplane, the kappa function, the deformed maps sigma_s and tau_c, and
+the closed-form counts of source-sink orientations and their classes.
 
 The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
@@ -24,7 +27,7 @@ starting just after the affine root, and a tube root's orbit data is read
 off its arc.
 
 Each context is built once, with no runtime self-checks: the invariants of
-the construction (c as the product of its reflections, c·delta = delta,
+the construction (c = -E_{c^-1}^{-1}·E_c, c·delta = delta,
 gamma_c exists, phi_c ≠ 0, the signs of phi_c on the transversals, n - 2
 finite-orbit simples, c rotating every component) are tests over every
 catalog type and random Coxeter words.
@@ -76,28 +79,20 @@ class CoxeterContext:
         # the strict parts of the Euler matrices, the one record of the word
         # order: lower[i] holds (j, a_ij) for the neighbours j before i, so
         # E_c = I + lower, and upper[i] those after i, so E_{c^-1} = I + upper
-        a = ctx.cm.a
         n = ctx.n
         lower, upper, seen = [()] * n, [()] * n, set()
         for i in word:
-            row = [(j, x) for j, x in enumerate(a[i]) if x and j != i]
+            row = [p for p in ctx.cm.rows[i] if p[0] != i]
             lower[i] = tuple(p for p in row if p[0] in seen)
             upper[i] = tuple(p for p in row if p[0] not in seen)
             seen.add(i)
-        self.lower = lower = tuple(lower)
-        self.upper = upper = tuple(upper)
-        self.E = tuple(tuple(row.get(j, int(i == j)) for j in range(n))
-                       for i, row in enumerate(map(dict, lower)))
-        # c = -(I + upper)^-1·(I + lower) and c^-1 = -(I + lower)^-1·(I + upper),
-        # column by column; psi_to and psi_from are the columns of
-        # (I + upper)^-1 and (I + lower)^-1
+        self.lower = tuple(lower)
+        self.upper = tuple(upper)
+        # the inversion roots: α_{w_k} walked over the letters before it,
+        # nearest first, and over the letters after it
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        self.c_mat = tuple(zip(*(self._solve(upper, [-x for x in _apply(lower, e)])
-                                 for e in units)))
-        self.c_inv_mat = tuple(zip(*(self._solve(lower, [-x for x in _apply(upper, e)])
-                                     for e in units)))
-        self.psi_to = {i: self._solve(upper, units[i]) for i in word}
-        self.psi_from = {i: self._solve(lower, units[i]) for i in word}
+        self.psi_to = {i: self._walk(units[i], reversed(word[:p])) for p, i in enumerate(word)}
+        self.psi_from = {i: self._walk(units[i], word[p + 1:]) for p, i in enumerate(word)}
 
         self.gamma = self._solve_gamma()
         # phi as a functional on simple-root coordinates: phi(v) = f · v
@@ -161,36 +156,36 @@ class CoxeterContext:
         return canon(sum(a * b for a, b in zip(self._phi_fun, v)))
 
     def c_action(self, v):
-        return mat_vec(self.c_mat, v)
+        """c·v: the letters' reflections, the last letter first."""
+        return self._walk(vec(v), reversed(self.word))
 
     def c_inverse_action(self, v):
-        return mat_vec(self.c_inv_mat, v)
+        """c^-1·v: the letters' reflections in word order."""
+        return self._walk(vec(v), self.word)
+
+    def _walk(self, v, letters):
+        reflect = self.cm.reflect
+        for s in letters:
+            v = reflect(s, v)
+        return v
 
     # -- construction helpers --------------------------------------------------
 
     def _solve_gamma(self):
-        n, ctx = self.n, self.ctx
-        rows = [
-            [self.c_mat[i][j] - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        rows.append([1 if j == ctx.aff else 0 for j in range(n)])
-        rhs = list(ctx.delta) + [0]
-        return linalg.solve_general(rows, rhs)
+        """gamma with (c - I)·gamma = delta and gamma_aff = 0.  As
+        c = -(I + upper)^-1·(I + lower) and A = 2I + lower + upper kills
+        delta, multiplying by -(I + upper) turns it into
+        A·gamma = (I + lower)·delta."""
+        ctx = self.ctx
+        rows = [list(row) for row in self.cm.a] + [[int(j == ctx.aff) for j in range(self.n)]]
+        rhs = [x + sum(a * ctx.delta[j] for j, a in row) for x, row in zip(ctx.delta, self.lower)]
+        return linalg.solve_general(rows, rhs + [0])
 
     def _normalized_phi_weight(self):
         d = self.cm.d
         weight = [Fraction(f) / Fraction(di) for f, di in zip(self._phi_fun, d)]
         scale = abs(next(w for w in weight if w != 0))
         return vec(w / scale for w in weight)
-
-    def _solve(self, part, rhs):
-        """x with (I + part)·x = rhs, for part `lower` or `upper`: each letter
-        after those it reads, in word order for lower and reversed for upper."""
-        x = list(rhs)
-        for i in self.word if part is self.lower else reversed(self.word):
-            x[i] -= sum(a * x[j] for j, a in part[i])
-        return tuple(x)
 
     def _build_tubes(self):
         """Components of the finite-orbit subsystem: the roots of the finite
@@ -294,6 +289,8 @@ class CoxeterContext:
 
     def sigma(self, s: int, v):
         """The involution sigma_s on -Π ∪ Φ+."""
+        if not 0 <= s < self.n:
+            raise IndexOutOfRange(f"letter {s + 1} out of range 1..{self.n}")
         v = vec(v)
         neg = self.neg_simple_index(v)
         if neg is None and not (all(x >= 0 for x in v) and self.ctx.is_root(v)):
@@ -337,11 +334,6 @@ class CoxeterContext:
             if self.neg_simple_index(cur) is not None:
                 return ("infinite", cur, sign * m)
         raise AssertionError("infinite-orbit walk exhausted")
-
-
-def _apply(part, v):
-    """(I + part)·v for a strict part of an Euler matrix."""
-    return [x + sum(a * v[j] for j, a in row) for x, row in zip(v, part)]
 
 
 def source_sink_counts(ctx: AffineContext):

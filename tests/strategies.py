@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, IndexOutOfRange, NotInTube
-from aproots.linalg import canon, format_vector, vec
+from aproots.linalg import canon, format_vector, inverse, mat_vec, vec
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 _affine = lru_cache(maxsize=None)(context_from_label)
@@ -32,8 +32,9 @@ def coxeter_contexts(draw):
 
 def euler(cc, u_coroot, w_root):
     """E_c on (simple-coroot coordinates, simple-root coordinates), read
-    off the unitriangular Euler matrix `cc.E`."""
-    return sum(u * e * w for u, row in zip(u_coroot, cc.E) for e, w in zip(row, w_root))
+    off the dense unitriangular Euler matrix of the reference."""
+    return sum(u * e * w for u, row in zip(u_coroot, DenseWordOrder(cc).E)
+               for e, w in zip(row, w_root))
 
 
 def euler_roots(cc, v, w):
@@ -202,11 +203,13 @@ def word_sources(cm, word):
 
 class DenseWordOrder:
     """The readers of the word for c built from the positions of its
-    letters, as a reference for the strict Euler parts `lower` and `upper`:
-    the dense Euler matrix, the transversals as reflections over word
-    prefixes and suffixes, the degree's arrows by a dense loop that compares
-    positions, the weight map and its inverse through the dense rows, and
-    source/sink moves through the sources of the word and of its reverse."""
+    letters, as a reference for the strict Euler parts `lower` and `upper`
+    and for the reflection walks: the dense Euler matrices E_c and
+    E_{c^-1}, c and c^-1 as -E_{c^-1}^-1·E_c and -E_c^-1·E_{c^-1}, the
+    transversals as columns of the inverses of the Euler matrices, the
+    degree's arrows by a dense loop that compares positions, the weight map
+    and its inverse through the dense rows, and source/sink moves through
+    the sources of the word and of its reverse."""
 
     def __init__(self, cc):
         self.cc = cc
@@ -214,18 +217,22 @@ class DenseWordOrder:
         a, n = cc.cm.a, cc.n
         self.E = tuple(tuple(a[i][j] if pos[i] > pos[j] else int(i == j) for j in range(n))
                        for i in range(n))
+        self.E_inverse_word = tuple(
+            tuple(a[i][j] if pos[i] < pos[j] else int(i == j) for j in range(n))
+            for i in range(n))
+
+    def coxeter(self, inverse_element=False):
+        """The matrix of c, or of c^-1: -E_{c^-1}^-1·E_c, or -E_c^-1·E_{c^-1}."""
+        left, right = ((self.E, self.E_inverse_word) if inverse_element
+                       else (self.E_inverse_word, self.E))
+        inv = inverse(left)
+        return tuple(zip(*(tuple(-x for x in mat_vec(inv, col)) for col in zip(*right))))
 
     def psi(self, forward):
-        out = {}
-        word = self.cc.word
-        for p, letter in enumerate(word):
-            v = tuple(1 if j == letter else 0 for j in range(self.cc.n))
-            # s_{w_1}···s_{w_{p-1}}·α (forward) or s_{w_n}···s_{w_{p+1}}·α:
-            # rightmost factor acts first
-            for s in (reversed(word[:p]) if forward else word[p + 1:]):
-                v = self.cc.cm.reflect(s, v)
-            out[letter] = v
-        return out
+        """psi_to (forward) as the columns of E_{c^-1}^-1, psi_from as those
+        of E_c^-1, keyed by letter in word order."""
+        inv = inverse(self.E_inverse_word if forward else self.E)
+        return {i: tuple(row[i] for row in inv) for i in self.cc.word}
 
     def arrows(self, alpha, beta):
         cc, pos = self.cc, self.pos

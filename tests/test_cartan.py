@@ -366,7 +366,7 @@ def test_form_invariance_under_reflections():
             v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
             w = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
             i = rng.randrange(n)
-            assert ctx.k(ctx.reflect(i, v), ctx.reflect(i, w)) == ctx.k(v, w)
+            assert ctx.k(ctx.cm.reflect(i, v), ctx.cm.reflect(i, w)) == ctx.k(v, w)
 
 
 def test_delta_matches_kernel_for_all_catalog_types():

@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from aproots import cli
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -46,6 +50,24 @@ def test_exchange_json_keys():
     payload = json.loads(proc.stdout)
     assert set(payload) == {"partner", "cluster"}
     assert payload["partner"] == [1, 0]
+
+
+# (Euler matrix E_c, Coxeter matrix) of the catalog word
+CONTEXT_MATRICES = {
+    "A1(1)": (((1, 0), (-2, 1)), ((3, -2), (2, -1))),
+    "D3(2)": (((1, 0, 0), (-1, 1, 0), (0, -2, 1)), ((1, 2, -2), (1, 1, -1), (0, 2, -1))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONTEXT_MATRICES))
+def test_context_prints_the_euler_and_coxeter_matrices(label, capsys):
+    euler, coxeter = ([[str(x) for x in row] for row in m] for m in CONTEXT_MATRICES[label])
+    assert cli.main(["context", "--type", label]) == 0
+    assert f"coxeter matrix: {coxeter}\n" in capsys.readouterr().out
+    assert cli.main(["context", "--type", label, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["euler_matrix"] == euler
+    assert payload["coxeter_matrix"] == coxeter
 
 
 def test_domain_error_exit_code():

@@ -42,9 +42,21 @@ def rand_vec(rng, n):
     return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
 
 
+def action_matrix(action, n):
+    """The matrix of a linear map, from its columns on the unit vectors."""
+    return tuple(zip(*(action(tuple(int(i == j) for i in range(n))) for j in range(n))))
+
+
+def unitriangular(part):
+    """I + part, densely, for a strict part of an Euler matrix."""
+    n = len(part)
+    return tuple(tuple(dict(row).get(j, int(i == j)) for j in range(n))
+                 for i, row in enumerate(part))
+
+
 def test_rank2_coxeter_matrix():
     cc = cc_for("A1(1)")
-    assert cc.c_mat == ((3, -2), (2, -1))
+    assert action_matrix(cc.c_action, cc.n) == ((3, -2), (2, -1))
 
 
 def test_c_fixes_delta_and_inverts():
@@ -204,6 +216,14 @@ def test_sigma_involution_and_fixed_points():
             assert cc.sigma(s, cc.sigma(s, v)) == v
         with pytest.raises(NotAlmostPositive):
             cc.sigma(s, tuple(-x for x in cc.ctx.delta))
+
+
+def test_sigma_rejects_a_letter_out_of_range():
+    cc = cc_for("D3(2)")
+    assert cc.sigma(cc.n - 1, (0, 0, 1)) == (0, 0, -1)
+    for s in (-1, cc.n):
+        with pytest.raises(IndexOutOfRange, match="out of range 1..3"):
+            cc.sigma(s, (0, 0, 1))
 
 
 def test_tau_cases():
@@ -369,7 +389,7 @@ def test_coxeter_words_validate():
     with pytest.raises(Exception):
         CoxeterContext(ctx, (0, 0, 1))
     alt = CoxeterContext(ctx, (2, 1, 0))
-    assert mat_vec(alt.c_mat, ctx.delta) == ctx.delta
+    assert alt.c_action(ctx.delta) == ctx.delta
 
 
 def reflection_product(cm, word):
@@ -408,7 +428,8 @@ def assert_construction_invariants(cc):
     """The invariants the context construction relies on but does not check."""
     ctx, n = cc.ctx, cc.n
     where = (ctx.label, cc.word)
-    assert cc.c_mat == reflection_product(cc.cm, cc.word), where
+    assert (action_matrix(cc.c_action, n) == reflection_product(cc.cm, cc.word)
+            == DenseWordOrder(cc).coxeter()), where
     assert cc.c_action(ctx.delta) == ctx.delta, where
     # gamma exists: (c - 1)·gamma = delta with gamma_aff = 0
     assert cc.gamma is not None and cc.gamma[ctx.aff] == 0, where
@@ -445,13 +466,17 @@ def test_construction_invariants_over_random_coxeter_words(cc):
 
 
 def assert_word_order_readers_match_the_dense_reference(cc, rng):
-    """Everything read off `lower` and `upper` against the readers built
-    from the positions of the letters; values are compared with their
-    types (an int is not a Fraction)."""
+    """Everything read off `lower` and `upper`, and the reflection walks,
+    against the readers built from the positions of the letters; values are
+    compared with their types (an int is not a Fraction)."""
     ref = DenseWordOrder(cc)
     where = (cc.ctx.label, cc.word)
-    assert cc.E == ref.E, where
-    assert cc.c_inv_mat == reflection_product(cc.cm, cc.word[::-1]), where
+    assert unitriangular(cc.lower) == ref.E, where
+    assert unitriangular(cc.upper) == ref.E_inverse_word, where
+    c, c_inverse = ref.coxeter(), ref.coxeter(inverse_element=True)
+    assert action_matrix(cc.c_action, cc.n) == reflection_product(cc.cm, cc.word) == c, where
+    assert (action_matrix(cc.c_inverse_action, cc.n)
+            == reflection_product(cc.cm, cc.word[::-1]) == c_inverse), where
     assert repr((cc.psi_to, cc.psi_from)) == repr((ref.psi(True), ref.psi(False))), where
     assert [s for s in cc.word if not cc.lower[s]] == word_sources(cc.cm, cc.word), where
     assert ([s for s in reversed(cc.word) if not cc.upper[s]]
@@ -466,6 +491,8 @@ def assert_word_order_readers_match_the_dense_reference(cc, rng):
             assert repr(compat_arrows(cc, a, b)) == repr(ref.arrows(a, b)), (where, a, b)
     for _ in range(10):
         v = rand_vec(rng, cc.n)
+        assert repr(cc.c_action(v)) == repr(mat_vec(c, v)), (where, v)
+        assert repr(cc.c_inverse_action(v)) == repr(mat_vec(c_inverse, v)), (where, v)
         w = nu(cc, v)
         assert repr(w) == repr(ref.nu(v)), (where, v)
         assert repr(nu_inverse(cc, w)) == repr(ref.nu_inverse(w)), (where, w)

