@@ -4,15 +4,16 @@ A Cartan matrix A is symmetrizable: there are positive rationals d_i with
 d_i·a_ij = d_j·a_ji.  The symmetric form K(α_i, α_j) = d_i·a_ij is encoded
 as a gram matrix; K(α_i^vee, α_j) = a_ij holds exactly by construction.
 
-Classification is exact: finite iff K is positive definite; affine iff A
-has a one-dimensional kernel spanned by a vector delta with all entries
-positive.  Such a kernel makes A indecomposable (each indecomposable block
-with a positive kernel vector adds a kernel dimension), and an
-indecomposable GCM with a positive kernel vector is affine (Kac, *Infinite
-Dimensional Lie Algebras*, Thm 4.3).  For affine matrices we compute the
-primitive positive imaginary root delta, a distinguished index `aff`, the
-root theta = delta - [delta:α_aff]·α_aff of the finite part, and the
-coroot-side imaginary root delta_vee.
+Classification is exact and reads the kernel of A first: finite iff the
+kernel is trivial and K is positive definite; affine iff the kernel is
+one-dimensional and spanned by a vector delta with all entries positive.
+Such a kernel makes A indecomposable (each indecomposable block with a
+positive kernel vector adds a kernel dimension), and an indecomposable GCM
+with a positive kernel vector is affine (Kac, *Infinite Dimensional Lie
+Algebras*, Thm 4.3).  For affine matrices we compute the primitive
+positive imaginary root delta, a distinguished index `aff`, the root
+theta = delta - [delta:α_aff]·α_aff of the finite part, and the simple-coroot
+coordinates of the coroot-side imaginary root delta_vee, D·delta up to scale.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ class TypeClassification:
     delta: tuple | None = None          # primitive positive kernel vector
     aff: int | None = None              # 0-based distinguished index
     theta: tuple | None = None          # delta - [delta:α_aff]·α_aff
-    delta_vee: tuple | None = None      # delta^vee in simple-root coordinates
-    delta_vee_coroot: tuple | None = None  # its simple-coroot coordinates
+    delta_vee_coroot: tuple | None = None  # delta^vee in simple-coroot coordinates
 
 
 def _positive_definite(gram) -> bool:
@@ -177,9 +177,12 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
     n = cm.n
     if aff is not None and not 0 <= aff < n:
         raise IndexOutOfRange(f"affine node {aff + 1} out of range 1..{n}")
-    if _positive_definite(cm.gram):
-        return TypeClassification(kind=Kind.FINITE)
+    # K = D·A with D positive diagonal, so a singular A is never finite and
+    # Sylvester's test runs only on a trivial kernel
     kernel = kernel_basis([list(r) for r in cm.a])
+    if not kernel:
+        return TypeClassification(
+            kind=Kind.FINITE if _positive_definite(cm.gram) else Kind.OTHER)
     if len(kernel) != 1:
         return TypeClassification(kind=Kind.OTHER)
     # kernel_basis puts +1 at a free column, so an affine delta is positive
@@ -195,21 +198,14 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
         raise NotAffine(f"index {aff + 1} cannot serve as the affine node")
     theta = list(delta)
     theta[aff] = 0
-    theta = tuple(theta)
-
-    # coroot-side imaginary root: primitive kernel vector of the transpose,
-    # positive like delta as the transpose is affine, in simple-coroot
-    # coordinates
-    dvee_coroot = primitive_integer_vector(
-        kernel_basis([list(r) for r in zip(*cm.a)])[0]
-    )
-    delta_vee = vec(Fraction(m) / Fraction(di) for m, di in zip(dvee_coroot, cm.d))
+    # the coroot-side imaginary root in simple-coroot coordinates spans the
+    # kernel of the transpose, which is D·ker A as A^T·D = D·A
+    dvee_coroot = primitive_integer_vector(di * x for di, x in zip(cm.d, delta))
     return TypeClassification(
         kind=Kind.AFFINE,
         delta=delta,
         aff=aff,
-        theta=theta,
-        delta_vee=delta_vee,
+        theta=tuple(theta),
         delta_vee_coroot=dvee_coroot,
     )
 

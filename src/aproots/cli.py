@@ -129,11 +129,12 @@ def cmd_context(args):
     euler = [[dict(row).get(j, int(i == j)) for j in range(cc.n)]
              for i, row in enumerate(cc.lower)]
     coxeter = _matrix_json(zip(*map(cc.c_action, units)))
+    gamma = cc.gamma()
     payload = {
         "word": [i + 1 for i in cc.word],
         "euler_matrix": _matrix_json(euler),
         "coxeter_matrix": coxeter,
-        "gamma": [format_rational(x) for x in cc.gamma],
+        "gamma": [format_rational(x) for x in gamma],
         "phi_weight": [format_rational(x) for x in cc.phi_weight],
         "psi_to": {i + 1: list(v) for i, v in cc.psi_to.items()},
         "psi_from": {i + 1: list(v) for i, v in cc.psi_from.items()},
@@ -154,7 +155,7 @@ def cmd_context(args):
     lines = [
         f"word: {' '.join(str(i + 1) for i in cc.word)}",
         f"coxeter matrix: {coxeter}",
-        f"gamma: {_format_vector(cc.gamma)}",
+        f"gamma: {_format_vector(gamma)}",
         f"phi (weight coords): {_format_vector(cc.phi_weight)}",
         f"components: {[(len(c.cycle), c.delta_multiple) for c in cc.components]}",
         f"finite-orbit simples: {[ _format_vector(r) for r in cc.fin_simples]}",
@@ -241,9 +242,10 @@ def cmd_exchange(args):
 
 def cmd_fan_svg(args):
     from .clusters import enumerate_clusters
-    from .fan_svg import render_fan_svg
+    from .fan_svg import render_fan_svg, require_rank3
 
     cc = _load_coxeter(args)
+    require_rank3(cc)   # before the enumeration, whose cost grows with --depth
     pole = _parse_vector(args.pole, cc.n) if args.pole else None
     if pole is not None and not any(pole):
         raise MalformedInput("--pole must be a nonzero vector")
@@ -265,21 +267,18 @@ def cmd_oracle(args):
         verify_bijection,
     )
 
-    cc = _load_coxeter(args)
+    runs = {
+        "thm12": lambda cc: verify_bijection(cc, args.depth),
+        "thm13": lambda cc: exchange_graphs_agree(cc, min(args.depth, 5)),
+        "conj14": lambda cc: conjecture_evidence(cc, min(args.depth, 4)),
+    }
     checks = args.check.split(",") if args.check else ["thm12", "thm13"]
-    payload = {}
-    failed = False
-    for check in checks:
-        if check == "thm12":
-            payload["thm12"] = verify_bijection(cc, args.depth)
-            failed |= not payload["thm12"]["ok"]
-        elif check == "thm13":
-            payload["thm13"] = exchange_graphs_agree(cc, min(args.depth, 5))
-            failed |= not payload["thm13"]["ok"]
-        elif check == "conj14":
-            payload["conj14"] = conjecture_evidence(cc, min(args.depth, 4))
-        else:
-            raise AprootsError(f"unknown check {check!r}")
+    unknown = [check for check in checks if check not in runs]
+    if unknown:
+        raise AprootsError(f"unknown check {', '.join(map(repr, unknown))}")
+    cc = _load_coxeter(args)
+    payload = {check: runs[check](cc) for check in checks}
+    failed = any(not report["ok"] for name, report in payload.items() if name != "conj14")
     lines = []
     for name, report in payload.items():
         if name == "conj14":

@@ -9,9 +9,10 @@ psi_from[w_k] = s_{w_n}···s_{w_{k+1}}(α_{w_k}).  The word order is read off
 the Cartan rows once, as the strict parts of the two unitriangular Euler
 matrices: `lower`, with E_c = I + lower, and `upper`, with
 E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry); the
-degree's arrows, the weight map and source/sink moves read them, and so
-does the generalized 1-eigenvector gamma_c, solved from the Cartan matrix
-as A·gamma = (I + lower)·delta.  Also built: the functional phi_c, the
+degree's arrows, the weight map, source/sink moves and the functional
+phi_c(v) = E_c(v, delta) read them.  The generalized 1-eigenvector gamma_c,
+with K(gamma_c, ·) = phi_c, is solved from the Cartan matrix as
+A·gamma = (I + lower)·delta only on request.  Also built: the
 finite-orbit hyperplane data, the rotation subsystem living inside that
 hyperplane, the kappa function, the deformed maps sigma_s and tau_c, and
 the closed-form counts of source-sink orientations and their classes.
@@ -41,7 +42,7 @@ from math import lcm
 from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
-from .linalg import canon, format_vector, inverse, mat_vec, vec
+from .linalg import canon, format_vector, inverse, vec
 from .roots import deformed_reflection, neg_simple, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
@@ -94,10 +95,13 @@ class CoxeterContext:
         self.psi_to = {i: self._walk(units[i], reversed(word[:p])) for p, i in enumerate(word)}
         self.psi_from = {i: self._walk(units[i], word[p + 1:]) for p, i in enumerate(word)}
 
-        self.gamma = self._solve_gamma()
-        # phi as a functional on simple-root coordinates: phi(v) = f · v
-        self._phi_fun = mat_vec(ctx.cm.gram, self.gamma)
-        self.phi_weight = self._normalized_phi_weight()
+        # phi(v) = f · v with f = D·(I + lower)·delta, as phi_c = E_c(·, delta);
+        # in weight coordinates (I + lower)·delta, scaled to a leading ±1
+        weight = [x + sum(a * ctx.delta[j] for j, a in row)
+                  for x, row in zip(ctx.delta, self.lower)]
+        self._phi_fun = vec(di * w for di, w in zip(ctx.cm.d, weight))
+        scale = abs(next(w for w in weight if w != 0))
+        self.phi_weight = vec(Fraction(w, scale) for w in weight)
 
         # tau_c differs from c only on the negative simples and psi_from:
         # -α_i -> psi_to[i] and psi_from[i] -> -α_i; tau_c^{-1} reads the
@@ -155,6 +159,16 @@ class CoxeterContext:
     def phi(self, v):
         return canon(sum(a * b for a, b in zip(self._phi_fun, v)))
 
+    def gamma(self):
+        """gamma_c with (c - I)·gamma = delta and gamma_aff = 0, solved on
+        request.  As c = -(I + upper)^-1·(I + lower) and A = 2I + lower + upper
+        kills delta, multiplying by -(I + upper) turns it into
+        A·gamma = (I + lower)·delta."""
+        ctx = self.ctx
+        rows = [list(row) for row in self.cm.a] + [[int(j == ctx.aff) for j in range(self.n)]]
+        rhs = [x + sum(a * ctx.delta[j] for j, a in row) for x, row in zip(ctx.delta, self.lower)]
+        return linalg.solve_general(rows, rhs + [0])
+
     def c_action(self, v):
         """c·v: the letters' reflections, the last letter first."""
         return self._walk(vec(v), reversed(self.word))
@@ -170,22 +184,6 @@ class CoxeterContext:
         return v
 
     # -- construction helpers --------------------------------------------------
-
-    def _solve_gamma(self):
-        """gamma with (c - I)·gamma = delta and gamma_aff = 0.  As
-        c = -(I + upper)^-1·(I + lower) and A = 2I + lower + upper kills
-        delta, multiplying by -(I + upper) turns it into
-        A·gamma = (I + lower)·delta."""
-        ctx = self.ctx
-        rows = [list(row) for row in self.cm.a] + [[int(j == ctx.aff) for j in range(self.n)]]
-        rhs = [x + sum(a * ctx.delta[j] for j, a in row) for x, row in zip(ctx.delta, self.lower)]
-        return linalg.solve_general(rows, rhs + [0])
-
-    def _normalized_phi_weight(self):
-        d = self.cm.d
-        weight = [Fraction(f) / Fraction(di) for f, di in zip(self._phi_fun, d)]
-        scale = abs(next(w for w in weight if w != 0))
-        return vec(w / scale for w in weight)
 
     def _build_tubes(self):
         """Components of the finite-orbit subsystem: the roots of the finite

@@ -81,10 +81,15 @@ def _arc_points(a, b, steps=24):
     return [_slerp(a, b, t / steps) for t in range(steps + 1)]
 
 
-def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
-    """SVG text for the cone fan of the given clusters (rank 3 only)."""
+def require_rank3(cc: CoxeterContext):
+    """Raise RankNot3 unless the context has rank 3, the one rank drawn."""
     if cc.n != 3:
         raise RankNot3(f"fan pictures need rank 3, got {cc.n}")
+
+
+def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
+    """SVG text for the cone fan of the given clusters (rank 3 only)."""
+    require_rank3(cc)
     proj = Projection(pole if pole is not None else cc.ctx.delta)
     neg_pi = tuple(sorted(neg_simples(cc)))
 
@@ -160,7 +165,6 @@ def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
 
 def project_direction(cc: CoxeterContext, v, pole=None):
     """Chart coordinates of a direction; exposed for structural checks."""
-    if cc.n != 3:
-        raise RankNot3(f"fan pictures need rank 3, got {cc.n}")
+    require_rank3(cc)
     proj = Projection(pole if pole is not None else cc.ctx.delta)
     return proj.project(v)

@@ -242,13 +242,13 @@ class Seed:
         halves = []
         for sign in (1, -1):
             lo = hi = [0] * n
-            poly = {pack(lo): 1}
+            poly = None
             for i, c in enumerate(bcol):
                 for _ in range(sign * c):
-                    poly = poly_mul(poly, self.polys[i], n)
+                    poly = self.polys[i] if poly is None else poly_mul(poly, self.polys[i], n)
                     ilo, ihi = self._info[i][2]
                     lo, hi = list(map(add, lo, ilo)), list(map(add, hi, ihi))
-            halves.append((poly, lo, hi))
+            halves.append(({pack(lo): 1} if poly is None else poly, lo, hi))
         (plus, plo, phi), (minus, mlo, mhi) = halves
         nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
         qlo, qhi = self._info[k][2]

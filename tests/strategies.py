@@ -1,5 +1,6 @@
 """Hypothesis strategies and reference forms shared by the test modules."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, IndexOutOfRange, NotInTube
-from aproots.linalg import canon, format_vector, inverse, mat_vec, vec
+from aproots.linalg import (
+    canon,
+    format_vector,
+    inverse,
+    kernel_basis,
+    mat_vec,
+    primitive_integer_vector,
+    solve_general,
+    vec,
+)
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 _affine = lru_cache(maxsize=None)(context_from_label)
@@ -286,3 +296,24 @@ class DenseWordOrder:
         else:
             raise IndexOutOfRange(f"letter {s + 1} is neither initial nor final")
         return tuple(word)
+
+
+def solved_phi(cc):
+    """(gamma_c, phi_c's functional, phi_c in weight coordinates) through a
+    dense solve, as a reference for phi_c read off the Euler rows: gamma
+    solved from A·gamma = E_c·delta with gamma_aff = 0 (E_c the dense Euler
+    matrix), the functional as gram·gamma, and the weight coordinates as
+    the functional over the symmetrizers, scaled to a leading entry of ±1."""
+    ctx, n = cc.ctx, cc.n
+    rows = [list(row) for row in cc.cm.a] + [[int(j == ctx.aff) for j in range(n)]]
+    gamma = solve_general(rows, list(mat_vec(DenseWordOrder(cc).E, ctx.delta)) + [0])
+    fun = mat_vec(cc.cm.gram, gamma)
+    weight = [Fraction(f) / Fraction(d) for f, d in zip(fun, cc.cm.d)]
+    scale = abs(next(w for w in weight if w != 0))
+    return gamma, fun, vec(w / scale for w in weight)
+
+
+def kernel_delta_vee_coroot(cm):
+    """delta^vee in simple-coroot coordinates as the primitive vector of the
+    kernel of the transposed Cartan matrix, as a reference for D·delta."""
+    return primitive_integer_vector(kernel_basis([list(r) for r in zip(*cm.a)])[0])

@@ -7,7 +7,8 @@ inside the criterion functions themselves.
 
 import pytest
 
-from aproots.verification import CRITERIA, run_all, run_for_type
+from aproots import compatibility
+from aproots.verification import CRITERIA, criterion_axioms, run_all, run_for_type
 
 ORDER = (
     "worked-example",
@@ -51,3 +52,16 @@ def test_run_all_tags_each_row_with_its_criterion():
     rows = run_all(["worked-example"])
     assert [row["name"] for row in rows] == [row["name"] for row in CRITERIA["worked-example"]()]
     assert {row["criterion"] for row in rows} == {"worked-example"}
+
+
+def test_axioms_report_a_planted_off_by_one_degree(monkeypatch):
+    degree = compatibility.degree
+
+    def off_by_one(cc, alpha, beta):
+        return degree(cc, alpha, beta) + (tuple(beta) == (0, 1, 0))
+
+    monkeypatch.setattr(compatibility, "degree", off_by_one)
+    (row, timing) = criterion_axioms(["D3(2)"], level=2)
+    assert row["name"].startswith("degree axioms D3(2)") and not row["ok"], row
+    assert "('base', 0, (0, 1, 0))" in row["detail"], row
+    assert timing["ok"], timing

@@ -34,7 +34,7 @@ from aproots.errors import (
 )
 from aproots.roots import roots_up_to_level
 
-from strategies import finite_positive_roots
+from strategies import finite_positive_roots, kernel_delta_vee_coroot
 
 
 def brute_force_symmetrizers(a):
@@ -115,7 +115,7 @@ def test_classify_doubled_mark():
     assert cls.delta[cls.aff] == 2
     assert cls.theta == (1, 0)
     # dual imaginary root: half of delta, coroot coordinates (2, 1)
-    assert cls.delta_vee == (Fraction(1, 2), 1)
+    assert delta_vee(cm, cls) == (Fraction(1, 2), 1)
     assert cls.delta_vee_coroot == (2, 1)
 
 
@@ -235,7 +235,8 @@ def cycle_matrix(n):
 
 def test_classify_tests_positive_definiteness_once(monkeypatch):
     # a positive primitive kernel vector of a one-dimensional kernel already
-    # makes the matrix affine: no corank-1 submatrix is tested
+    # makes the matrix affine: no corank-1 submatrix is tested.  Only an
+    # invertible matrix is tested for definiteness, once
     sizes = []
 
     def counting(gram):
@@ -244,7 +245,18 @@ def test_classify_tests_positive_definiteness_once(monkeypatch):
 
     monkeypatch.setattr(cartan, "_positive_definite", counting)
     assert classify(cycle_matrix(30)).kind is Kind.AFFINE
-    assert sizes == [30]
+    assert sizes == []
+    assert classify(validate_cartan([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])).kind is Kind.FINITE
+    assert sizes == [3]
+    # invertible and hyperbolic: the one test fails
+    assert classify(validate_cartan([[2, -3], [-3, 2]])).kind is Kind.OTHER
+    assert sizes == [3, 2]
+
+
+def delta_vee(cm, cls):
+    """delta^vee in simple-root coordinates: its simple-coroot coordinates
+    over the symmetrizers."""
+    return linalg.vec(Fraction(m) / Fraction(d) for m, d in zip(cls.delta_vee_coroot, cm.d))
 
 
 def gram_is_symmetric(cm):
@@ -274,34 +286,36 @@ def test_gram_symmetry_and_delta_vee_closed_form_in_every_node_order():
             assert gram_is_symmetric(pcm), (label, order)
             for node in (order.index(aff), None):
                 cls = classify(pcm, aff=node)
-                assert cls.delta_vee == delta_vee_closed_form(pcm, cls), (label, order, node)
+                assert delta_vee(pcm, cls) == delta_vee_closed_form(pcm, cls), (label, order, node)
 
 
 def reference_classify(cm):
-    """(kind, delta, aff, theta) with every corank-1 principal submatrix
-    tested: affine when the kernel is one-dimensional, spanned by a positive
-    vector, and each corank-1 principal submatrix is positive definite; the
-    affine node by enumerating each parabolic root system."""
+    """(kind, delta, aff, theta, delta_vee_coroot) with every corank-1
+    principal submatrix tested: affine when the kernel is one-dimensional,
+    spanned by a positive vector, and each corank-1 principal submatrix is
+    positive definite; the affine node by enumerating each parabolic root
+    system, and delta^vee from the kernel of the transpose."""
     n = cm.n
+    other = Kind.OTHER, None, None, None, None
     if _positive_definite(cm.gram):
-        return Kind.FINITE, None, None, None
+        return Kind.FINITE, None, None, None, None
     kernel = linalg.kernel_basis(cm.a)
     if len(kernel) != 1:
-        return Kind.OTHER, None, None, None
+        return other
     delta = linalg.primitive_integer_vector(kernel[0])
     if all(x <= 0 for x in delta):
         delta = tuple(-x for x in delta)
     if any(x <= 0 for x in delta):
-        return Kind.OTHER, None, None, None
+        return other
     for i in range(n):
         keep = [j for j in range(n) if j != i]
         if not _positive_definite(tuple(tuple(cm.gram[p][q] for q in keep) for p in keep)):
-            return Kind.OTHER, None, None, None
+            return other
     thetas = {i: tuple(0 if j == i else x for j, x in enumerate(delta)) for i in range(n)}
     valid = [i for i in range(n)
              if thetas[i] in finite_positive_roots(cm, [j for j in range(n) if j != i])]
     aff = min(valid, key=lambda i: (delta[i], i))
-    return Kind.AFFINE, delta, aff, thetas[aff]
+    return Kind.AFFINE, delta, aff, thetas[aff], kernel_delta_vee_coroot(cm)
 
 
 @st.composite
@@ -329,10 +343,11 @@ def permuted_catalog_matrices(draw):
 @given(st.one_of(symmetrizable_gcms(), permuted_catalog_matrices()))
 def test_classify_matches_the_corank_one_criterion(cm):
     cls = classify(cm)
-    assert (cls.kind, cls.delta, cls.aff, cls.theta) == reference_classify(cm)
+    assert (repr((cls.kind, cls.delta, cls.aff, cls.theta, cls.delta_vee_coroot))
+            == repr(reference_classify(cm)))
     assert gram_is_symmetric(cm)
     if cls.kind is Kind.AFFINE:
-        assert cls.delta_vee == delta_vee_closed_form(cm, cls)
+        assert delta_vee(cm, cls) == delta_vee_closed_form(cm, cls)
 
 
 def test_large_cycle_classifies_without_enumerating_parabolics(monkeypatch):

@@ -1,12 +1,14 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from aproots import cli
+from aproots import cli, compatibility
 
 
 def run_cli(*args):
@@ -68,6 +70,46 @@ def test_context_prints_the_euler_and_coxeter_matrices(label, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["euler_matrix"] == euler
     assert payload["coxeter_matrix"] == coxeter
+
+
+# (arguments, message, the costly step that must not start)
+REJECTED_BEFORE_WORK = [
+    (("fan-svg", "--type", "A1(1)", "--depth", "2000"), "error: fan pictures need rank 3, got 2\n",
+     ("aproots.clusters", "enumerate_clusters")),
+    (("fan-svg", "--type", "B3(1)", "--depth", "2000"), "error: fan pictures need rank 3, got 4\n",
+     ("aproots.clusters", "enumerate_clusters")),
+    (("oracle", "--type", "D3(2)", "--depth", "14", "--check", "thm12,conj14,thm99"),
+     "error: unknown check 'thm99'\n", ("aproots.oracle_bridge", "verify_bijection")),
+]
+
+
+@pytest.mark.parametrize("args, message, costly", REJECTED_BEFORE_WORK,
+                         ids=["fan-svg-rank-2", "fan-svg-rank-4", "oracle-unknown-check"])
+def test_rejects_before_working(args, message, costly, tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError(f"{costly[1]} ran before the input was checked")
+
+    monkeypatch.setattr(importlib.import_module(costly[0]), costly[1], refuse)
+    out = tmp_path / "fan.svg"
+    argv = [*args, "--out", str(out)] if args[0] == "fan-svg" else list(args)
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_verify_returns_two_on_a_planted_wrong_arrow(capsys, monkeypatch):
+    arrows = compatibility.compat_arrows
+
+    def wrong_arrow_to(cc, alpha, beta):
+        to, frm = arrows(cc, alpha, beta)
+        return to + 1, frm
+
+    monkeypatch.setattr(compatibility, "compat_arrows", wrong_arrow_to)
+    assert cli.main(["verify", "--criteria", "worked-example"]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] worked example arrows " in out and "arrows=(0, 1) degree=1\n" in out
 
 
 def test_domain_error_exit_code():

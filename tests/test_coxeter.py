@@ -1,6 +1,8 @@
 """Coxeter-element context: forms, eigen data, tubes, deformed maps."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aproots import cartan, linalg
 from aproots.cartan import (
     AffineContext,
     catalog,
@@ -28,7 +31,9 @@ from strategies import (
     euler,
     euler_roots,
     finite_positive_roots,
+    kernel_delta_vee_coroot,
     outcome,
+    solved_phi,
     word_sources,
 )
 
@@ -432,8 +437,9 @@ def assert_construction_invariants(cc):
             == DenseWordOrder(cc).coxeter()), where
     assert cc.c_action(ctx.delta) == ctx.delta, where
     # gamma exists: (c - 1)·gamma = delta with gamma_aff = 0
-    assert cc.gamma is not None and cc.gamma[ctx.aff] == 0, where
-    assert tuple(a - b for a, b in zip(cc.c_action(cc.gamma), cc.gamma)) == ctx.delta, where
+    gamma = cc.gamma()
+    assert gamma is not None and gamma[ctx.aff] == 0, where
+    assert tuple(a - b for a, b in zip(cc.c_action(gamma), gamma)) == ctx.delta, where
     assert any(cc.phi_weight), where
     for i in range(n):
         assert cc.phi(cc.psi_to[i]) > 0 > cc.phi(cc.psi_from[i]), (where, i)
@@ -511,6 +517,53 @@ def test_word_order_readers_match_the_dense_reference_over_the_catalog():
 @given(coxeter_contexts(), st.randoms(use_true_random=False))
 def test_word_order_readers_match_the_dense_reference_over_random_words(cc, rng):
     assert_word_order_readers_match_the_dense_reference(cc, rng)
+
+
+def assert_matches_the_solved_reference(cc):
+    """gamma, phi_c and delta^vee against the dense solve and the kernel of
+    the transpose, compared by repr so that entry types count."""
+    where = (cc.ctx.label, cc.word)
+    assert repr((cc.gamma(), cc._phi_fun, cc.phi_weight)) == repr(solved_phi(cc)), where
+    assert repr(cc.ctx.delta_vee_coroot) == repr(kernel_delta_vee_coroot(cc.cm)), where
+
+
+def test_phi_and_delta_vee_match_the_solved_reference_over_the_catalog():
+    for label in catalog_labels(12):
+        ctx, word = context_from_label(label)
+        rng = random.Random(label)
+        for w in (word, tuple(rng.sample(word, len(word))), tuple(rng.sample(word, len(word)))):
+            assert_matches_the_solved_reference(CoxeterContext(ctx, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_contexts())
+def test_phi_and_delta_vee_match_the_solved_reference_over_random_words(cc):
+    assert_matches_the_solved_reference(cc)
+
+
+def test_catalog_context_construction_runs_two_eliminations(monkeypatch):
+    # the kernel of A in classify and the hyperplane inverse; gamma, phi and
+    # delta^vee come without a solve, a dense product or Sylvester's test
+    originals = {name: getattr(linalg, name)
+                 for name in ("kernel_basis", "inverse", "solve_general", "mat_vec")}
+    originals["_positive_definite"] = cartan._positive_definite
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("aproots")]:
+        for name, f in originals.items():
+            if getattr(module, name, None) is f:
+                monkeypatch.setattr(module, name, counted(name, f))
+    for label in ("A1(1)", "D3(2)", "G2(1)", "E6(1)", "A5(1):k=2", "A8(2)"):
+        calls.clear()
+        ctx, word = context_from_label(label)
+        CoxeterContext(ctx, word)
+        assert dict(calls) == {"kernel_basis": 1, "inverse": 1}, label
 
 
 def reference_omega(cc):

@@ -584,3 +584,21 @@ def test_bfs_never_mutates_a_seed_at_its_last_letter(monkeypatch):
         reps, _ = seed_bfs(b, 5)
         assert len(reps) > 1
     assert backs == []
+
+
+def test_exchange_products_never_take_the_monomial_one(monkeypatch):
+    # each half of an exchange relation starts from its first factor
+    product = mutation.poly_mul
+    ones = []
+
+    def recording(p, q, nvars):
+        one = {pack([0] * nvars): 1}
+        if one in (p, q):
+            ones.append((p, q))
+        return product(p, q, nvars)
+
+    monkeypatch.setattr(mutation, "poly_mul", recording)
+    for label in ("A1(1)", "A2(2)", "G2(1)", "D4(3)", "A3(1):k=1"):
+        b, _, _ = b_for(label)
+        assert len(seed_bfs(b, 5)[0]) > 1
+    assert ones == []
