@@ -52,17 +52,23 @@ def _read_cartan_json(path: str):
     return validate_cartan(raw), None if aff is None else aff - 1
 
 
+def _label(args) -> str:
+    if args.type is None:
+        raise AprootsError("pass --type LABEL or --cartan-json FILE")
+    if not args.type.strip():
+        raise MalformedInput("--type is blank")
+    return args.type
+
+
 def _load_context(args):
-    if args.cartan_json:
+    if args.cartan_json is not None:
         cm, aff = _read_cartan_json(args.cartan_json)
         return AffineContext(cm, aff=aff), tuple(range(cm.n))
-    if not args.type:
-        raise AprootsError("pass --type LABEL or --cartan-json FILE")
-    return context_from_label(args.type)
+    return context_from_label(_label(args))
 
 
 def _word(args, default):
-    if getattr(args, "c", None):
+    if getattr(args, "c", None) is not None:
         try:
             return tuple(int(x) - 1 for x in args.c.split(","))
         except ValueError:
@@ -88,10 +94,10 @@ def _matrix_json(m):
 
 
 def cmd_classify(args):
-    if args.cartan_json:
+    if args.cartan_json is not None:
         cm, aff = _read_cartan_json(args.cartan_json)
     else:
-        cm, aff, _ = catalog(args.type)
+        cm, aff, _ = catalog(_label(args))
     cls = classify(cm, aff=aff)
     payload = {"kind": cls.kind.value, "d": [format_rational(x) for x in cm.d]}
     lines = [f"kind: {cls.kind.value}", f"symmetrizers: {_format_vector(cm.d)}"]
@@ -246,7 +252,7 @@ def cmd_fan_svg(args):
 
     cc = _load_coxeter(args)
     require_rank3(cc)   # before the enumeration, whose cost grows with --depth
-    pole = _parse_vector(args.pole, cc.n) if args.pole else None
+    pole = None if args.pole is None else _parse_vector(args.pole, cc.n)
     if pole is not None and not any(pole):
         raise MalformedInput("--pole must be a nonzero vector")
     real, imag = enumerate_clusters(cc, args.depth)
@@ -272,7 +278,7 @@ def cmd_oracle(args):
         "thm13": lambda cc: exchange_graphs_agree(cc, min(args.depth, 5)),
         "conj14": lambda cc: conjecture_evidence(cc, min(args.depth, 4)),
     }
-    checks = args.check.split(",") if args.check else ["thm12", "thm13"]
+    checks = args.check.split(",")
     unknown = [check for check in checks if check not in runs]
     if unknown:
         raise AprootsError(f"unknown check {', '.join(map(repr, unknown))}")
@@ -295,14 +301,13 @@ def cmd_oracle(args):
 def cmd_verify(args):
     from .verification import CRITERIA, run_all, run_for_type
 
-    if args.type:
-        rows = run_for_type(args.type)
+    if args.type is not None:
+        rows = run_for_type(_label(args))
     else:
-        names = args.criteria.split(",") if args.criteria else None
-        if names:
-            unknown = [n for n in names if n not in CRITERIA]
-            if unknown:
-                raise AprootsError(f"unknown criteria: {', '.join(map(repr, unknown))}")
+        names = None if args.criteria is None else args.criteria.split(",")
+        unknown = [n for n in names or () if n not in CRITERIA]
+        if unknown:
+            raise AprootsError(f"unknown criteria: {', '.join(map(repr, unknown))}")
         rows = run_all(names)
     width = max(len(r["name"]) for r in rows)
     failed = 0

@@ -95,9 +95,10 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     vectors; a mismatch is reported, never raised.
 
     Re-rooting at seed' starts a fresh seed at its exchange matrix b' and
-    mutates back along its history, then out along the other seed's.  Mutation is an involution, so only the reduced word (equal
-    adjacent letters cancelled) matters.  Seeds with the same b' share one
-    memo of replays keyed by reduced word, dropped after the last of them."""
+    mutates back along its history, then out along the other seed's.
+    Mutation is an involution, so only the reduced word (equal adjacent
+    letters cancelled) matters.  Seeds with the same b' share one memo of
+    replays keyed by reduced word, dropped after the last of them."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
     reps, _ = seed_bfs(b, depth)
     by_length = sorted(reps.values(), key=lambda seed: len(seed.history))

@@ -1,10 +1,19 @@
-"""Hypothesis strategies and reference forms shared by the test modules."""
+"""Hypothesis strategies, contexts, reference forms and script runners
+shared by the test modules."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import aproots
 from aproots.cartan import context_from_label
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, IndexOutOfRange, NotInTube
@@ -21,6 +30,41 @@ from aproots.linalg import (
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
 _affine = lru_cache(maxsize=None)(context_from_label)
+
+
+def cc_for(label, word=None):
+    """A fresh context of a catalog label, over the shared AffineContext
+    (which holds no memo); the word defaults to the catalog order.  Fresh,
+    so that no memo of an earlier test hides a fault a test plants."""
+    ctx, default = _affine(label)
+    return CoxeterContext(ctx, word or default)
+
+
+def run_python(*args, **env):
+    """`python ARGS` in a subprocess that imports this package from its
+    source tree, with `env` added to the environment."""
+    src = str(Path(aproots.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def run_python_O(script):
+    """The standard output of `script` run under `python -O`; a nonzero
+    exit fails the calling test."""
+    run = run_python("-O", "-c", textwrap.dedent(script))
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def run_here(script):
+    """The standard output of `script` run in this process, without `-O`:
+    the twin of `run_python_O` that line tracing can see."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(textwrap.dedent(script), {})
+    return out.getvalue()
 
 
 @lru_cache(maxsize=None)

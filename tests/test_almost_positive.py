@@ -1,7 +1,7 @@
 """Membership, bounded enumeration, and transversal structure."""
 
 from aproots import almost_positive as ap
-from aproots.cartan import catalog_labels, context_from_label
+from aproots.cartan import catalog_labels
 from aproots.coxeter import (
     DELTA,
     NEG_SIMPLE,
@@ -11,12 +11,7 @@ from aproots.coxeter import (
 )
 from aproots.roots import roots_up_to_level
 
-from strategies import finite_positive_roots
-
-
-def cc_for(label, word=None):
-    ctx, default = context_from_label(label)
-    return CoxeterContext(ctx, word or default)
+from strategies import cc_for, finite_positive_roots
 
 
 def test_membership_classes():

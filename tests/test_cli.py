@@ -1,55 +1,87 @@
-"""Command-line surface: outputs, determinism, exit codes."""
+"""Command-line surface: outputs, determinism, exit codes.
+
+The commands run in this process through `cli.main`, where an uncaught
+exception fails the test as a traceback would.  Two tests start `python -m
+aproots.cli`: one for the module entry point, and one for output that must
+not change from one process to the next.
+"""
 
 import importlib
 import json
-import subprocess
-import sys
 import time
 
 import pytest
 
 from aproots import cli, compatibility
 
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "aproots.cli", *args],
-        capture_output=True, text=True,
-    )
-    return proc
+from strategies import run_python
 
 
-def test_compat_worked_example():
-    proc = run_cli("compat", "--type", "D3(2)", "--c", "1,2,3",
-                   "--alpha", "2,1,0", "--beta", "0,1,0")
-    assert proc.returncode == 0
-    assert "degree: 1" in proc.stdout
-    assert "(-1, 1)" in proc.stdout
+@pytest.fixture
+def aproots(capsys):
+    """`aproots ARGS` run in this process: (exit code, stdout, stderr)."""
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+    return run
 
 
-def test_expand_command():
-    proc = run_cli("expand", "--type", "A1(1)", "--c", "1,2", "--vector", "1,-1")
-    assert proc.returncode == 0
-    assert "1·(1,0)" in proc.stdout and "1·(0,-1)" in proc.stdout
+def run_cli(*args, **env):
+    return run_python("-m", "aproots.cli", *args, **env)
 
 
-def test_classify_json_and_fractional_vectors():
-    proc = run_cli("classify", "--type", "A2(2)", "--json")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+def test_compat_worked_example(aproots):
+    code, out, _ = aproots("compat", "--type", "D3(2)", "--c", "1,2,3",
+                           "--alpha", "2,1,0", "--beta", "0,1,0")
+    assert code == 0
+    assert "degree: 1" in out
+    assert "(-1, 1)" in out
+
+
+def test_expand_command(aproots):
+    code, out, _ = aproots("expand", "--type", "A1(1)", "--c", "1,2", "--vector", "1,-1")
+    assert code == 0
+    assert "1·(1,0)" in out and "1·(0,-1)" in out
+
+
+def test_classify_json_and_fractional_vectors(aproots):
+    code, out, _ = aproots("classify", "--type", "A2(2)", "--json")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["kind"] == "affine"
     assert payload["delta"] == [1, 2]
-    proc2 = run_cli("expand", "--type", "D3(2)", "--vector", "1/2,1,1/2", "--json")
-    assert proc2.returncode == 0
-    terms = json.loads(proc2.stdout)
+    code, out, _ = aproots("expand", "--type", "D3(2)", "--vector", "1/2,1,1/2", "--json")
+    assert code == 0
+    terms = json.loads(out)
     assert {"root": [1, 1, 1], "coefficient": "1/2"} in terms
 
 
-def test_exchange_json_keys():
-    proc = run_cli("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1", "--remove=-1,0",
-                   "--json")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+def test_phic_lists_roots_with_their_classes(aproots):
+    code, out, _ = aproots("phic", "--type", "A1(1)", "--m-bound", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "-1,0  [negative-simple]", "0,-1  [negative-simple]", "0,1  [transient]",
+        "1,0  [transient]", "1,1  [delta]", "1,2  [transient]", "2,1  [transient]"]
+
+
+def test_clusters_command(aproots):
+    code, out, _ = aproots("clusters", "--type", "A1(1)", "--depth", "1")
+    assert code == 0
+    assert out.splitlines() == ["real clusters: 3", "  -1,0; 0,-1", "  -1,0; 0,1",
+                                "  0,-1; 1,0", "imaginary clusters: 1", "  1,1"]
+    code, out, _ = aproots("clusters", "--type", "A1(1)", "--depth", "1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"real": [[[-1, 0], [0, -1]], [[-1, 0], [0, 1]],
+                                        [[0, -1], [1, 0]]],
+                               "imaginary": [[[1, 1]]]}
+
+
+def test_exchange_json_keys(aproots):
+    code, out, _ = aproots("exchange", "--type", "A1(1)", "--cluster=-1,0;0,-1",
+                           "--remove=-1,0", "--json")
+    assert code == 0
+    payload = json.loads(out)
     assert set(payload) == {"partner", "cluster"}
     assert payload["partner"] == [1, 0]
 
@@ -62,12 +94,14 @@ CONTEXT_MATRICES = {
 
 
 @pytest.mark.parametrize("label", sorted(CONTEXT_MATRICES))
-def test_context_prints_the_euler_and_coxeter_matrices(label, capsys):
+def test_context_prints_the_euler_and_coxeter_matrices(label, aproots):
     euler, coxeter = ([[str(x) for x in row] for row in m] for m in CONTEXT_MATRICES[label])
-    assert cli.main(["context", "--type", label]) == 0
-    assert f"coxeter matrix: {coxeter}\n" in capsys.readouterr().out
-    assert cli.main(["context", "--type", label, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    code, out, _ = aproots("context", "--type", label)
+    assert code == 0
+    assert f"coxeter matrix: {coxeter}\n" in out
+    code, out, _ = aproots("context", "--type", label, "--json")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["euler_matrix"] == euler
     assert payload["coxeter_matrix"] == coxeter
 
@@ -85,21 +119,22 @@ REJECTED_BEFORE_WORK = [
 
 @pytest.mark.parametrize("args, message, costly", REJECTED_BEFORE_WORK,
                          ids=["fan-svg-rank-2", "fan-svg-rank-4", "oracle-unknown-check"])
-def test_rejects_before_working(args, message, costly, tmp_path, capsys, monkeypatch):
+def test_rejects_before_working(args, message, costly, tmp_path, aproots, monkeypatch):
     def refuse(*_):
         raise AssertionError(f"{costly[1]} ran before the input was checked")
 
     monkeypatch.setattr(importlib.import_module(costly[0]), costly[1], refuse)
-    out = tmp_path / "fan.svg"
-    argv = [*args, "--out", str(out)] if args[0] == "fan-svg" else list(args)
+    svg = tmp_path / "fan.svg"
+    argv = [*args, "--out", str(svg)] if args[0] == "fan-svg" else args
     t0 = time.perf_counter()
-    assert cli.main(argv) == 1
+    code, _, err = aproots(*argv)
+    assert code == 1
     assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err == message
-    assert not out.exists()
+    assert err == message
+    assert not svg.exists()
 
 
-def test_verify_returns_two_on_a_planted_wrong_arrow(capsys, monkeypatch):
+def test_verify_returns_two_on_a_planted_wrong_arrow(aproots, monkeypatch):
     arrows = compatibility.compat_arrows
 
     def wrong_arrow_to(cc, alpha, beta):
@@ -107,8 +142,8 @@ def test_verify_returns_two_on_a_planted_wrong_arrow(capsys, monkeypatch):
         return to + 1, frm
 
     monkeypatch.setattr(compatibility, "compat_arrows", wrong_arrow_to)
-    assert cli.main(["verify", "--criteria", "worked-example"]) == 2
-    out = capsys.readouterr().out
+    code, out, _ = aproots("verify", "--criteria", "worked-example")
+    assert code == 2
     assert "[FAIL] worked example arrows " in out and "arrows=(0, 1) degree=1\n" in out
 
 
@@ -118,7 +153,7 @@ def test_domain_error_exit_code():
     assert "error:" in proc.stderr
 
 
-def test_malformed_input_exits_with_one_line(tmp_path):
+def test_malformed_input_exits_with_one_line(tmp_path, aproots):
     cases = [(args, "") for args in (
         ("expand", "--type", "D3(2)", "--vector", "1,2"),
         ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
@@ -155,53 +190,68 @@ def test_malformed_input_exits_with_one_line(tmp_path):
         (("oracle", "--type", "A1(1)", "--depth", "1", "--check", "thm12,"),
          "error: unknown check ''\n"),
         (("verify", "--criteria", "axioms,"), "error: unknown criteria: ''\n"),
+        # an empty value is given, not left out: it neither falls back to
+        # the default nor ends the message in nothing
+        (("oracle", "--type", "A1(1)", "--depth", "1", "--check", ""),
+         "error: unknown check ''\n"),
+        (("verify", "--criteria", ""), "error: unknown criteria: ''\n"),
+        (("classify", "--type", ""), "error: --type is blank\n"),
+        (("verify", "--type", ""), "error: --type is blank\n"),
+        (("context", "--type", "D3(2)", "--c", ""), "error: --c must list node numbers: ''\n"),
+        (("fan-svg", "--type", "D3(2)", "--pole", "", "--out", str(tmp_path / "fan.svg")),
+         "error: not a vector of rationals: ''\n"),
+        (("roots", "--cartan-json", ""), "error: cannot read --cartan-json"),
+        # neither a type nor a matrix
+        (("classify",), "error: pass --type LABEL or --cartan-json FILE\n"),
+        (("roots",), "error: pass --type LABEL or --cartan-json FILE\n"),
     ]
     for args, reason in cases:
-        proc = run_cli(*args)
-        assert proc.returncode == 1, args
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
-        assert reason in proc.stderr, (args, proc.stderr)
+        code, _, err = aproots(*args)
+        assert code == 1, args
+        assert err.startswith("error: ") and err.count("\n") == 1, args
+        assert reason in err, (args, err)
 
 
-def test_verification_failure_exit_code_is_distinct():
-    proc = run_cli("verify", "--criteria", "nonsense")
-    assert proc.returncode == 1
+def test_verification_failure_exit_code_is_distinct(aproots):
+    code, _, _ = aproots("verify", "--criteria", "nonsense")
+    assert code == 1
 
 
 def test_deterministic_output():
+    # two processes, two string-hash orders
     args = ("clusters", "--type", "D3(2)", "--depth", "2", "--json")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first = run_cli(*args, PYTHONHASHSEED="1")
+    second = run_cli(*args, PYTHONHASHSEED="2")
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
 
-def test_fan_svg_writes_file(tmp_path):
-    out = tmp_path / "fan.svg"
-    proc = run_cli("fan-svg", "--type", "D3(2)", "--depth", "3", "--out", str(out))
-    assert proc.returncode == 0
-    text = out.read_text()
+def test_fan_svg_writes_file(tmp_path, aproots):
+    svg = tmp_path / "fan.svg"
+    code, _, _ = aproots("fan-svg", "--type", "D3(2)", "--depth", "3", "--out", str(svg))
+    assert code == 0
+    text = svg.read_text()
     assert text.startswith("<svg") and "cone-neg-simples" in text
 
 
-def test_oracle_command():
-    proc = run_cli("oracle", "--type", "A1(1)", "--depth", "4",
-                   "--check", "thm12,thm13,conj14", "--json")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+def test_oracle_command(aproots):
+    code, out, _ = aproots("oracle", "--type", "A1(1)", "--depth", "4",
+                           "--check", "thm12,thm13,conj14", "--json")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["thm12"]["ok"] and payload["thm13"]["ok"]
     assert payload["conj14"]["mismatches"] == []
 
 
-def test_cartan_json_input(tmp_path):
+def test_cartan_json_input(tmp_path, aproots):
     src = tmp_path / "cartan.json"
     src.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]], "aff": 2}))
-    proc = run_cli("roots", "--cartan-json", str(src), "--level", "0")
-    assert proc.returncode == 0
-    assert "1,0" in proc.stdout
+    code, out, _ = aproots("roots", "--cartan-json", str(src), "--level", "0")
+    assert code == 0
+    assert "1,0" in out
 
 
-def test_malformed_cartan_json_exits_with_one_line(tmp_path):
+def test_malformed_cartan_json_exits_with_one_line(tmp_path, aproots):
     contents = {
         "not_json.json": "cartan: [[2, -2], [-2, 2]]",
         "no_key.json": json.dumps({"matrix": [[2, -2], [-2, 2]]}),
@@ -218,14 +268,14 @@ def test_malformed_cartan_json_exits_with_one_line(tmp_path):
         path = str(tmp_path / name)
         for args in (("classify", "--cartan-json", path),
                      ("roots", "--cartan-json", path, "--level", "0")):
-            proc = run_cli(*args)
-            assert proc.returncode == 1, args
-            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, args
+            code, _, err = aproots(*args)
+            assert code == 1, args
+            assert err.startswith("error: ") and err.count("\n") == 1, args
             if name.startswith("aff_range_"):
-                assert "out of range 1..3" in proc.stderr, (args, proc.stderr)
+                assert "out of range 1..3" in err, (args, err)
 
 
-def test_verify_subset():
-    proc = run_cli("verify", "--criteria", "worked-example")
-    assert proc.returncode == 0
-    assert "PASS" in proc.stdout and "checks passed" in proc.stdout
+def test_verify_subset(aproots):
+    code, out, _ = aproots("verify", "--criteria", "worked-example")
+    assert code == 0
+    assert "PASS" in out and "checks passed" in out

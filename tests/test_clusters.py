@@ -1,8 +1,6 @@
 """Clusters, exchange, enumeration, the weight map, face intersections."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,12 +32,7 @@ from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import cross, det, in_simplicial_cone, vec
 
-from strategies import FrozensetArcs, coxeter_contexts
-
-
-def cc_for(label, word=None):
-    ctx, default = context_from_label(label)
-    return CoxeterContext(ctx, word or default)
+from strategies import FrozensetArcs, cc_for, coxeter_contexts, run_here, run_python_O
 
 
 def neg_pi(n):
@@ -437,24 +430,28 @@ def test_rank3_face_test_false_verdicts():
         assert reference_face_test(c1, c2) is ok
 
 
+# `python -O` strips asserts; the rank guard must still raise
+RANK_4_FACE_TEST = """
+    from aproots.cartan import context_from_label
+    from aproots.clusters import cones_intersect_in_face, enumerate_clusters
+    from aproots.coxeter import CoxeterContext
+    from aproots.errors import RankOutOfRange
+    ctx, word = context_from_label('A3(1):k=1')
+    cc = CoxeterContext(ctx, word)
+    c1, c2 = sorted(enumerate_clusters(cc, 2)[0])[:2]
+    try:
+        cones_intersect_in_face(cc, c1, c2)
+    except RankOutOfRange:
+        print('raised')
+"""
+
+
+def test_face_intersection_rejects_rank_4_in_process():
+    assert run_here(RANK_4_FACE_TEST) == "raised\n"
+
+
 def test_face_intersection_rejects_rank_4_under_python_O():
-    # `python -O` strips asserts; the rank guard must still raise
-    code = "\n".join([
-        "from aproots.cartan import context_from_label",
-        "from aproots.clusters import cones_intersect_in_face, enumerate_clusters",
-        "from aproots.coxeter import CoxeterContext",
-        "from aproots.errors import RankOutOfRange",
-        "ctx, word = context_from_label('A3(1):k=1')",
-        "cc = CoxeterContext(ctx, word)",
-        "c1, c2 = sorted(enumerate_clusters(cc, 2)[0])[:2]",
-        "try:",
-        "    cones_intersect_in_face(cc, c1, c2)",
-        "except RankOutOfRange:",
-        "    print('raised')",
-    ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
+    assert run_python_O(RANK_4_FACE_TEST) == "raised\n"
 
 
 def test_rescaled_pair_has_matching_fans():

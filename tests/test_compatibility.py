@@ -16,12 +16,7 @@ from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInT
 from aproots.linalg import vec
 from aproots.roots import roots_up_to_level
 
-from strategies import FrozensetArcs, coxeter_contexts, euler, outcome
-
-
-def cc_for(label, word=None):
-    ctx, default = context_from_label(label)
-    return CoxeterContext(ctx, word or default)
+from strategies import FrozensetArcs, cc_for, coxeter_contexts, euler, outcome
 
 
 def pool_for(cc, level=2):

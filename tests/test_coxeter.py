@@ -27,6 +27,7 @@ from aproots.roots import roots_up_to_level
 
 from strategies import (
     DenseWordOrder,
+    cc_for,
     coxeter_contexts,
     euler,
     euler_roots,
@@ -36,11 +37,6 @@ from strategies import (
     solved_phi,
     word_sources,
 )
-
-
-def cc_for(label, word=None):
-    ctx, default = context_from_label(label)
-    return CoxeterContext(ctx, word or default)
 
 
 def rand_vec(rng, n):

@@ -32,12 +32,7 @@ from aproots.linalg import (
     vec,
 )
 
-from strategies import coxeter_contexts, integer_kernel_basis, word_sources
-
-
-def cc_for(label, word=None):
-    ctx, default = context_from_label(label)
-    return CoxeterContext(ctx, word or default)
+from strategies import cc_for, coxeter_contexts, integer_kernel_basis, word_sources
 
 
 def test_zero_and_delta():

@@ -4,16 +4,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from aproots.cartan import context_from_label
 from aproots.clusters import enumerate_clusters
-from aproots.coxeter import CoxeterContext
 from aproots.errors import RankNot3
 from aproots.fan_svg import project_direction, render_fan_svg
 
-
-def cc_for(label):
-    ctx, word = context_from_label(label)
-    return CoxeterContext(ctx, word)
+from strategies import cc_for
 
 
 def test_rank_guard():

@@ -1,12 +1,7 @@
 """Seed mutation, Laurent arithmetic, and the oracle's invariants."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +22,8 @@ from aproots.mutation import (
     poly_mul,
     seed_bfs,
 )
+
+from strategies import run_here, run_python_O
 
 
 def packed(p):
@@ -398,41 +395,53 @@ def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
     assert "raised" in outcomes and "same" in outcomes
 
 
+# each step stops at an explicit guard, which `python -O` keeps; the last
+# narrows FIELD_BITS
+GUARDS = """
+    import aproots.mutation as m
+    from aproots.errors import DepthTooDeep, NonExactDivision, NotSignCoherent
+
+    print(__debug__)
+    x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
+    y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
+    try:
+        m.poly_div_exact(x_plus_1, y_plus_3, 2,
+                         ((0, 0), (1, 0)), ((0, 0), (0, 1)))
+    except NonExactDivision:
+        print("NonExactDivision")
+    seed = m.Seed.initial(((0, 2), (-2, 0)))
+    seed.btilde = ((0, 2), (-2, 0), (1, 0), (-1, 1))
+    try:
+        seed.mutate(0)
+    except NotSignCoherent:
+        print("NotSignCoherent")
+    m.FIELD_BITS = 4
+    try:
+        m.seed_bfs(((0, 2), (-2, 0)), 8)
+    except DepthTooDeep:
+        print("DepthTooDeep")
+"""
+GUARD_ERRORS = ["NonExactDivision", "NotSignCoherent", "DepthTooDeep"]
+
+
+def test_guards_raise_in_process(monkeypatch):
+    monkeypatch.setattr(mutation, "FIELD_BITS", mutation.FIELD_BITS)   # restored afterwards
+    assert run_here(GUARDS).split() == ["True", *GUARD_ERRORS]
+
+
 def test_guards_hold_under_python_O():
-    script = textwrap.dedent("""
-        import aproots.mutation as m
-        from aproots.errors import DepthTooDeep, NonExactDivision
+    assert run_python_O(GUARDS).split() == ["False", *GUARD_ERRORS]
 
-        from aproots.errors import NotSignCoherent
 
-        print(__debug__)
-        x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
-        y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
-        try:
-            m.poly_div_exact(x_plus_1, y_plus_3, 2,
-                             ((0, 0), (1, 0)), ((0, 0), (0, 1)))
-        except NonExactDivision:
-            print("NonExactDivision")
-        seed = m.Seed.initial(((0, 2), (-2, 0)))
-        seed.btilde = ((0, 2), (-2, 0), (1, 0), (-1, 1))
-        try:
-            seed.mutate(0)
-        except NotSignCoherent:
-            print("NotSignCoherent")
-        m.FIELD_BITS = 4
-        try:
-            m.seed_bfs(((0, 2), (-2, 0)), 8)
-        except DepthTooDeep:
-            print("DepthTooDeep")
-    """)
-    src = str(Path(mutation.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "NonExactDivision", "NotSignCoherent",
-                                  "DepthTooDeep"]
+def test_poly_div_exact_guards():
+    x_plus_1 = packed({(1, 0): 1, (0, 0): 1})
+    box = ((0, 0), (1, 0))
+    with pytest.raises(NonExactDivision):
+        poly_div_exact(x_plus_1, {}, 2, box, ((0, 0), (0, 0)))
+    assert poly_div_exact({}, x_plus_1, 2, ((0, 0), (0, 0)), box) == {}
+    # exponent ranges at the field limit could overflow a field of the quotient
+    with pytest.raises(DepthTooDeep):
+        poly_div_exact(x_plus_1, x_plus_1, 2, ((0, 0), (mutation._limit(), 0)), box)
 
 
 def test_homogeneity_everywhere():

@@ -15,10 +15,7 @@ from aproots.oracle_bridge import (
 )
 from aproots.verification import RANK3_LABELS
 
-
-def cc_for(label):
-    ctx, word = context_from_label(label)
-    return CoxeterContext(ctx, word)
+from strategies import cc_for
 
 
 @pytest.mark.parametrize("label", ["C3(1)", "B3(1)", "A5(2)", "A6(2)", "D4(2)"])

@@ -1,10 +1,6 @@
 """Root enumeration, reflections, coroots, and package-wide source checks."""
 
 import ast
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +9,7 @@ from aproots import roots
 from aproots.cartan import context_from_label
 from aproots.roots import roots_up_to_level
 
-from strategies import finite_positive_roots
+from strategies import finite_positive_roots, run_here, run_python_O
 
 
 def test_simple_reflection_examples():
@@ -77,40 +73,41 @@ def test_sign_dichotomy_and_coroot_duality():
             assert tuple(back) == tuple(root)
 
 
-def test_root_guards_hold_under_python_O():
-    script = textwrap.dedent("""
-        from aproots.almost_positive import enumerate_phi_c
-        from aproots.cartan import context_from_label
-        from aproots.coxeter import CoxeterContext
-        from aproots.errors import NegativeBound, NotAffine, NotARoot, NotInImaginaryCone
-        from aproots.expansion import imaginary_expansion
-        from aproots.linalg import primitive_integer_vector
-        from aproots.roots import roots_up_to_level
+# each call stops at an explicit guard, which `python -O` keeps
+ROOT_GUARDS = """
+    from aproots.almost_positive import enumerate_phi_c
+    from aproots.cartan import context_from_label
+    from aproots.coxeter import CoxeterContext
+    from aproots.errors import NegativeBound, NotAffine, NotARoot, NotInImaginaryCone
+    from aproots.expansion import imaginary_expansion
+    from aproots.linalg import primitive_integer_vector
+    from aproots.roots import roots_up_to_level
 
-        print(__debug__)
-        ctx, word = context_from_label("D3(2)")
-        cc = CoxeterContext(ctx, word)
-        for call in (lambda: ctx.coroot_coords(ctx.delta),
-                     lambda: enumerate_phi_c(cc, -1),
-                     lambda: imaginary_expansion(cc, (1, -1, 1)),
-                     lambda: imaginary_expansion(cc, (1, 0, 0)),
-                     lambda: roots_up_to_level("D3(2)", 2),
-                     lambda: primitive_integer_vector((0, 0, 0))):
-            try:
-                call()
-            except (NotARoot, NegativeBound, NotInImaginaryCone, NotAffine,
-                    ValueError) as exc:
-                print(type(exc).__name__)
-    """)
-    src = str(Path(roots.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "NotARoot", "NegativeBound",
-                                  "NotInImaginaryCone", "NotInImaginaryCone", "NotAffine",
-                                  "ValueError"]
+    print(__debug__)
+    ctx, word = context_from_label("D3(2)")
+    cc = CoxeterContext(ctx, word)
+    for call in (lambda: ctx.coroot_coords(ctx.delta),
+                 lambda: enumerate_phi_c(cc, -1),
+                 lambda: imaginary_expansion(cc, (1, -1, 1)),
+                 lambda: imaginary_expansion(cc, (1, 0, 0)),
+                 lambda: roots_up_to_level("D3(2)", 2),
+                 lambda: primitive_integer_vector((0, 0, 0))):
+        try:
+            call()
+        except (NotARoot, NegativeBound, NotInImaginaryCone, NotAffine,
+                ValueError) as exc:
+            print(type(exc).__name__)
+"""
+ROOT_GUARD_ERRORS = ["NotARoot", "NegativeBound", "NotInImaginaryCone", "NotInImaginaryCone",
+                     "NotAffine", "ValueError"]
+
+
+def test_root_guards_raise_in_process():
+    assert run_here(ROOT_GUARDS).split() == ["True", *ROOT_GUARD_ERRORS]
+
+
+def test_root_guards_hold_under_python_O():
+    assert run_python_O(ROOT_GUARDS).split() == ["False", *ROOT_GUARD_ERRORS]
 
 
 def test_package_has_no_assert_statements():
