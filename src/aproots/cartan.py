@@ -1,16 +1,17 @@
 """Cartan matrices, symmetrizers, classification, and the affine type catalog.
 
 A Cartan matrix A is symmetrizable: there are positive rationals d_i with
-d_i·a_ij = d_j·a_ji.  The symmetric form K(α_i, α_j) = d_i·a_ij is encoded
-as a gram matrix; K(α_i^vee, α_j) = a_ij holds exactly by construction.
+d_i·a_ij = d_j·a_ji.  The symmetric form K(α_i, α_j) = d_i·a_ij is evaluated
+from A and d, never stored; K(α_i^vee, α_j) = a_ij holds exactly.
 
 Classification is exact and reads the kernel of A first: finite iff the
-kernel is trivial and K is positive definite; affine iff the kernel is
-one-dimensional and spanned by a vector delta with all entries positive.
-Such a kernel makes A indecomposable (each indecomposable block with a
-positive kernel vector adds a kernel dimension), and an indecomposable GCM
-with a positive kernel vector is affine (Kac, *Infinite Dimensional Lie
-Algebras*, Thm 4.3).  For affine matrices we compute the primitive
+kernel is trivial and K is positive definite (Sylvester's test reads A,
+whose leading principal minors are positive multiples of K's); affine iff
+the kernel is one-dimensional and spanned by a vector delta with all
+entries positive.  Such a kernel makes A indecomposable (each
+indecomposable block with a positive kernel vector adds a kernel
+dimension), and an indecomposable GCM with a positive kernel vector is
+affine (Kac, *Infinite Dimensional Lie Algebras*, Thm 4.3).  For affine matrices we compute the primitive
 positive imaginary root delta, a distinguished index `aff`, the root
 theta = delta - [delta:α_aff]·α_aff of the finite part, and the simple-coroot
 coordinates of the coroot-side imaginary root delta_vee, D·delta up to scale.
@@ -35,7 +36,7 @@ from .errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from .linalg import canon, format_vector, kernel_basis, mat, primitive_integer_vector, vec
+from .linalg import _ratio, canon, format_vector, kernel_basis, primitive_integer_vector, vec
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class CartanMatrix:
     n: int
     a: tuple            # integer entries, row tuples
     d: tuple            # symmetrizers, positive rationals with min = 1
-    gram: tuple         # K(α_i, α_j) = d_i·a_ij
     rows: tuple         # rows[i]: the (j, a_ij) with a_ij ≠ 0, diagonal included
 
     def k(self, v, w):
@@ -113,9 +113,8 @@ def validate_cartan(raw) -> CartanMatrix:
         low = min(d[j] for j in comp)
         for j in comp:
             d[j] = canon(d[j] / low)
-    gram = mat([[canon(d[i] * a[i][j]) for j in range(n)] for i in range(n)])
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
-    return CartanMatrix(n=n, a=a, d=vec(d), gram=gram, rows=rows)
+    return CartanMatrix(n=n, a=a, d=vec(d), rows=rows)
 
 
 def dual(cm: CartanMatrix) -> CartanMatrix:
@@ -138,11 +137,12 @@ class TypeClassification:
     delta_vee_coroot: tuple | None = None  # delta^vee in simple-coroot coordinates
 
 
-def _positive_definite(gram) -> bool:
-    """Sylvester's criterion: in one fraction-free elimination without row
-    swaps, the k-th pivot is the k-th leading principal minor, scaled."""
-    m = lcm(*(x.denominator for row in gram for x in row))
-    a = [[int(x * m) for x in row] for row in gram]
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion: whether every leading principal minor of the
+    rational matrix m is positive.  In one fraction-free elimination without
+    row swaps, the k-th pivot is the k-th leading principal minor, scaled."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    a = [[int(x * scale) for x in row] for row in m]
     d = 1
     for k, top in enumerate(a):
         if top[k] <= 0:
@@ -177,12 +177,12 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
     n = cm.n
     if aff is not None and not 0 <= aff < n:
         raise IndexOutOfRange(f"affine node {aff + 1} out of range 1..{n}")
-    # K = D·A with D positive diagonal, so a singular A is never finite and
-    # Sylvester's test runs only on a trivial kernel
+    # K = D·A with D positive diagonal, so a singular A is never finite, and
+    # K's k-th leading principal minor is d_1···d_k times A's
     kernel = kernel_basis([list(r) for r in cm.a])
     if not kernel:
         return TypeClassification(
-            kind=Kind.FINITE if _positive_definite(cm.gram) else Kind.OTHER)
+            kind=Kind.FINITE if _positive_definite(cm.a) else Kind.OTHER)
     if len(kernel) != 1:
         return TypeClassification(kind=Kind.OTHER)
     # kernel_basis puts +1 at a free column, so an affine delta is positive
@@ -343,13 +343,12 @@ def catalog(label: str):
 class AffineContext:
     """A validated affine Cartan matrix with its classification data."""
 
-    def __init__(self, cm: CartanMatrix, aff: int | None = None, label: str | None = None):
+    def __init__(self, cm: CartanMatrix, aff: int | None = None):
         cls = classify(cm, aff=aff)
         if cls.kind is not Kind.AFFINE:
             raise NotAffine(f"matrix is of {cls.kind.value} type")
         self.cm = cm
         self.n = cm.n
-        self.label = label
         self.delta = cls.delta
         self.aff = cls.aff
         self.delta_vee_coroot = cls.delta_vee_coroot
@@ -372,11 +371,12 @@ class AffineContext:
         return self.cm.k(v, w)
 
     def coroot_coords(self, v):
-        """Simple-coroot coordinates of the coroot of a real root v."""
+        """Simple-coroot coordinates 2·d_i·v_i/K(v, v) of the coroot of a
+        real root v, each divided exactly: a Fraction only when it must be."""
         norm = self.k(v, v)
         if norm <= 0:
             raise NotARoot(f"{format_vector(v)} is not a real root, so it has no coroot")
-        return vec(Fraction(2) * di * x / norm for di, x in zip(self.cm.d, v))
+        return tuple(_ratio(2 * di * x, norm) for di, x in zip(self.cm.d, v))
 
     # -- bounded real-root enumeration --------------------------------------
 
@@ -430,4 +430,4 @@ class AffineContext:
 def context_from_label(label: str) -> tuple:
     """(AffineContext, canonical word) for a catalog label."""
     cm, aff, word = catalog(label)
-    return AffineContext(cm, aff=aff, label=label), word
+    return AffineContext(cm, aff=aff), word

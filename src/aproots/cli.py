@@ -4,7 +4,8 @@ Subcommands mirror the library: classify, roots, context, phic, compat,
 clusters, expand, exchange, fan-svg, oracle, verify.  Vectors are
 comma-separated rationals like "3/2,-1,0"; types are catalog labels like
 "D3(2)" or "A5(1):k=2", or a JSON file {"cartan": [[...]], "aff": 2}.
-Exit codes: 0 success, 1 domain error, 2 verification failure.
+Exit codes: 0 success, 1 domain error or malformed input (a usage error
+included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .cartan import AffineContext, Kind, catalog, classify, context_from_label, validate_cartan
+from .cartan import AffineContext, Kind, catalog, classify, validate_cartan
 from .coxeter import CoxeterContext, source_sink_counts
 from .errors import AprootsError, MalformedInput, NegativeBound
 from .linalg import format_rational, parse_rational
@@ -34,7 +35,8 @@ def _format_vector(v) -> str:
 
 
 def _read_cartan_json(path: str):
-    """The Cartan matrix and the 0-based affine index (or None) of a JSON file."""
+    """The Cartan matrix, the 0-based affine index (or None) and the node
+    order as the default word, of a JSON file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -49,7 +51,8 @@ def _read_cartan_json(path: str):
         raise MalformedInput(f"--cartan-json {path}: \"cartan\" must be a list of integer rows")
     if aff is not None and type(aff) is not int:
         raise MalformedInput(f"--cartan-json {path}: \"aff\" must be an integer node number")
-    return validate_cartan(raw), None if aff is None else aff - 1
+    cm = validate_cartan(raw)
+    return cm, None if aff is None else aff - 1, tuple(range(cm.n))
 
 
 def _label(args) -> str:
@@ -60,11 +63,16 @@ def _label(args) -> str:
     return args.type
 
 
-def _load_context(args):
+def _load_matrix(args):
+    """(CartanMatrix, 0-based affine index or None, default word)."""
     if args.cartan_json is not None:
-        cm, aff = _read_cartan_json(args.cartan_json)
-        return AffineContext(cm, aff=aff), tuple(range(cm.n))
-    return context_from_label(_label(args))
+        return _read_cartan_json(args.cartan_json)
+    return catalog(_label(args))
+
+
+def _load_context(args):
+    cm, aff, word = _load_matrix(args)
+    return AffineContext(cm, aff=aff), word
 
 
 def _word(args, default):
@@ -94,10 +102,7 @@ def _matrix_json(m):
 
 
 def cmd_classify(args):
-    if args.cartan_json is not None:
-        cm, aff = _read_cartan_json(args.cartan_json)
-    else:
-        cm, aff, _ = catalog(_label(args))
+    cm, aff, _ = _load_matrix(args)
     cls = classify(cm, aff=aff)
     payload = {"kind": cls.kind.value, "d": [format_rational(x) for x in cm.d]}
     lines = [f"kind: {cls.kind.value}", f"symmetrizers: {_format_vector(cm.d)}"]
@@ -320,8 +325,16 @@ def cmd_verify(args):
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise MalformedInput, so they
+    exit 1 with one line like every other malformed input."""
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aproots",
         description="Exact affine almost-positive-roots model: compatibility "
         "degrees, cluster fans, and a seed-mutation oracle.",
@@ -398,9 +411,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("level", "m_bound", "depth"):
             if getattr(args, name, 0) < 0:
                 raise NegativeBound(f"--{name.replace('_', '-')} must be at least 0")

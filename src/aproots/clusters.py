@@ -284,10 +284,6 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
     return True
 
 
-def real_cluster_determinant(cl) -> int:
-    return int(det([list(r) for r in cl]))
-
-
 def imaginary_cluster_spans_hyperplane_lattice(cc: CoxeterContext, cl) -> bool:
     """The n-1 roots of an imaginary cluster base the lattice of integer
     vectors on the hyperplane φ = 0.  For roots on it and the primitive

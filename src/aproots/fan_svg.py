@@ -21,6 +21,8 @@ _PALETTE = (
 )
 
 _CLIP = 40.0
+_SIZE = 720         # the picture's width and height in pixels
+_ARC_STEPS = 24     # chords per great-circle arc
 
 
 def _unit(v):
@@ -30,14 +32,6 @@ def _unit(v):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _scale(t, a):
-    return tuple(t * x for x in a)
 
 
 def _slerp(a, b, t):
@@ -60,7 +54,8 @@ class Projection:
         seed = (1.0, 0.0, 0.0)
         if abs(_dot(seed, self.pole)) > 0.9:
             seed = (0.0, 1.0, 0.0)
-        u1 = _unit(_sub(seed, _scale(_dot(seed, self.pole), self.pole)))
+        t = _dot(seed, self.pole)
+        u1 = _unit(tuple(x - t * p for x, p in zip(seed, self.pole)))
         u2 = cross(self.pole, u1)
         self.basis = (u1, u2)
 
@@ -77,8 +72,8 @@ class Projection:
         return (x, y)
 
 
-def _arc_points(a, b, steps=24):
-    return [_slerp(a, b, t / steps) for t in range(steps + 1)]
+def _arc_points(a, b):
+    return [_slerp(a, b, t / _ARC_STEPS) for t in range(_ARC_STEPS + 1)]
 
 
 def require_rank3(cc: CoxeterContext):
@@ -87,7 +82,7 @@ def require_rank3(cc: CoxeterContext):
         raise RankNot3(f"fan pictures need rank 3, got {cc.n}")
 
 
-def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
+def render_fan_svg(cc: CoxeterContext, clusters, pole=None):
     """SVG text for the cone fan of the given clusters (rank 3 only)."""
     require_rank3(cc)
     proj = Projection(pole if pole is not None else cc.ctx.delta)
@@ -127,16 +122,16 @@ def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
     finite = [abs(c) for pts, *_ in shapes for p in pts for c in p]
     reach = max(finite) if finite else 1.0
     reach = min(reach, 8.0)
-    scale = (size / 2 - 20) / reach
-    half = size / 2
+    scale = (_SIZE / 2 - 20) / reach
+    half = _SIZE / 2
 
     def to_px(p):
         return (half + scale * p[0], half - scale * p[1])
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}" data-scale="{scale:.6f}" data-half="{half}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}" data-scale="{scale:.6f}" data-half="{half}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     for pts, cluster, is_neg, imaginary in shapes:
         path = " ".join(
@@ -163,8 +158,8 @@ def render_fan_svg(cc: CoxeterContext, clusters, pole=None, size=720):
     return "\n".join(lines)
 
 
-def project_direction(cc: CoxeterContext, v, pole=None):
-    """Chart coordinates of a direction; exposed for structural checks."""
+def project_direction(cc: CoxeterContext, v):
+    """Chart coordinates of a direction in the chart with delta at infinity;
+    exposed for structural checks."""
     require_rank3(cc)
-    proj = Projection(pole if pole is not None else cc.ctx.delta)
-    return proj.project(v)
+    return Projection(cc.ctx.delta).project(v)

@@ -73,16 +73,12 @@ def cross(a, b) -> tuple:
     )
 
 
-def mat(rows) -> tuple:
-    return tuple(vec(r) for r in rows)
-
-
 def mat_vec(m, v) -> tuple:
     return tuple(canon(sum(a * b for a, b in zip(row, v))) for row in m)
 
 
-def _ratio(x: int, d: int):
-    """x/d as a canonical rational: an int when d divides x."""
+def _ratio(x, d):
+    """x/d as a canonical rational: an int when the quotient is integral."""
     q, r = divmod(x, d)
     return q if r == 0 else Fraction(x, d)
 

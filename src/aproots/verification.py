@@ -29,12 +29,11 @@ from .clusters import (
     is_exchangeable,
     is_pair_exchangeable_with_delta,
     is_real_exchangeable,
-    real_cluster_determinant,
     single_root_delta_pair_test,
 )
 from .coxeter import CoxeterContext
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import in_simplicial_cone, inverse, mat_vec, primitive_integer_vector, vec
+from .linalg import det, in_simplicial_cone, inverse, mat_vec, primitive_integer_vector, vec
 from .oracle_bridge import conjecture_evidence, verify_bijection
 
 RANK2_LABELS = ("A1(1)", "A2(2)")
@@ -157,7 +156,7 @@ def criterion_table_regeneration():
 # criterion 3: degree axioms, exhaustively at level 3
 # ---------------------------------------------------------------------------
 
-def _axiom_failures(cc, level=3):
+def _axiom_failures(cc, level):
     pool = _level_pool(cc, level)
     n = cc.n
     failures = []
@@ -223,11 +222,11 @@ def _sample_vector(rng, cone, nterms):
     return vec(v), dict(zip(gens, coeffs))
 
 
-def criterion_expansion_oracle(labels=None, samples=500, depth=6, seed=20260810):
+def criterion_expansion_oracle(labels=None, samples=500, depth=6):
     labels = labels or (RANK2_LABELS + RANK3_LABELS)
     rows = []
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(20260810)
     for label in labels:
         cc = _cc(label)
         real, imag = enumerate_clusters(cc, depth)
@@ -267,8 +266,7 @@ def criterion_cluster_structure(labels=None, depth=5):
     for label in labels:
         cc = _cc(label)
         real, imag = enumerate_clusters(cc, depth)
-        ok_real = all(len(cl) == cc.n and abs(real_cluster_determinant(cl)) == 1
-                      for cl in real)
+        ok_real = all(len(cl) == cc.n and abs(det([list(r) for r in cl])) == 1 for cl in real)
         ok_imag = all(
             len(cl) == cc.n - 1 and cc.ctx.delta in cl
             and imaginary_cluster_spans_hyperplane_lattice(cc, cl)
@@ -287,12 +285,11 @@ def criterion_cluster_structure(labels=None, depth=5):
 # criterion 6: exchangeability over the depth-6 graph
 # ---------------------------------------------------------------------------
 
-def criterion_exchangeability(labels=None, depth=6):
-    labels = labels or RANK3_LABELS
+def criterion_exchangeability():
     rows = []
-    for label in labels:
+    for label in RANK3_LABELS:
         cc = _cc(label)
-        real, _ = enumerate_clusters(cc, depth)
+        real, _ = enumerate_clusters(cc, 6)
         pair_ok = True
         real_ok = True
         for cl in sorted(real):
@@ -376,13 +373,12 @@ def criterion_oracle_bridge(labels=None, depth=8):
 # criterion 9: conjecture evidence
 # ---------------------------------------------------------------------------
 
-def criterion_conjecture(labels=None, depth=4):
-    labels = labels or RANK3_LABELS
+def criterion_conjecture():
     rows = []
     t0 = time.perf_counter()
-    for label in labels:
+    for label in RANK3_LABELS:
         cc = _cc(label)
-        report = conjecture_evidence(cc, depth)
+        report = conjecture_evidence(cc, 4)
         rows.append(_row(
             f"conjecture evidence {label} ({report['comparisons']} comparisons)",
             True,
@@ -401,14 +397,13 @@ def criterion_conjecture(labels=None, depth=4):
 # criterion 10: fan geometry and the picture
 # ---------------------------------------------------------------------------
 
-def criterion_fan_geometry(labels=None, depth=4):
+def criterion_fan_geometry():
     from .fan_svg import project_direction, render_fan_svg
 
-    labels = labels or RANK3_LABELS
     rows = []
-    for label in labels:
+    for label in RANK3_LABELS:
         cc = _cc(label)
-        real, imag = enumerate_clusters(cc, depth)
+        real, imag = enumerate_clusters(cc, 4)
         cones = sorted(real) + sorted(imag)
         bad = 0
         for c1, c2 in combinations(cones, 2):

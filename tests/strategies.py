@@ -29,14 +29,16 @@ from aproots.linalg import (
 )
 from aproots.verification import RANK3_LABELS, RANK4_LABELS
 
-_affine = lru_cache(maxsize=None)(context_from_label)
+# (AffineContext, canonical word) of a catalog label, built once and shared:
+# an AffineContext is read-only after construction
+affine_for = lru_cache(maxsize=None)(context_from_label)
 
 
 def cc_for(label, word=None):
     """A fresh context of a catalog label, over the shared AffineContext
     (which holds no memo); the word defaults to the catalog order.  Fresh,
     so that no memo of an earlier test hides a fault a test plants."""
-    ctx, default = _affine(label)
+    ctx, default = affine_for(label)
     return CoxeterContext(ctx, word or default)
 
 
@@ -69,7 +71,7 @@ def run_here(script):
 
 @lru_cache(maxsize=None)
 def _coxeter_context(label, word):
-    return CoxeterContext(_affine(label)[0], word)
+    return CoxeterContext(affine_for(label)[0], word)
 
 
 @st.composite
@@ -81,7 +83,12 @@ def coxeter_contexts(draw):
     a cold context builds its own from `cc.ctx` and `cc.word`.
     """
     label = draw(st.sampled_from(RANK3_LABELS + RANK4_LABELS))
-    return _coxeter_context(label, tuple(draw(st.permutations(_affine(label)[1]))))
+    return _coxeter_context(label, tuple(draw(st.permutations(affine_for(label)[1]))))
+
+
+def gram(cm):
+    """The symmetric form K(α_i, α_j) = d_i·a_ij as a matrix of row tuples."""
+    return tuple(tuple(canon(di * x) for x in row) for di, row in zip(cm.d, cm.a))
 
 
 def euler(cc, u_coroot, w_root):
@@ -346,12 +353,12 @@ def solved_phi(cc):
     """(gamma_c, phi_c's functional, phi_c in weight coordinates) through a
     dense solve, as a reference for phi_c read off the Euler rows: gamma
     solved from A·gamma = E_c·delta with gamma_aff = 0 (E_c the dense Euler
-    matrix), the functional as gram·gamma, and the weight coordinates as
+    matrix), the functional as K·gamma, and the weight coordinates as
     the functional over the symmetrizers, scaled to a leading entry of ±1."""
     ctx, n = cc.ctx, cc.n
     rows = [list(row) for row in cc.cm.a] + [[int(j == ctx.aff) for j in range(n)]]
     gamma = solve_general(rows, list(mat_vec(DenseWordOrder(cc).E, ctx.delta)) + [0])
-    fun = mat_vec(cc.cm.gram, gamma)
+    fun = mat_vec(gram(cc.cm), gamma)
     weight = [Fraction(f) / Fraction(d) for f, d in zip(fun, cc.cm.d)]
     scale = abs(next(w for w in weight if w != 0))
     return gamma, fun, vec(w / scale for w in weight)

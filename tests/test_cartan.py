@@ -34,7 +34,7 @@ from aproots.errors import (
 )
 from aproots.roots import roots_up_to_level
 
-from strategies import finite_positive_roots, kernel_delta_vee_coroot
+from strategies import affine_for, finite_positive_roots, gram, kernel_delta_vee_coroot
 
 
 def brute_force_symmetrizers(a):
@@ -83,6 +83,18 @@ def test_validate_symmetrizers_match_brute_force():
 def test_validate_rejects_asymmetric_zero():
     with pytest.raises(NotSymmetrizable):
         validate_cartan([[2, -1], [0, 2]])
+
+
+def test_validate_rejects_inconsistent_symmetrizers_around_a_cycle():
+    # every pair of entries is symmetrizable, but the products around the
+    # 3-cycle disagree
+    with pytest.raises(NotSymmetrizable, match=r"inconsistent symmetrizer at a\[3\]\[2\]"):
+        validate_cartan([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+def test_affine_context_rejects_a_finite_matrix():
+    with pytest.raises(NotAffine, match="matrix is of finite type"):
+        AffineContext(validate_cartan([[2, -1], [-1, 2]]))
 
 
 def test_validate_rejects_bad_diagonal_and_positive_entries():
@@ -179,7 +191,7 @@ def test_catalog_types_classify_affine_with_consistent_form():
                 lhs = cm.k([1 if t == i else 0 for t in range(cm.n)],
                            [1 if t == j else 0 for t in range(cm.n)])
                 assert lhs == cm.d[i] * cm.a[i][j]
-        ctx = AffineContext(cm, aff=aff, label=label)
+        ctx = AffineContext(cm, aff=aff)
         assert all(x > 0 for x in ctx.delta)
 
 
@@ -239,9 +251,9 @@ def test_classify_tests_positive_definiteness_once(monkeypatch):
     # invertible matrix is tested for definiteness, once
     sizes = []
 
-    def counting(gram):
-        sizes.append(len(gram))
-        return _positive_definite(gram)
+    def counting(m):
+        sizes.append(len(m))
+        return _positive_definite(m)
 
     monkeypatch.setattr(cartan, "_positive_definite", counting)
     assert classify(cycle_matrix(30)).kind is Kind.AFFINE
@@ -260,12 +272,13 @@ def delta_vee(cm, cls):
 
 
 def gram_is_symmetric(cm):
-    return all(cm.gram[i][j] == cm.gram[j][i] for i in range(cm.n) for j in range(cm.n))
+    k = gram(cm)
+    return all(k[i][j] == k[j][i] for i in range(cm.n) for j in range(cm.n))
 
 
 def delta_vee_closed_form(cm, cls):
     """delta^vee = 2/K(α_aff, α_aff)·delta, halved when [delta:α_aff] = 2."""
-    factor = Fraction(2) / cm.gram[cls.aff][cls.aff]
+    factor = Fraction(2) / gram(cm)[cls.aff][cls.aff]
     if cls.delta[cls.aff] == 2:
         factor /= 2
     return linalg.vec(factor * x for x in cls.delta)
@@ -295,9 +308,9 @@ def reference_classify(cm):
     spanned by a positive vector, and each corank-1 principal submatrix is
     positive definite; the affine node by enumerating each parabolic root
     system, and delta^vee from the kernel of the transpose."""
-    n = cm.n
+    n, k = cm.n, gram(cm)
     other = Kind.OTHER, None, None, None, None
-    if _positive_definite(cm.gram):
+    if _positive_definite(k):
         return Kind.FINITE, None, None, None, None
     kernel = linalg.kernel_basis(cm.a)
     if len(kernel) != 1:
@@ -309,7 +322,7 @@ def reference_classify(cm):
         return other
     for i in range(n):
         keep = [j for j in range(n) if j != i]
-        if not _positive_definite(tuple(tuple(cm.gram[p][q] for q in keep) for p in keep)):
+        if not _positive_definite(tuple(tuple(k[p][q] for q in keep) for p in keep)):
             return other
     thetas = {i: tuple(0 if j == i else x for j, x in enumerate(delta)) for i in range(n)}
     valid = [i for i in range(n)
@@ -366,16 +379,16 @@ def test_large_cycle_classifies_without_enumerating_parabolics(monkeypatch):
 @given(st.lists(st.integers(-12, 12), min_size=25, max_size=25),
        st.integers(1, 5), st.integers(1, 3), st.integers(0, 6))
 def test_positive_definite_matches_leading_minors(entries, n, den, shift):
-    gram = linalg.mat([[Fraction(entries[5 * i + j] + entries[5 * j + i], den)
-                        + (shift if i == j else 0) for j in range(n)] for i in range(n)])
-    minors = [linalg.det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
-    assert _positive_definite(gram) == all(x > 0 for x in minors)
+    m = [[Fraction(entries[5 * i + j] + entries[5 * j + i], den) + (shift if i == j else 0)
+          for j in range(n)] for i in range(n)]
+    minors = [linalg.det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    assert _positive_definite(m) == all(x > 0 for x in minors)
 
 
 def test_form_invariance_under_reflections():
     rng = random.Random(7)
     for label in ("A1(1)", "D3(2)", "G2(1)", "C3(1)", "A2(2)"):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         n = ctx.n
         for _ in range(100):
             v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
@@ -386,7 +399,7 @@ def test_form_invariance_under_reflections():
 
 def test_delta_matches_kernel_for_all_catalog_types():
     for label in catalog_labels(7):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         n = ctx.n
         for i in range(n):
             assert ctx.cm.pairing(i, ctx.delta) == 0, label
@@ -422,7 +435,7 @@ def reference_is_real_root(ctx, positive, level, v):
 def test_real_root_window_agrees_with_the_level_search():
     rng = random.Random(11)
     for label in catalog_labels(6):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         n = ctx.n
         assert ctx.period == int(label.split("(")[1][0]), label
         positive = reference_positive_roots(ctx, 8)

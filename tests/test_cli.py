@@ -154,6 +154,9 @@ def test_domain_error_exit_code():
 
 
 def test_malformed_input_exits_with_one_line(tmp_path, aproots):
+    cycle, finite = tmp_path / "cycle.json", tmp_path / "finite.json"
+    cycle.write_text(json.dumps({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}))
+    finite.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}))
     cases = [(args, "") for args in (
         ("expand", "--type", "D3(2)", "--vector", "1,2"),
         ("expand", "--type", "D3(2)", "--vector", "1/0,1,1"),
@@ -204,12 +207,29 @@ def test_malformed_input_exits_with_one_line(tmp_path, aproots):
         # neither a type nor a matrix
         (("classify",), "error: pass --type LABEL or --cartan-json FILE\n"),
         (("roots",), "error: pass --type LABEL or --cartan-json FILE\n"),
+        # a matrix that validation or the context rejects
+        (("classify", "--cartan-json", str(cycle)),
+         "error: inconsistent symmetrizer at a[3][2]\n"),
+        (("roots", "--cartan-json", str(finite)), "error: matrix is of finite type\n"),
+        # usage errors are malformed input too, not a failed verification
+        ((), "error: the following arguments are required: command\n"),
+        (("expand", "--type", "A1(1)"),
+         "error: the following arguments are required: --vector\n"),
+        (("classify", "--type", "A1(1)", "--frob"), "error: unrecognized arguments: --frob\n"),
+        (("roots", "--type", "A1(1)", "--level", "x"),
+         "error: argument --level: invalid int value: 'x'\n"),
+        # a negative vector after a space reads as an option
+        (("expand", "--type", "A1(1)", "--vector", "-1,0"),
+         "error: argument --vector: expected one argument\n"),
     ]
     for args, reason in cases:
         code, _, err = aproots(*args)
         assert code == 1, args
         assert err.startswith("error: ") and err.count("\n") == 1, args
         assert reason in err, (args, err)
+    with pytest.raises(SystemExit) as help_exit:
+        aproots("--help")
+    assert help_exit.value.code == 0
 
 
 def test_verification_failure_exit_code_is_distinct(aproots):

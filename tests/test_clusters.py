@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import catalog_labels, context_from_label
+from aproots.cartan import catalog_labels
 from aproots.clusters import (
     IMAGINARY,
     REAL,
@@ -32,7 +32,7 @@ from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import cross, det, in_simplicial_cone, vec
 
-from strategies import FrozensetArcs, cc_for, coxeter_contexts, run_here, run_python_O
+from strategies import FrozensetArcs, affine_for, cc_for, coxeter_contexts, run_here, run_python_O
 
 
 def neg_pi(n):
@@ -69,7 +69,7 @@ def test_only_tube_roots_have_degree_zero_with_delta_both_ways():
     # and tube roots
     rng = random.Random(53)
     for label in catalog_labels(6):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, tuple(rng.sample(word, len(word)))):
             cc = CoxeterContext(ctx, w)
             pool = set(ctx.positive_real_roots(2)) | {
@@ -165,7 +165,7 @@ def test_imaginary_cluster_counts_match_cyclohedron_facets():
 def test_component_facets_match_the_search_reference():
     rng = random.Random(19)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, tuple(rng.sample(word, len(word)))):
             cc = CoxeterContext(ctx, w)
             ref = FrozensetArcs(cc)
@@ -357,7 +357,7 @@ def test_rank2_fans_meet_in_faces():
     from itertools import combinations
 
     for label in ("A1(1)", "A2(2)"):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, word[::-1]):
             cc = CoxeterContext(ctx, w)
             real, imag = enumerate_clusters(cc, 6)

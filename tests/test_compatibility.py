@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from aproots import almost_positive as ap
 from aproots import compatibility as compat
-from aproots.cartan import AffineContext, catalog_labels, context_from_label, validate_cartan
+from aproots.cartan import AffineContext, catalog_labels, validate_cartan
 from aproots.coxeter import TUBE, CoxeterContext
 from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInTube
 from aproots.linalg import vec
 from aproots.roots import roots_up_to_level
 
-from strategies import FrozensetArcs, cc_for, coxeter_contexts, euler, outcome
+from strategies import FrozensetArcs, affine_for, cc_for, coxeter_contexts, euler, gram, outcome
 
 
 def pool_for(cc, level=2):
@@ -81,7 +81,7 @@ def test_tube_support_and_errors():
 
 def test_tube_table_arcs_are_proper_and_sum_to_their_roots():
     for label in catalog_labels(6):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, tuple(word)[::-1]):
             cc = CoxeterContext(ctx, w)
             assert cc.arc_roots == {arc: root for root, arc in cc.tube_arcs.items()}
@@ -122,7 +122,7 @@ def _assert_arc_rules_match_reference(cc):
 def test_arc_rules_match_the_frozenset_reference_over_the_catalog():
     rng = random.Random(19)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, tuple(rng.sample(word, len(word)))):
             cc = CoxeterContext(ctx, w)
             _assert_arc_rules_match_reference(cc)
@@ -343,8 +343,8 @@ def _finite_degree(cm, word, alpha, beta):
     # coroot coordinates inside the parabolic: same formula as ambient
     from aproots.linalg import canon
 
-    gram = cm.gram
-    kaa = canon(sum(alpha[i] * sum(gram[i][j] * alpha[j] for j in active)
+    k = gram(cm)
+    kaa = canon(sum(alpha[i] * sum(k[i][j] * alpha[j] for j in active)
                     for i in active))
     neg = [i for i, x in enumerate(alpha) if x == -1]
     if all(x == 0 for i, x in enumerate(alpha) if i not in neg) and len(neg) == 1:
@@ -397,10 +397,11 @@ def test_rescaling_law(label1, label2, mu):
     # the two gram forms agree on the common ambient space up to one global
     # scalar, which is the consistency requirement for a rescaling pair
     s = None
+    k1, k2 = gram(cc1.cm), gram(cc2.cm)
     for i in range(cc1.n):
         for j in range(cc1.n):
-            lhs = Fraction(mu[i]) * mu[j] * cc1.cm.gram[i][j]
-            rhs = cc2.cm.gram[i][j]
+            lhs = Fraction(mu[i]) * mu[j] * k1[i][j]
+            rhs = k2[i][j]
             if lhs:
                 ratio = Fraction(rhs) / lhs
                 assert s is None or s == ratio

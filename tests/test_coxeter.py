@@ -27,6 +27,7 @@ from aproots.roots import roots_up_to_level
 
 from strategies import (
     DenseWordOrder,
+    affine_for,
     cc_for,
     coxeter_contexts,
     euler,
@@ -274,7 +275,7 @@ def test_orbit_classification():
 def test_tube_orbit_powers_reach_their_representative():
     rng = random.Random(53)
     for label in catalog_labels(6):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, tuple(rng.sample(word, len(word)))):
             cc = CoxeterContext(ctx, w)
             for tube in cc.tube_roots():
@@ -386,7 +387,7 @@ def test_source_sink_move_rejects_a_middle_letter():
 
 
 def test_coxeter_words_validate():
-    ctx, _ = context_from_label("D3(2)")
+    ctx, _ = affine_for("D3(2)")
     with pytest.raises(Exception):
         CoxeterContext(ctx, (0, 0, 1))
     alt = CoxeterContext(ctx, (2, 1, 0))
@@ -425,10 +426,10 @@ def phi_zero_simples(cc):
             if not any(tuple(a - b for a, b in zip(r, s)) in ups for s in ups if s != r)}
 
 
-def assert_construction_invariants(cc):
-    """The invariants the context construction relies on but does not check."""
+def assert_construction_invariants(cc, where):
+    """The invariants the context construction relies on but does not check;
+    `where` names the context in a failure."""
     ctx, n = cc.ctx, cc.n
-    where = (ctx.label, cc.word)
     assert (action_matrix(cc.c_action, n) == reflection_product(cc.cm, cc.word)
             == DenseWordOrder(cc).coxeter()), where
     assert cc.c_action(ctx.delta) == ctx.delta, where
@@ -454,25 +455,24 @@ def assert_construction_invariants(cc):
 def test_construction_invariants_on_every_catalog_type():
     rng = random.Random(41)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         shuffled = list(word)
         rng.shuffle(shuffled)
         for w in (word, word[::-1], tuple(shuffled)):
-            assert_construction_invariants(CoxeterContext(ctx, w))
+            assert_construction_invariants(CoxeterContext(ctx, w), (label, w))
 
 
 @settings(max_examples=60, deadline=None)
 @given(coxeter_contexts())
 def test_construction_invariants_over_random_coxeter_words(cc):
-    assert_construction_invariants(cc)
+    assert_construction_invariants(cc, (cc.cm.a, cc.word))
 
 
-def assert_word_order_readers_match_the_dense_reference(cc, rng):
+def assert_word_order_readers_match_the_dense_reference(cc, rng, where):
     """Everything read off `lower` and `upper`, and the reflection walks,
     against the readers built from the positions of the letters; values are
     compared with their types (an int is not a Fraction)."""
     ref = DenseWordOrder(cc)
-    where = (cc.ctx.label, cc.word)
     assert unitriangular(cc.lower) == ref.E, where
     assert unitriangular(cc.upper) == ref.E_inverse_word, where
     c, c_inverse = ref.coxeter(), ref.coxeter(inverse_element=True)
@@ -504,37 +504,37 @@ def assert_word_order_readers_match_the_dense_reference(cc, rng):
 def test_word_order_readers_match_the_dense_reference_over_the_catalog():
     rng = random.Random(53)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, word[::-1], tuple(rng.sample(word, len(word)))):
-            assert_word_order_readers_match_the_dense_reference(CoxeterContext(ctx, w), rng)
+            assert_word_order_readers_match_the_dense_reference(
+                CoxeterContext(ctx, w), rng, (label, w))
 
 
 @settings(max_examples=60, deadline=None)
 @given(coxeter_contexts(), st.randoms(use_true_random=False))
 def test_word_order_readers_match_the_dense_reference_over_random_words(cc, rng):
-    assert_word_order_readers_match_the_dense_reference(cc, rng)
+    assert_word_order_readers_match_the_dense_reference(cc, rng, (cc.cm.a, cc.word))
 
 
-def assert_matches_the_solved_reference(cc):
+def assert_matches_the_solved_reference(cc, where):
     """gamma, phi_c and delta^vee against the dense solve and the kernel of
     the transpose, compared by repr so that entry types count."""
-    where = (cc.ctx.label, cc.word)
     assert repr((cc.gamma(), cc._phi_fun, cc.phi_weight)) == repr(solved_phi(cc)), where
     assert repr(cc.ctx.delta_vee_coroot) == repr(kernel_delta_vee_coroot(cc.cm)), where
 
 
 def test_phi_and_delta_vee_match_the_solved_reference_over_the_catalog():
     for label in catalog_labels(12):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         rng = random.Random(label)
         for w in (word, tuple(rng.sample(word, len(word))), tuple(rng.sample(word, len(word)))):
-            assert_matches_the_solved_reference(CoxeterContext(ctx, w))
+            assert_matches_the_solved_reference(CoxeterContext(ctx, w), (label, w))
 
 
 @settings(max_examples=60, deadline=None)
 @given(coxeter_contexts())
 def test_phi_and_delta_vee_match_the_solved_reference_over_random_words(cc):
-    assert_matches_the_solved_reference(cc)
+    assert_matches_the_solved_reference(cc, (cc.cm.a, cc.word))
 
 
 def test_catalog_context_construction_runs_two_eliminations(monkeypatch):
@@ -586,7 +586,7 @@ def reference_omega(cc):
 def test_omega_reflects_in_int_arithmetic_like_the_fraction_reference():
     rng = random.Random(47)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in (word, word[::-1], tuple(rng.sample(word, len(word)))):
             cc = CoxeterContext(ctx, w)
             omega = reference_omega(cc)

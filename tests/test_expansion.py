@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import CartanMatrix, catalog_labels, context_from_label
+from aproots.cartan import CartanMatrix, catalog_labels
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext
@@ -32,7 +32,7 @@ from aproots.linalg import (
     vec,
 )
 
-from strategies import cc_for, coxeter_contexts, integer_kernel_basis, word_sources
+from strategies import affine_for, cc_for, coxeter_contexts, integer_kernel_basis, word_sources
 
 
 def test_zero_and_delta():
@@ -346,7 +346,7 @@ def test_cached_hyperplane_inverse_matches_a_fresh_solve():
     # the reference: a fresh solve over the basis {delta} ∪ fin-simples
     rng = random.Random(43)
     for label in catalog_labels(9):
-        ctx, word = context_from_label(label)
+        ctx, word = affine_for(label)
         for w in [word] + [tuple(rng.sample(word, len(word))) for _ in range(2)]:
             cc = CoxeterContext(ctx, w)
             rows, inv, den = cc.hyperplane_inverse

@@ -6,7 +6,7 @@ import pytest
 
 from aproots.clusters import enumerate_clusters
 from aproots.errors import RankNot3
-from aproots.fan_svg import project_direction, render_fan_svg
+from aproots.fan_svg import Projection, project_direction, render_fan_svg
 
 from strategies import cc_for
 
@@ -33,9 +33,9 @@ def test_pole_semantics():
     center = project_direction(cc, opposite)
     assert max(abs(x) for x in center) < 1e-12
     # flipping the pole swaps the roles
-    flipped = project_direction(cc, delta, pole=opposite)
+    flipped = Projection(opposite).project(delta)
     assert max(abs(x) for x in flipped) < 1e-12
-    assert project_direction(cc, opposite, pole=opposite) is None
+    assert Projection(opposite).project(opposite) is None
 
 
 def test_full_picture_structure():

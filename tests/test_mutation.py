@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aproots.mutation as mutation
-from aproots.cartan import catalog_labels, context_from_label
+from aproots.cartan import catalog_labels
 from aproots.coxeter import CoxeterContext
 from aproots.errors import DepthTooDeep, NonExactDivision, NotSignCoherent
 from aproots.mutation import (
@@ -23,7 +23,7 @@ from aproots.mutation import (
     seed_bfs,
 )
 
-from strategies import run_here, run_python_O
+from strategies import affine_for, run_here, run_python_O
 
 
 def packed(p):
@@ -176,7 +176,7 @@ def bfs_from(start, depth, skip_back=True):
 
 
 def b_for(label):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     return exchange_matrix_from_cartan(ctx.cm, word), ctx, word
 
 
@@ -361,7 +361,7 @@ def test_heap_division_matches_rescanning_reference(f, g, extra, c):
 
 @pytest.mark.parametrize("label", catalog_labels(3))
 def test_carried_ranges_equal_a_scan(label):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     for w in (word, tuple(reversed(word))):
         b = exchange_matrix_from_cartan(ctx.cm, w)
         reps, _ = seed_bfs(b, 7)
@@ -486,7 +486,7 @@ def assert_matches_principal(b, depth):
 
 @pytest.mark.parametrize("label", catalog_labels(3))
 def test_coefficient_free_seeds_match_principal_reference_in_every_word(label):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     for w in permutations(word):
         assert_matches_principal(exchange_matrix_from_cartan(ctx.cm, w), 6)
 
@@ -494,7 +494,7 @@ def test_coefficient_free_seeds_match_principal_reference_in_every_word(label):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(catalog_labels(4)), st.data())
 def test_coefficient_free_seeds_match_principal_reference_in_random_words(label, data):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     w = data.draw(st.permutations(word))
     assert_matches_principal(exchange_matrix_from_cartan(ctx.cm, w), 4)
 
@@ -503,7 +503,7 @@ def test_coefficient_free_seeds_match_principal_reference_in_random_words(label,
 def test_g_vectors_and_c_vectors_are_tropically_dual(label):
     # G^T D C = D, with D the symmetrizer, G's columns the g-vectors and C
     # the bottom half of btilde (Nakanishi and Zelevinsky 2012)
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     d = ctx.cm.d
     for w in permutations(word):
         reps, _ = seed_bfs(exchange_matrix_from_cartan(ctx.cm, w), 6)
@@ -567,7 +567,7 @@ def assert_bfs_matches_reference(b, depth):
 
 @pytest.mark.parametrize("label", catalog_labels(3))
 def test_bfs_without_back_mutations_matches_reference_in_every_word(label):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     for w in permutations(word):
         assert_bfs_matches_reference(exchange_matrix_from_cartan(ctx.cm, w), 5)
 

@@ -4,7 +4,6 @@ import pytest
 
 import aproots.compatibility as compat
 import aproots.oracle_bridge as oracle_bridge
-from aproots.cartan import context_from_label
 from aproots.clusters import REAL, is_cluster
 from aproots.coxeter import CoxeterContext
 from aproots.mutation import Seed, exchange_matrix_from_cartan, seed_bfs
@@ -15,7 +14,7 @@ from aproots.oracle_bridge import (
 )
 from aproots.verification import RANK3_LABELS
 
-from strategies import cc_for
+from strategies import affine_for, cc_for
 
 
 @pytest.mark.parametrize("label", ["C3(1)", "B3(1)", "A5(2)", "A6(2)", "D4(2)"])
@@ -125,7 +124,7 @@ def reference_conjecture_evidence(cc, depth):
 
 
 def catalog_and_reversed(label):
-    ctx, word = context_from_label(label)
+    ctx, word = affine_for(label)
     return [CoxeterContext(ctx, w) for w in (word, tuple(reversed(word)))]
 
 

@@ -6,14 +6,13 @@ from pathlib import Path
 
 import aproots
 from aproots import roots
-from aproots.cartan import context_from_label
 from aproots.roots import roots_up_to_level
 
-from strategies import finite_positive_roots, run_here, run_python_O
+from strategies import affine_for, finite_positive_roots, run_here, run_python_O
 
 
 def test_simple_reflection_examples():
-    ctx, _ = context_from_label("A1(1)")
+    ctx, _ = affine_for("A1(1)")
     assert ctx.cm.reflect(0, (1, 0)) == (-1, 0)
     assert ctx.cm.reflect(1, (1, 0)) == (1, 2)
     assert ctx.cm.reflect(0, ctx.delta) == ctx.delta
@@ -21,20 +20,20 @@ def test_simple_reflection_examples():
 
 
 def test_reflection_involution():
-    ctx, _ = context_from_label("D3(2)")
+    ctx, _ = affine_for("D3(2)")
     v = (Fraction(3, 2), -1, 4)
     for i in range(3):
         assert ctx.cm.reflect(i, ctx.cm.reflect(i, v)) == v
 
 
 def test_roots_level_zero_rank2():
-    ctx, _ = context_from_label("A1(1)")
+    ctx, _ = affine_for("A1(1)")
     out = roots_up_to_level(ctx, 0)
     assert set(out) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_roots_level_one_rank2():
-    ctx, _ = context_from_label("A1(1)")
+    ctx, _ = affine_for("A1(1)")
     out = set(roots_up_to_level(ctx, 1))
     assert ctx.delta in out
     assert (2, 1) in out           # alpha_1 + delta
@@ -46,7 +45,7 @@ def test_closure_invariant():
     # of the image is whatever |K(α_aff^vee, ·)| dictates, so the image is
     # located by its own level rather than a uniform margin
     for label in ("A1(1)", "D3(2)", "A4(2)", "A2(1):k=1"):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         for root in roots_up_to_level(ctx, 2):
             if not ctx.is_real_root(root):
                 continue
@@ -59,7 +58,7 @@ def test_closure_invariant():
 
 def test_sign_dichotomy_and_coroot_duality():
     for label in ("D3(2)", "C2(1)", "A2(2)"):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         for root in roots_up_to_level(ctx, 2):
             assert all(x >= 0 for x in root) or all(x <= 0 for x in root)
             if not ctx.is_real_root(root):
@@ -178,9 +177,36 @@ def test_every_public_definition_has_a_caller():
     assert uncalled == []
 
 
+def test_every_stored_attribute_has_a_reader():
+    # each `self.<attr>` the package assigns and each dataclass field is
+    # read as an attribute by package code (the CLI included) or by the
+    # benchmark; state that nothing reads is not stored
+    package = Path(roots.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    assert bench.is_dir()
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    stored = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"):
+                stored.append((fname, node.lineno, node.attr))
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                stored += [(fname, sub.lineno, sub.target.id) for sub in node.body
+                           if isinstance(sub, ast.AnnAssign)]
+    read = {node.attr
+            for tree in [*trees.values(),
+                         *(ast.parse(path.read_text()) for path in bench.glob("*.py"))]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert len(stored) > 50
+    assert [f"{fname}:{line} {attr}" for fname, line, attr in stored if attr not in read] == []
+
+
 def test_standard_types_are_delta_translates():
     for label in ("A2(1):k=1", "C2(1)", "G2(1)"):
-        ctx, _ = context_from_label(label)
+        ctx, _ = affine_for(label)
         fin = finite_positive_roots(ctx.cm, [j for j in range(ctx.n) if j != ctx.aff])
         fin_all = fin | {tuple(-x for x in r) for r in fin}
         for root in roots_up_to_level(ctx, 3):
