@@ -91,7 +91,7 @@ def _load_coxeter(args):
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        print(json.dumps(payload, sort_keys=True, default=str))
     else:
         for line in text_lines:
             print(line)
@@ -211,17 +211,16 @@ def cmd_clusters(args):
     from .clusters import enumerate_clusters
 
     cc = _load_coxeter(args)
-    real, imag = enumerate_clusters(cc, args.depth)
-    payload = {
-        "real": [[list(r) for r in cl] for cl in sorted(real)],
-        "imaginary": [[list(r) for r in cl] for cl in sorted(imag)],
-    }
-    text = {r: _format_vector(r) for r in {r for cl in real | imag for r in cl}}
+    real, imag = map(sorted, enumerate_clusters(cc, args.depth))
+    if args.json:   # only the form asked for: both are large at high rank
+        _emit(args, {"real": real, "imaginary": imag}, ())
+        return 0
+    text = {r: _format_vector(r) for r in {r for cl in real + imag for r in cl}}
     lines = [f"real clusters: {len(real)}"]
-    lines += ["  " + "; ".join(map(text.get, cl)) for cl in sorted(real)]
+    lines += ["  " + "; ".join(map(text.get, cl)) for cl in real]
     lines.append(f"imaginary clusters: {len(imag)}")
-    lines += ["  " + "; ".join(map(text.get, cl)) for cl in sorted(imag)]
-    _emit(args, payload, lines)
+    lines += ["  " + "; ".join(map(text.get, cl)) for cl in imag]
+    _emit(args, None, lines)
     return 0
 
 
@@ -397,7 +396,8 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="seed-mutation cross-checks")
     common(p)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=6,
+                   help="mutation depth; thm13 runs at most depth 5, conj14 at most 4")
     p.add_argument("--check", default="thm12,thm13",
                    help="comma list from thm12,thm13,conj14")
     p.set_defaults(func=cmd_oracle)

@@ -99,26 +99,19 @@ def exchange(cc: CoxeterContext, cluster, alpha):
         m *= 2
 
 
-def enumerate_clusters(cc: CoxeterContext, depth: int, start=None):
-    """Real clusters within `depth` exchanges of the start cluster (the
-    negative simples unless given), plus all imaginary clusters.  Returns
-    (real_set, imaginary_set)."""
-    if start is None:
-        start = tuple(sorted(ap.neg_simples(cc)))
-    else:
-        start = require_real_cluster(cc, start)
-    seen = {start}
-    frontier = [start]
+def real_clusters(cc: CoxeterContext, depth: int):
+    """The set of real clusters within `depth` exchanges of the negative simples."""
+    ball = frontier = {tuple(sorted(ap.neg_simples(cc)))}
     for _ in range(depth):
-        nxt = []
-        for cluster in frontier:
-            for alpha in cluster:
-                _, new = exchange(cc, cluster, alpha)
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return seen, imaginary_clusters(cc)
+        frontier = {exchange(cc, cluster, alpha)[1]
+                    for cluster in frontier for alpha in cluster} - ball
+        ball |= frontier
+    return ball
+
+
+def enumerate_clusters(cc: CoxeterContext, depth: int):
+    """(real_clusters(cc, depth), imaginary_clusters(cc))."""
+    return real_clusters(cc, depth), imaginary_clusters(cc)
 
 
 def _component_facets(cc, ci):

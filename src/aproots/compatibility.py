@@ -130,13 +130,14 @@ def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
 
 
 def degree(cc: CoxeterContext, alpha, beta):
-    """Bare degree value; memoized on the context."""
-    alpha, beta = vec(alpha), vec(beta)
+    """Bare degree value; memoized on the context under the roots as given,
+    since an int and its equal `Fraction` hash the same.  `cc.member`
+    canonicalizes them on a miss."""
     cache = cc.degree_cache
-    key = (alpha, beta)
+    key = (tuple(alpha), tuple(beta))
     hit = cache.get(key)
     if hit is None:
-        hit = compatibility_degree(cc, alpha, beta).degree
+        hit = compatibility_degree(cc, *key).degree
         cache[key] = hit
     return hit
 

@@ -11,7 +11,7 @@ vectors.
 from __future__ import annotations
 
 from . import compatibility as compat
-from .clusters import REAL, enumerate_clusters, is_cluster, nu
+from .clusters import REAL, is_cluster, nu, real_clusters
 from .coxeter import CoxeterContext
 from .mutation import Seed, exchange_matrix_from_cartan, seed_bfs
 
@@ -73,7 +73,7 @@ def exchange_graphs_agree(cc: CoxeterContext, depth: int) -> dict:
         key: tuple(sorted(seed.d_vector(s) for s in range(seed.n)))
         for key, seed in reps.items()
     }
-    model_clusters, _ = enumerate_clusters(cc, depth)
+    model_clusters = real_clusters(cc, depth)
     same_vertices = set(seed_clusters.values()) == set(model_clusters)
     edges_ok = True
     for pair in edges:

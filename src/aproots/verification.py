@@ -29,6 +29,7 @@ from .clusters import (
     is_exchangeable,
     is_pair_exchangeable_with_delta,
     is_real_exchangeable,
+    real_clusters,
     single_root_delta_pair_test,
 )
 from .coxeter import CoxeterContext
@@ -289,7 +290,7 @@ def criterion_exchangeability():
     rows = []
     for label in RANK3_LABELS:
         cc = _cc(label)
-        real, _ = enumerate_clusters(cc, 6)
+        real = real_clusters(cc, 6)
         pair_ok = True
         real_ok = True
         for cl in sorted(real):

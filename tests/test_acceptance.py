@@ -7,8 +7,16 @@ inside the criterion functions themselves.
 
 import pytest
 
-from aproots import compatibility
-from aproots.verification import CRITERIA, criterion_axioms, run_all, run_for_type
+from aproots import compatibility, oracle_bridge, verification
+from aproots.verification import (
+    CRITERIA,
+    RANK2_LABELS,
+    criterion_axioms,
+    criterion_exchangeability,
+    criterion_oracle_bridge,
+    run_all,
+    run_for_type,
+)
 
 ORDER = (
     "worked-example",
@@ -65,3 +73,41 @@ def test_axioms_report_a_planted_off_by_one_degree(monkeypatch):
     assert row["name"].startswith("degree axioms D3(2)") and not row["ok"], row
     assert "('base', 0, (0, 1, 0))" in row["detail"], row
     assert timing["ok"], timing
+
+
+def test_exchangeability_reports_a_planted_wrong_partner(monkeypatch):
+    exchange = verification.exchange
+    planted = []
+
+    def wrong_once(cc, cluster, alpha):
+        beta, new = exchange(cc, cluster, alpha)
+        if not planted:
+            # the first facet of the first label gets a root of the facet
+            # itself as its partner, which has degree 0 with alpha
+            planted.append(alpha)
+            beta = next(r for r in cluster if r != alpha)
+        return beta, new
+
+    monkeypatch.setattr(verification, "exchange", wrong_once)
+    rows = criterion_exchangeability()
+    assert planted
+    # the criterion has no timing row; every other row still passes
+    failed = [row["name"] for row in rows if not row["ok"]]
+    assert failed == ["exchanged pairs degree 1/1 A2(1):k=1 (38 clusters)"], failed
+
+
+def test_oracle_reports_a_planted_off_by_one_grading(monkeypatch):
+    nu = oracle_bridge.nu
+
+    def off_by_one(cc, d):
+        g = nu(cc, d)
+        return (g[0] + 1,) + g[1:] if d == (0, 1, 0) else g
+
+    monkeypatch.setattr(oracle_bridge, "nu", off_by_one)
+    *rows, timing = criterion_oracle_bridge()
+    failed = [row for row in rows if not row["ok"]]
+    assert failed, rows
+    for row in failed:
+        assert "('grading', (0, 1, 0), " in row["detail"], row
+    assert all(row["ok"] for row in rows if row["name"].split()[2] in RANK2_LABELS), rows
+    assert timing["name"] == "oracle bridge under 5 min" and timing["ok"], timing

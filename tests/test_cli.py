@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from aproots import cli, compatibility
+from aproots import cli, clusters, compatibility
 
 from strategies import run_python
 
@@ -261,6 +261,22 @@ def test_oracle_command(aproots):
     payload = json.loads(out)
     assert payload["thm12"]["ok"] and payload["thm13"]["ok"]
     assert payload["conj14"]["mismatches"] == []
+
+
+def test_oracle_on_the_rank_30_cycle_builds_no_imaginary_cluster(tmp_path, aproots, monkeypatch):
+    # thm13 compares real clusters only; this rank-30 cycle (A29(1)) has
+    # about 7.6e15 imaginary ones
+    def refuse(*_):
+        raise AssertionError("oracle built the imaginary clusters")
+
+    monkeypatch.setattr(clusters, "imaginary_clusters", refuse)
+    n = 30
+    src = tmp_path / "cycle.json"
+    src.write_text(json.dumps({"cartan": [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0
+                                           for j in range(n)] for i in range(n)]}))
+    code, out, _ = aproots("oracle", "--cartan-json", str(src), "--depth", "1")
+    assert code == 0
+    assert out == "thm12: ok\nthm13: ok\n"
 
 
 def test_cartan_json_input(tmp_path, aproots):

@@ -25,6 +25,7 @@ from aproots.clusters import (
     is_real_exchangeable,
     nu,
     nu_inverse,
+    real_clusters,
 )
 from aproots.compatibility import degree
 from aproots.coxeter import DELTA, TUBE, CoxeterContext
@@ -122,7 +123,7 @@ def test_exchange_basics():
 
 def test_exchange_is_involutive_across_graph():
     cc = cc_for("D3(2)")
-    real, _ = enumerate_clusters(cc, 3)
+    real = real_clusters(cc, 3)
     for cluster in sorted(real)[:12]:
         for alpha in cluster:
             result = exchange(cc, cluster, alpha)
@@ -136,7 +137,7 @@ def test_exchange_is_involutive_across_graph():
 @settings(max_examples=10, deadline=None)
 @given(coxeter_contexts())
 def test_exchange_over_random_coxeter_words(cc):
-    real, _ = enumerate_clusters(cc, 2)
+    real = real_clusters(cc, 2)
     for cluster in real:
         for alpha in cluster:
             beta, new = exchange(cc, cluster, alpha)
@@ -150,6 +151,14 @@ def test_enumerate_depth_zero():
     real, imag = enumerate_clusters(cc, 0)
     assert real == {neg_pi(3)}
     assert len(imag) == 2
+
+
+def test_enumerate_clusters_pairs_the_real_ball_with_the_imaginary_clusters():
+    for label in ("A1(1)", "D3(2)", "A3(1):k=2"):
+        cc = cc_for(label)
+        for depth in range(3):
+            assert enumerate_clusters(cc, depth) == (real_clusters(cc, depth),
+                                                     imaginary_clusters(cc)), (label, depth)
 
 
 def test_imaginary_cluster_counts_match_cyclohedron_facets():
@@ -180,12 +189,17 @@ def test_transport_by_moves_and_tau():
     # deformed rotation preserves clusters outright
     for label in ("D3(2)", "A4(2)"):
         cc = cc_for(label)
-        real, _ = enumerate_clusters(cc, 3)
+        real = real_clusters(cc, 3)
         s = cc.word[0]
         moved = cc.source_sink_move(s)
         center = tuple(sorted(cc.sigma(s, r)
                               for r in neg_pi(cc.n)))
-        moved_ball, _ = enumerate_clusters(moved, 3, start=center)
+        # the depth-3 ball around center in the moved exchange graph
+        moved_ball = frontier = {center}
+        for _ in range(3):
+            frontier = {exchange(moved, cluster, alpha)[1]
+                        for cluster in frontier for alpha in cluster} - moved_ball
+            moved_ball |= frontier
         image_ball = {tuple(sorted(cc.sigma(s, r) for r in cluster))
                       for cluster in real}
         assert image_ball == moved_ball
@@ -221,7 +235,7 @@ def test_every_real_cluster_rotates_to_contain_a_negative_simple():
     # which is how clusters reduce to finite parabolics
     for label in ("D3(2)", "A4(2)"):
         cc = cc_for(label)
-        real, _ = enumerate_clusters(cc, 4)
+        real = real_clusters(cc, 4)
         for cluster in real:
             found = False
             for direction in (cc.tau, cc.tau_inverse):
@@ -239,7 +253,7 @@ def test_every_real_cluster_rotates_to_contain_a_negative_simple():
 def test_real_clusters_keep_two_infinite_orbit_roots():
     for label in ("D3(2)", "A4(2)", "G2(1)"):
         cc = cc_for(label)
-        real, _ = enumerate_clusters(cc, 4)
+        real = real_clusters(cc, 4)
         for cluster in real:
             infinite = sum(1 for r in cluster
                            if cc.orbit_classification(r)[0] == "infinite")
@@ -433,12 +447,12 @@ def test_rank3_face_test_false_verdicts():
 # `python -O` strips asserts; the rank guard must still raise
 RANK_4_FACE_TEST = """
     from aproots.cartan import context_from_label
-    from aproots.clusters import cones_intersect_in_face, enumerate_clusters
+    from aproots.clusters import cones_intersect_in_face, real_clusters
     from aproots.coxeter import CoxeterContext
     from aproots.errors import RankOutOfRange
     ctx, word = context_from_label('A3(1):k=1')
     cc = CoxeterContext(ctx, word)
-    c1, c2 = sorted(enumerate_clusters(cc, 2)[0])[:2]
+    c1, c2 = sorted(real_clusters(cc, 2))[:2]
     try:
         cones_intersect_in_face(cc, c1, c2)
     except RankOutOfRange:

@@ -52,3 +52,12 @@ def test_full_picture_structure():
     colors = {c.get("fill") for c in circles}
     # at least the negative-simple orbits and a tube orbit get distinct colors
     assert len(colors) >= 3
+
+
+def test_projection_basis_off_a_pole_on_the_x_axis():
+    # the x-axis seed is nearly parallel to this pole, so the y-axis is used
+    projection = Projection((1, 0, 0))
+    u1, u2 = projection.basis
+    for a, b in ((u1, u1), (u2, u2), (u1, u2), (u1, projection.pole), (u2, projection.pole)):
+        assert abs(sum(x * y for x, y in zip(a, b)) - (a is b)) < 1e-12
+    assert u1 == (0.0, 1.0, 0.0)
