@@ -87,6 +87,12 @@ def exchange(cc: CoxeterContext, cluster, alpha):
     alpha = vec(alpha)
     if alpha not in cluster:
         raise RootNotInCluster(f"{format_vector(alpha)} is not in the cluster")
+    return _probe_exchange(cc, cluster, alpha)
+
+
+def _probe_exchange(cc, cluster, alpha):
+    """The probe loop of `exchange`, for a cluster as `require_real_cluster`
+    returned it and one of its roots."""
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
     m = 2
@@ -103,8 +109,10 @@ def real_clusters(cc: CoxeterContext, depth: int):
     """The set of real clusters within `depth` exchanges of the negative simples."""
     ball = frontier = {tuple(sorted(ap.neg_simples(cc)))}
     for _ in range(depth):
-        frontier = {exchange(cc, cluster, alpha)[1]
-                    for cluster in frontier for alpha in cluster} - ball
+        # each cluster is validated once, not once per root it exchanges
+        frontier = {_probe_exchange(cc, cluster, alpha)[1]
+                    for cluster in frontier
+                    for alpha in require_real_cluster(cc, cluster)} - ball
         ball |= frontier
     return ball
 

@@ -14,8 +14,9 @@ phi_c(v) = E_c(v, delta) read them.  The generalized 1-eigenvector gamma_c,
 with K(gamma_c, ·) = phi_c, is solved from the Cartan matrix as
 A·gamma = (I + lower)·delta only on request.  Also built: the
 finite-orbit hyperplane data, the rotation subsystem living inside that
-hyperplane, the kappa function, the deformed maps sigma_s and tau_c, and
-the closed-form counts of source-sink orientations and their classes.
+hyperplane, the kappa function, the closed-form counts of source-sink
+orientations and their classes, and the memos of the deformed maps sigma_s
+and tau_c, which compute each image once per context.
 
 The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
@@ -103,14 +104,20 @@ class CoxeterContext:
         scale = abs(next(w for w in weight if w != 0))
         self.phi_weight = vec(Fraction(w, scale) for w in weight)
 
-        # tau_c differs from c only on the negative simples and psi_from:
-        # -α_i -> psi_to[i] and psi_from[i] -> -α_i; tau_c^{-1} reads the
-        # mirror table
+        # the memos of tau_c and tau_c^{-1}, member -> image.  tau_c differs
+        # from c only on the negative simples and psi_from: -α_i -> psi_to[i]
+        # and psi_from[i] -> -α_i, so each starts with these 2n exceptions,
+        # mirrored for tau_c^{-1}; tau and tau_inverse add each image of c
+        # and c^-1 they compute
         self._tau = {}
         for i in range(n):
             self._tau[neg_simple(n, i)] = self.psi_to[i]
             self._tau[self.psi_from[i]] = neg_simple(n, i)
         self._tau_inverse = {w: v for v, w in self._tau.items()}
+        # the memos of sigma_s, one dict per letter s: root -> sigma_s(root),
+        # filled by sigma and the expansion pull-back.  Every key is a
+        # negative simple or a positive root, so a hit needs no check
+        self._sigma = tuple({} for _ in range(n))
 
         self.components = self._build_tubes()
         # tube root <-> its arc (component index, start, length): one entry
@@ -290,19 +297,26 @@ class CoxeterContext:
         if not 0 <= s < self.n:
             raise IndexOutOfRange(f"letter {s + 1} out of range 1..{self.n}")
         v = vec(v)
-        neg = self.neg_simple_index(v)
-        if neg is None and not (all(x >= 0 for x in v) and self.ctx.is_root(v)):
-            raise NotAlmostPositive(
-                f"{format_vector(v)} is neither a negative simple nor a positive root")
-        return deformed_reflection(self.cm, s, v)
+        memo = self._sigma[s]
+        if (image := memo.get(v)) is None:
+            if self.neg_simple_index(v) is None and not (
+                    all(x >= 0 for x in v) and self.ctx.is_root(v)):
+                raise NotAlmostPositive(
+                    f"{format_vector(v)} is neither a negative simple nor a positive root")
+            image = memo[v] = deformed_reflection(self.cm, s, v)
+        return image
 
     def tau(self, v):
         v = self.member(v)[0]
-        return self._tau.get(v) or self.c_action(v)
+        if (image := self._tau.get(v)) is None:
+            image = self._tau[v] = self.c_action(v)
+        return image
 
     def tau_inverse(self, v):
         v = self.member(v)[0]
-        return self._tau_inverse.get(v) or self.c_inverse_action(v)
+        if (image := self._tau_inverse.get(v)) is None:
+            image = self._tau_inverse[v] = self.c_inverse_action(v)
+        return image
 
     # -- orbit classification ----------------------------------------------------
 

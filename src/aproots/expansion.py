@@ -14,7 +14,9 @@ compatible almost-positive roots.  The constructive path:
   simples plus a vector supported on a proper (hence finite) parabolic,
   expanded there by the same rotation and split, and pulled back through
   the deformed reflections.  By uniqueness any sequence of source moves
-  gives the same expansion, so one rotation order serves every case.
+  gives the same expansion, so one rotation order serves every case.  The
+  pull-back reads each sigma_s image from the context's per-letter memo,
+  which `CoxeterContext.sigma` shares, and computes it only on a miss.
 
 Expansions are positively homogeneous: a rational v is scaled once, by the
 lcm m of its denominators, m·v is expanded in int arithmetic and the
@@ -155,7 +157,7 @@ def rotate_affine(cc: CoxeterContext, v):
 # finite-parabolic expansion
 # ---------------------------------------------------------------------------
 
-def expand_in_parabolic(cm, word, v):
+def expand_in_parabolic(cc: CoxeterContext, word, v):
     """Unique expansion of v inside the finite parabolic spanned by `word`.
 
     v is a canonical tuple supported on the letters of `word`.
@@ -164,17 +166,27 @@ def expand_in_parabolic(cm, word, v):
         return {}
     if all(v[i] > 0 for i in word):
         k = len(word)
-        letters, v, word = _rotate(cm, word, v, word, 64 * k * k + 64)
-        return _pull_back(cm, letters, expand_in_parabolic(cm, word, v))
-    terms = {neg_simple(cm.n, i): -v[i] for i in word if v[i] < 0}
+        letters, v, word = _rotate(cc.cm, word, v, word, 64 * k * k + 64)
+        return _pull_back(cc, letters, expand_in_parabolic(cc, word, v))
+    terms = {neg_simple(cc.n, i): -v[i] for i in word if v[i] < 0}
     sub = [s for s in word if v[s] > 0]
-    terms.update(expand_in_parabolic(cm, sub, tuple(x if x > 0 else 0 for x in v)))
+    terms.update(expand_in_parabolic(cc, sub, tuple(x if x > 0 else 0 for x in v)))
     return terms
 
 
-def _pull_back(cm, letters, terms):
+def _pull_back(cc: CoxeterContext, letters, terms):
+    """The expansion `terms` after the source moves `letters` carried back:
+    sigma_s for each letter, the last first.  Each image comes from the
+    context's memo of sigma_s and is computed and stored on a miss; the
+    roots are negative simples and positive roots, as the memo requires."""
     for s in reversed(letters):
-        terms = {deformed_reflection(cm, s, root): coeff for root, coeff in terms.items()}
+        memo = cc._sigma[s]
+        pulled = {}
+        for root, coeff in terms.items():
+            if (image := memo.get(root)) is None:
+                image = memo[root] = deformed_reflection(cc.cm, s, root)
+            pulled[image] = coeff
+        terms = pulled
     return terms
 
 
@@ -191,4 +203,4 @@ def cluster_expansion(cc: CoxeterContext, v):
     if in_delta_cone(cc, v):
         return _divided(imaginary_expansion(cc, v), m)
     letters, rotated, word = rotate_affine(cc, v)
-    return _divided(_pull_back(cc.cm, letters, expand_in_parabolic(cc.cm, word, rotated)), m)
+    return _divided(_pull_back(cc, letters, expand_in_parabolic(cc, word, rotated)), m)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 
 from . import compatibility as compat
 from .almost_positive import neg_simples
@@ -34,7 +35,7 @@ from .clusters import (
 )
 from .coxeter import CoxeterContext
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import det, in_simplicial_cone, inverse, mat_vec, primitive_integer_vector, vec
+from .linalg import det, in_simplicial_cone, inverse, primitive_integer_vector, vec
 from .oracle_bridge import conjecture_evidence, verify_bijection
 
 RANK2_LABELS = ("A1(1)", "A2(2)")
@@ -233,7 +234,7 @@ def criterion_expansion_oracle(labels=None, samples=500, depth=6):
         real, imag = enumerate_clusters(cc, depth)
         real = sorted(real)
         imag = sorted(imag)
-        inverses = {cl: inverse([list(col) for col in zip(*cl)]) for cl in real}
+        inverses = [inverse([list(col) for col in zip(*cl)]) for cl in real]
         bad = 0
         for trial in range(samples):
             if trial % 10 == 9:
@@ -246,7 +247,11 @@ def criterion_expansion_oracle(labels=None, samples=500, depth=6):
                 bad += 1
                 continue
             v = primitive_integer_vector(v)  # same cones as v, in int arithmetic
-            containing = sum(all(c >= 0 for c in mat_vec(inverses[cl], v)) for cl in real)
+            # counted up to 2, as only `containing != 1` is read; each real
+            # cone is left at its first negative coordinate
+            containing = len(list(islice(
+                (inv for inv in inverses
+                 if all(sum(map(mul, row, v)) >= 0 for row in inv)), 2)))
             containing += sum(in_simplicial_cone(cl, v) is not None for cl in imag)
             if containing != 1:
                 bad += 1

@@ -23,7 +23,7 @@ from aproots.compatibility import compat_arrows
 from aproots.coxeter import CoxeterContext, source_sink_counts
 from aproots.errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec
-from aproots.roots import roots_up_to_level
+from aproots.roots import deformed_reflection, roots_up_to_level
 
 from strategies import (
     DenseWordOrder,
@@ -247,6 +247,40 @@ def test_tau_round_trip_on_pool():
         for v in pool:
             assert cc.tau_inverse(cc.tau(v)) == v
             assert cc.tau(cc.tau_inverse(v)) == v
+
+
+def reference_tau(cc, v, inverse=False):
+    """tau_c^{±1}(v) with no memo: the 2n exceptions on the negative simples
+    and the psi transversals, c^{±1} everywhere else."""
+    table = {}
+    for i in range(cc.n):
+        neg = tuple(-int(j == i) for j in range(cc.n))
+        table[neg], table[cc.psi_from[i]] = cc.psi_to[i], neg
+    if inverse:
+        return {w: u for u, w in table.items()}.get(v) or cc.c_inverse_action(v)
+    return table.get(v) or cc.c_action(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_memoized_deformed_maps_match_the_unmemoized_ones(cc, data):
+    # the shared context is warm: its memos already hold earlier images,
+    # and each call below is made twice, once to fill and once to hit
+    pool = [r for r in roots_up_to_level(cc.ctx, 2)
+            if min(r) >= 0 or cc.neg_simple_index(r) is not None]
+    for v in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)):
+        for s in range(cc.n):
+            assert cc.sigma(s, v) == cc.sigma(s, v) == deformed_reflection(cc.cm, s, v)
+        if cc.phi_c_class(v) is not None:
+            assert cc.tau(v) == cc.tau(v) == reference_tau(cc, v)
+            assert cc.tau_inverse(v) == cc.tau_inverse(v) == reference_tau(cc, v, True)
+    # a hit skips the -Π ∪ Φ+ check, so a warm memo must still reject
+    for _ in range(2):
+        with pytest.raises(NotAlmostPositive):
+            cc.sigma(cc.word[0], tuple(-x for x in cc.ctx.delta))
+        for s in (-1, cc.n):
+            with pytest.raises(IndexOutOfRange):
+                cc.sigma(s, pool[0])
 
 
 def test_orbit_classification():

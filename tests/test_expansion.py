@@ -18,6 +18,7 @@ from aproots.errors import NotInImaginaryCone
 from aproots.expansion import (
     _cone_coordinates,
     _divided,
+    _rotate,
     cluster_expansion,
     imaginary_expansion,
     in_delta_cone,
@@ -28,9 +29,11 @@ from aproots.linalg import (
     canon,
     mat_vec,
     primitive_integer_vector,
+    scale_to_integers,
     solve_general,
     vec,
 )
+from aproots.roots import deformed_reflection, neg_simple
 
 from strategies import affine_for, cc_for, coxeter_contexts, integer_kernel_basis, word_sources
 
@@ -340,6 +343,51 @@ def test_expansion_and_interior_are_positively_homogeneous(cc, data):
     assert cluster_expansion(cc, qv) == {r: canon(q * c)
                                          for r, c in cluster_expansion(cc, v).items()}
     assert in_delta_cone_interior(cc, qv) == in_delta_cone_interior(cc, v)
+
+
+def reference_cluster_expansion(cc, v):
+    """The expansion with every sigma_s of the pull-back formed letter by
+    letter through `deformed_reflection`, reading no memo."""
+    def pull_back(letters, terms):
+        for s in reversed(letters):
+            terms = {deformed_reflection(cc.cm, s, root): c for root, c in terms.items()}
+        return terms
+
+    def in_parabolic(word, v):
+        if not any(v):
+            return {}
+        if all(v[i] > 0 for i in word):
+            letters, v, word = _rotate(cc.cm, word, v, word, 64 * len(word) ** 2 + 64)
+            return pull_back(letters, in_parabolic(word, v))
+        terms = {neg_simple(cc.n, i): -v[i] for i in word if v[i] < 0}
+        terms.update(in_parabolic([s for s in word if v[s] > 0],
+                                  tuple(x if x > 0 else 0 for x in v)))
+        return terms
+
+    if not any(v):
+        return {}
+    m, v = scale_to_integers(v)
+    if in_delta_cone(cc, v):
+        return _divided(imaginary_expansion(cc, v), m)
+    letters, rotated, word = rotate_affine(cc, v)
+    return _divided(pull_back(letters, in_parabolic(word, rotated)), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_warm_expansions_match_the_memo_free_pull_back(cc, data):
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+    vectors = st.lists(entry, min_size=cc.n, max_size=cc.n).map(vec)
+    batch = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    for v in batch:
+        cluster_expansion(cc, v)
+    for v in batch + data.draw(st.lists(vectors, min_size=1, max_size=8)):
+        assert repr(cluster_expansion(cc, v)) == repr(reference_cluster_expansion(cc, v)), v
+    # what lets `sigma` skip its check on a hit: every memo key lies in -Π ∪ Φ+
+    for memo in cc._sigma:
+        for root in memo:
+            assert cc.neg_simple_index(root) is not None or (
+                min(root) >= 0 and cc.ctx.is_root(root)), root
 
 
 def test_cached_hyperplane_inverse_matches_a_fresh_solve():
