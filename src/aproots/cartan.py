@@ -4,15 +4,16 @@ A Cartan matrix A is symmetrizable: there are positive rationals d_i with
 d_i·a_ij = d_j·a_ji.  The symmetric form K(α_i, α_j) = d_i·a_ij is evaluated
 from A and d, never stored; K(α_i^vee, α_j) = a_ij holds exactly.
 
-Classification is exact and reads the kernel of A first: finite iff the
-kernel is trivial and K is positive definite (Sylvester's test reads A,
-whose leading principal minors are positive multiples of K's); affine iff
-the kernel is one-dimensional and spanned by a vector delta with all
-entries positive.  Such a kernel makes A indecomposable (each
-indecomposable block with a positive kernel vector adds a kernel
-dimension), and an indecomposable GCM with a positive kernel vector is
-affine (Kac, *Infinite Dimensional Lie Algebras*, Thm 4.3).  For affine matrices we compute the primitive
-positive imaginary root delta, a distinguished index `aff`, the root
+Classification is exact and reads the kernel of A first, then Kac's
+trichotomy (*Infinite Dimensional Lie Algebras*, Thm 4.3) on each
+indecomposable block: finite iff the kernel is trivial and u = A^-1·1 is
+positive, as Au = 1 ≥ 0 forces u > 0 on a finite block and no u > 0 has
+Au > 0 on an affine or indefinite one; affine iff the kernel is
+one-dimensional and spanned by a vector delta with all entries positive.
+Such a kernel makes A indecomposable (each indecomposable block with a
+positive kernel vector adds a kernel dimension), and an indecomposable GCM
+with a positive kernel vector is affine.  For affine matrices we compute the
+primitive positive imaginary root delta, a distinguished index `aff`, the root
 theta = delta - [delta:α_aff]·α_aff of the finite part, and the simple-coroot
 coordinates of the coroot-side imaginary root delta_vee, D·delta up to scale.
 """
@@ -23,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     BadDiagonal,
@@ -36,7 +36,8 @@ from .errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from .linalg import _ratio, canon, format_vector, kernel_basis, primitive_integer_vector, vec
+from .linalg import (
+    _ratio, canon, format_vector, kernel_basis, primitive_integer_vector, solve_general, vec)
 
 
 @dataclass(frozen=True)
@@ -137,22 +138,6 @@ class TypeClassification:
     delta_vee_coroot: tuple | None = None  # delta^vee in simple-coroot coordinates
 
 
-def _positive_definite(m) -> bool:
-    """Sylvester's criterion: whether every leading principal minor of the
-    rational matrix m is positive.  In one fraction-free elimination without
-    row swaps, the k-th pivot is the k-th leading principal minor, scaled."""
-    scale = lcm(*(x.denominator for row in m for x in row))
-    a = [[int(x * scale) for x in row] for row in m]
-    d = 1
-    for k, top in enumerate(a):
-        if top[k] <= 0:
-            return False
-        for i in range(k + 1, len(a)):
-            a[i] = [(top[k] * x - a[i][k] * y) // d for x, y in zip(a[i], top)]
-        d = top[k]
-    return True
-
-
 def _is_aff_node(cm: CartanMatrix, delta, i) -> bool:
     """Whether delta - [delta:α_i]·α_i is a positive root of the parabolic
     without i, which has finite type.  There, a positive root other than a
@@ -177,12 +162,11 @@ def classify(cm: CartanMatrix, aff: int | None = None) -> TypeClassification:
     n = cm.n
     if aff is not None and not 0 <= aff < n:
         raise IndexOutOfRange(f"affine node {aff + 1} out of range 1..{n}")
-    # K = D·A with D positive diagonal, so a singular A is never finite, and
-    # K's k-th leading principal minor is d_1···d_k times A's
+    # a singular A is never finite
     kernel = kernel_basis([list(r) for r in cm.a])
     if not kernel:
-        return TypeClassification(
-            kind=Kind.FINITE if _positive_definite(cm.a) else Kind.OTHER)
+        finite = all(x > 0 for x in solve_general(cm.a, [1] * n))
+        return TypeClassification(kind=Kind.FINITE if finite else Kind.OTHER)
     if len(kernel) != 1:
         return TypeClassification(kind=Kind.OTHER)
     # kernel_basis puts +1 at a free column, so an affine delta is positive

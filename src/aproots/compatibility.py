@@ -11,16 +11,18 @@ the coroot coordinates of α and the root coordinates of β, read through
 the context's strict Euler parts `lower` and `upper`; on positive roots
 they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
 
-Arguments are admitted by `CoxeterContext.member`.  `compat_circ` is the
-rule for tube roots; it reads each root's arc, its (component, start,
-length), and tests nesting, adjacency and covering as cyclic intervals.
+Each public call admits each root argument once, by `CoxeterContext.member`;
+`compat_arrows` is the degree's admission, and a pair of tube roots, members
+by construction, needs none.  `compat_circ` is the rule for tube roots; it
+reads each root's arc, its (component, start, length), and tests nesting,
+adjacency and covering as cyclic intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import TUBE, CoxeterContext
+from .coxeter import CoxeterContext
 from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInTube
 from .linalg import canon, format_vector, vec
 
@@ -46,17 +48,17 @@ def coroot_coordinates(cc: CoxeterContext, v):
 
 def tube_support(cc: CoxeterContext, v) -> TubeSupport:
     """Arc support of a tube root over its component's cycle."""
-    ci, start, length = _arc(cc, vec(v))
+    ci, start, length = _arc(cc, v)
     k = cc.components[ci].rank
     return TubeSupport(ci, frozenset((start + t) % k for t in range(length)))
 
 
 def _arc(cc: CoxeterContext, v):
     """(component, start, length) of a tube root."""
-    entry = cc.tube_arcs.get(v)
+    entry = cc.tube_arcs.get(tuple(v))
     if entry is not None:
         return entry
-    if v == cc.ctx.delta or cc.ctx.is_imaginary_root(v):
+    if cc.ctx.is_imaginary_root(v):
         raise DeltaHasNoTubeSupport("imaginary roots have no well-defined arc support")
     raise NotInTube(f"{format_vector(v)} is not a tube root")
 
@@ -117,9 +119,8 @@ def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:
 
 
 def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
-    alpha, ca, _ = cc.member(alpha)
-    beta, cb, _ = cc.member(beta)
-    if ca == TUBE and cb == TUBE and _joint_component_full(cc, alpha, beta):
+    arcs = cc.tube_arcs
+    if tuple(alpha) in arcs and tuple(beta) in arcs and _joint_component_full(cc, alpha, beta):
         return CompatibilityValue(
             degree=adjacency_count(cc, alpha, beta), branch="tube-adjacency"
         )
@@ -131,8 +132,8 @@ def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
 
 def degree(cc: CoxeterContext, alpha, beta):
     """Bare degree value; memoized on the context under the roots as given,
-    since an int and its equal `Fraction` hash the same.  `cc.member`
-    canonicalizes them on a miss."""
+    since an int and its equal `Fraction` hash the same.  A miss admits them
+    once, in `compat_arrows`, unless both are tube roots."""
     cache = cc.degree_cache
     key = (tuple(alpha), tuple(beta))
     hit = cache.get(key)

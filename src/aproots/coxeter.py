@@ -18,6 +18,11 @@ hyperplane, the kappa function, the closed-form counts of source-sink
 orientations and their classes, and the memos of the deformed maps sigma_s
 and tau_c, which compute each image once per context.
 
+Each public method admits each root argument once, through `member`, the one
+boundary of the almost-positive set; internal steps reuse the roots they
+hold.  The tau-orbit walk of `orbit_classification` steps through the tau
+memos directly, as tau_c maps the set to itself.
+
 The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
 returns; it holds exactly one root outside the finite parabolic, and sums
@@ -107,8 +112,9 @@ class CoxeterContext:
         # the memos of tau_c and tau_c^{-1}, member -> image.  tau_c differs
         # from c only on the negative simples and psi_from: -α_i -> psi_to[i]
         # and psi_from[i] -> -α_i, so each starts with these 2n exceptions,
-        # mirrored for tau_c^{-1}; tau and tau_inverse add each image of c
-        # and c^-1 they compute
+        # mirrored for tau_c^{-1}.  tau and the transient walk of
+        # orbit_classification add each image of c they compute; the tau_c^{-1}
+        # memo serves only that walk, with the images of c^-1
         self._tau = {}
         for i in range(n):
             self._tau[neg_simple(n, i)] = self.psi_to[i]
@@ -307,16 +313,7 @@ class CoxeterContext:
         return image
 
     def tau(self, v):
-        v = self.member(v)[0]
-        if (image := self._tau.get(v)) is None:
-            image = self._tau[v] = self.c_action(v)
-        return image
-
-    def tau_inverse(self, v):
-        v = self.member(v)[0]
-        if (image := self._tau_inverse.get(v)) is None:
-            image = self._tau_inverse[v] = self.c_inverse_action(v)
-        return image
+        return _memo_step(self._tau, self.c_action, self.member(v)[0])
 
     # -- orbit classification ----------------------------------------------------
 
@@ -338,14 +335,24 @@ class CoxeterContext:
             k = self.components[ci].rank
             first = (self.components[ci].affine_pos + 1) % k
             return ("finite", self.arc_roots[ci, first, length], (start - first) % k)
-        # transient: walk toward the negative simple on its side of phi = 0
-        step, sign = (self.tau_inverse, 1) if self.phi(v) > 0 else (self.tau, -1)
+        # transient: walk toward the negative simple on its side of phi = 0;
+        # tau_c^{±1} keeps the walk inside the set, so no step is admitted again
+        memo, action, sign = ((self._tau_inverse, self.c_inverse_action, 1) if self.phi(v) > 0
+                              else (self._tau, self.c_action, -1))
         cur = v
         for m in range(1, 4 * self.m_bound + 8 * sum(abs(x) for x in v) + 8):
-            cur = step(cur)
+            cur = _memo_step(memo, action, cur)
             if self.neg_simple_index(cur) is not None:
                 return ("infinite", cur, sign * m)
         raise AssertionError("infinite-orbit walk exhausted")
+
+
+def _memo_step(memo, action, v):
+    """The image of the member v under a tau memo, computed by `action`
+    on a miss and stored."""
+    if (image := memo.get(v)) is None:
+        image = memo[v] = action(v)
+    return image
 
 
 def source_sink_counts(ctx: AffineContext):

@@ -305,23 +305,25 @@ def criterion_exchangeability():
                     pair_ok = False
                 if is_cluster(cc, new)[0] != REAL:
                     real_ok = False
-        # pair-level content of the wall criterion: exchangeable tube pairs
-        # with full joint support are exactly the non-real-exchangeable ones
-        tube_ok = True
-        tubes = list(cc.tube_roots())
-        for a, b in combinations(tubes, 2):
-            if not is_exchangeable(cc, a, b):
-                continue
-            full = compat._joint_component_full(cc, a, b)
-            realx = is_real_exchangeable(cc, a, b)
-            interior = in_delta_cone_interior(cc, vec(x + y for x, y in zip(a, b)))
-            if realx == full or realx == interior:
-                tube_ok = False
         rows.append(_row(f"exchanged pairs degree 1/1 {label} ({len(real)} clusters)",
                          pair_ok))
         rows.append(_row(f"every facet exchanges to a real cluster {label}", real_ok))
-        rows.append(_row(f"tube pair dichotomy {label}", tube_ok))
+        rows.append(_row(f"tube pair dichotomy {label}", _tube_pair_dichotomy(cc)))
     return rows
+
+
+def _tube_pair_dichotomy(cc):
+    """The pair-level content of the wall criterion: exchangeable tube pairs
+    with full joint support are exactly the non-real-exchangeable ones."""
+    for a, b in combinations(cc.tube_roots(), 2):
+        if not is_exchangeable(cc, a, b):
+            continue
+        full = compat._joint_component_full(cc, a, b)
+        realx = is_real_exchangeable(cc, a, b)
+        interior = in_delta_cone_interior(cc, vec(x + y for x, y in zip(a, b)))
+        if realx == full or realx == interior:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,32 @@ def coxeter_contexts(draw):
     return _coxeter_context(label, tuple(draw(st.permutations(affine_for(label)[1]))))
 
 
+def reference_tau(cc, v, inverse=False):
+    """tau_c^{±1}(v) with no memo: the 2n exceptions on the negative simples
+    and the psi transversals, c^{±1} everywhere else."""
+    table = {}
+    for i in range(cc.n):
+        neg = tuple(-int(j == i) for j in range(cc.n))
+        table[neg], table[cc.psi_from[i]] = cc.psi_to[i], neg
+    if inverse:
+        return {w: u for u, w in table.items()}.get(v) or cc.c_inverse_action(v)
+    return table.get(v) or cc.c_action(v)
+
+
+def count_member_calls(monkeypatch, cc):
+    """The list of roots `cc.member` is called with from now on, filled as
+    the calls come: the admissions into the almost-positive set."""
+    calls = []
+    member = cc.member
+
+    def counted(v):
+        calls.append(v)
+        return member(v)
+
+    monkeypatch.setattr(cc, "member", counted)
+    return calls
+
+
 def gram(cm):
     """The symmetric form K(α_i, α_j) = d_i·a_ij as a matrix of row tuples."""
     return tuple(tuple(canon(di * x) for x in row) for di, row in zip(cm.d, cm.a))

@@ -5,12 +5,16 @@ suite when any of its checks fails.  Budgets are wall-clock and enforced
 inside the criterion functions themselves.
 """
 
+from itertools import combinations
+
 import pytest
 
 from aproots import compatibility, oracle_bridge, verification
+from aproots.clusters import is_exchangeable
 from aproots.verification import (
     CRITERIA,
     RANK2_LABELS,
+    RANK4_LABELS,
     criterion_axioms,
     criterion_exchangeability,
     criterion_oracle_bridge,
@@ -94,6 +98,21 @@ def test_exchangeability_reports_a_planted_wrong_partner(monkeypatch):
     # the criterion has no timing row; every other row still passes
     failed = [row["name"] for row in rows if not row["ok"]]
     assert failed == ["exchanged pairs degree 1/1 A2(1):k=1 (38 clusters)"], failed
+
+
+def test_tube_pair_dichotomy_over_rank_four_labels(monkeypatch):
+    # every rank-4 label has tube pairs on both sides of the exchangeability
+    # test, so the per-pair check skips some pairs and tests the others
+    contexts = [verification._cc(label) for label in RANK4_LABELS]
+    for label, cc in zip(RANK4_LABELS, contexts):
+        pairs = list(combinations(cc.tube_roots(), 2))
+        exchangeable = sum(is_exchangeable(cc, a, b) for a, b in pairs)
+        assert 0 < exchangeable < len(pairs), label
+        assert verification._tube_pair_dichotomy(cc), label
+    real = verification.is_real_exchangeable
+    monkeypatch.setattr(verification, "is_real_exchangeable",
+                        lambda cc, a, b: not real(cc, a, b))
+    assert not any(verification._tube_pair_dichotomy(cc) for cc in contexts)
 
 
 def test_oracle_reports_a_planted_off_by_one_grading(monkeypatch):

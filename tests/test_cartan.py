@@ -15,7 +15,6 @@ from aproots import cartan, linalg
 from aproots.cartan import (
     AffineContext,
     Kind,
-    _positive_definite,
     catalog,
     catalog_labels,
     classify,
@@ -245,17 +244,33 @@ def cycle_matrix(n):
                              for j in range(n)] for i in range(n)])
 
 
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion: whether every leading principal minor of the
+    rational matrix m is positive.  In one fraction-free elimination without
+    row swaps, the k-th pivot is the k-th leading principal minor, scaled."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    a = [[int(x * scale) for x in row] for row in m]
+    d = 1
+    for k, top in enumerate(a):
+        if top[k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            a[i] = [(top[k] * x - a[i][k] * y) // d for x, y in zip(a[i], top)]
+        d = top[k]
+    return True
+
+
 def test_classify_tests_positive_definiteness_once(monkeypatch):
     # a positive primitive kernel vector of a one-dimensional kernel already
     # makes the matrix affine: no corank-1 submatrix is tested.  Only an
-    # invertible matrix is tested for definiteness, once
+    # invertible matrix is tested for finite type, by one solve of A·u = 1
     sizes = []
 
-    def counting(m):
-        sizes.append(len(m))
-        return _positive_definite(m)
+    def counting(rows, rhs):
+        sizes.append(len(rows))
+        return linalg.solve_general(rows, rhs)
 
-    monkeypatch.setattr(cartan, "_positive_definite", counting)
+    monkeypatch.setattr(cartan, "solve_general", counting)
     assert classify(cycle_matrix(30)).kind is Kind.AFFINE
     assert sizes == []
     assert classify(validate_cartan([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])).kind is Kind.FINITE

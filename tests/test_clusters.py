@@ -33,7 +33,8 @@ from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import cross, det, in_simplicial_cone, vec
 
-from strategies import FrozensetArcs, affine_for, cc_for, coxeter_contexts, run_here, run_python_O
+from strategies import (
+    FrozensetArcs, affine_for, cc_for, coxeter_contexts, reference_tau, run_here, run_python_O)
 
 
 def neg_pi(n):
@@ -238,7 +239,7 @@ def test_every_real_cluster_rotates_to_contain_a_negative_simple():
         real = real_clusters(cc, 4)
         for cluster in real:
             found = False
-            for direction in (cc.tau, cc.tau_inverse):
+            for direction in (cc.tau, lambda r: reference_tau(cc, r, True)):
                 cur = cluster
                 for _ in range(2 * cc.m_bound):
                     if any(cc.neg_simple_index(r) is not None for r in cur):

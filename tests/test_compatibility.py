@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,8 @@ from aproots.errors import DeltaHasNoTubeSupport, NotDistinct, NotInPhiC, NotInT
 from aproots.linalg import vec
 from aproots.roots import roots_up_to_level
 
-from strategies import FrozensetArcs, affine_for, cc_for, coxeter_contexts, euler, gram, outcome
+from strategies import (
+    FrozensetArcs, affine_for, cc_for, count_member_calls, coxeter_contexts, euler, gram, outcome)
 
 
 def pool_for(cc, level=2):
@@ -42,7 +43,7 @@ def test_root_forms_agree_and_degree_is_tau_and_sigma_invariant(warm, data):
         results = {
             repr((cc.phi_c_class(f(a)), compat.coroot_coordinates(cc, f(a)),
                   compat.compatibility_degree(cc, f(a), f(b)), compat.degree(cc, f(a), f(b)),
-                  cc.tau(f(a)), cc.tau_inverse(f(a)), cc.sigma(first, f(a)),
+                  cc.tau(f(a)), cc.sigma(first, f(a)),
                   cc.orbit_classification(f(a))))
             for cc in (fresh, warm) for f in ROOT_FORMS
         }
@@ -145,6 +146,41 @@ def test_compat_circ_looks_up_both_arcs_before_comparing():
     # a tube root with itself is -1, as the degree is
     tube = (0, 1, 0)
     assert compat.compat_circ(cc, tube, tube) == -1 == compat.degree(cc, tube, tube)
+
+
+def test_tube_rules_take_every_root_form():
+    cc = cc_for("A3(1):k=1")
+    tubes = cc.tube_roots()
+    for rule in (compat.compat_circ, compat.adjacency_count):
+        for a, b in product(tubes, repeat=2):
+            expected = rule(cc, a, b)
+            assert all(rule(cc, f(a), f(b)) == expected for f in ROOT_FORMS), (rule, a, b)
+        for f in ROOT_FORMS:
+            with pytest.raises(NotInTube, match=r"^\(1, 0, 0, 0\) is not a tube root$"):
+                rule(cc, tubes[0], f((1, 0, 0, 0)))
+
+
+def test_degree_admits_each_root_once(monkeypatch):
+    # compat_arrows is the degree's one admission; a tube pair needs none
+    cc = cc_for("A3(1):k=1")
+    calls = count_member_calls(monkeypatch, cc)
+    a, b = (-1, 0, 0, 0), cc.psi_to[1]
+    assert compat.compatibility_degree(cc, a, b).branch == "coordinate-max"
+    assert calls == [a, b]
+    full = [(x, y) for x, y in permutations(cc.tube_roots(), 2)
+            if compat._joint_component_full(cc, x, y)]
+    assert full
+    for x, y in full:
+        calls.clear()
+        assert compat.compatibility_degree(cc, x, y).branch == "tube-adjacency"
+        assert calls == [], (x, y)
+    compat.degree(cc, a, b)
+    calls.clear()
+    compat.degree(cc, a, b)
+    assert calls == []
+    tube = cc.tube_roots()[0]
+    with pytest.raises(NotInPhiC):
+        compat.compatibility_degree(cc, tube, (1, -1, 0, 0))
 
 
 def test_adjacency_counts_on_three_cycle():

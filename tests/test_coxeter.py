@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aproots import cartan, linalg
+from aproots import almost_positive as ap
+from aproots import linalg
 from aproots.cartan import (
     AffineContext,
     catalog,
@@ -20,7 +21,7 @@ from aproots.cartan import (
 )
 from aproots.clusters import nu, nu_inverse
 from aproots.compatibility import compat_arrows
-from aproots.coxeter import CoxeterContext, source_sink_counts
+from aproots.coxeter import TRANSIENT, CoxeterContext, source_sink_counts
 from aproots.errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec
 from aproots.roots import deformed_reflection, roots_up_to_level
@@ -29,12 +30,14 @@ from strategies import (
     DenseWordOrder,
     affine_for,
     cc_for,
+    count_member_calls,
     coxeter_contexts,
     euler,
     euler_roots,
     finite_positive_roots,
     kernel_delta_vee_coroot,
     outcome,
+    reference_tau,
     solved_phi,
     word_sources,
 )
@@ -233,7 +236,7 @@ def test_tau_cases():
     assert cc.tau(cc.ctx.delta) == cc.ctx.delta
     assert cc.tau((-1, 0)) == (1, 0)            # psi-to of the first letter
     assert cc.tau((1, 0)) == (3, 2)
-    assert cc.tau_inverse(cc.tau((1, 0))) == (1, 0)
+    assert reference_tau(cc, cc.tau((1, 0)), True) == (1, 0)
     assert cc.tau(cc.psi_from[0]) == (-1, 0)
     with pytest.raises(NotInPhiC):
         cc.tau((2, 2))
@@ -245,20 +248,8 @@ def test_tau_round_trip_on_pool():
         pool = [r for r in roots_up_to_level(cc.ctx, 2)
                 if cc.phi_c_class(r) is not None]
         for v in pool:
-            assert cc.tau_inverse(cc.tau(v)) == v
-            assert cc.tau(cc.tau_inverse(v)) == v
-
-
-def reference_tau(cc, v, inverse=False):
-    """tau_c^{±1}(v) with no memo: the 2n exceptions on the negative simples
-    and the psi transversals, c^{±1} everywhere else."""
-    table = {}
-    for i in range(cc.n):
-        neg = tuple(-int(j == i) for j in range(cc.n))
-        table[neg], table[cc.psi_from[i]] = cc.psi_to[i], neg
-    if inverse:
-        return {w: u for u, w in table.items()}.get(v) or cc.c_inverse_action(v)
-    return table.get(v) or cc.c_action(v)
+            assert reference_tau(cc, cc.tau(v), True) == v
+            assert cc.tau(reference_tau(cc, v, True)) == v
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,7 +264,7 @@ def test_memoized_deformed_maps_match_the_unmemoized_ones(cc, data):
             assert cc.sigma(s, v) == cc.sigma(s, v) == deformed_reflection(cc.cm, s, v)
         if cc.phi_c_class(v) is not None:
             assert cc.tau(v) == cc.tau(v) == reference_tau(cc, v)
-            assert cc.tau_inverse(v) == cc.tau_inverse(v) == reference_tau(cc, v, True)
+            assert cc.tau(reference_tau(cc, v, True)) == v
     # a hit skips the -Π ∪ Φ+ check, so a warm memo must still reject
     for _ in range(2):
         with pytest.raises(NotAlmostPositive):
@@ -306,6 +297,46 @@ def test_orbit_classification():
     assert rep == beta
 
 
+def reference_orbit_walk(cc, v):
+    """(kind, representative, power) of a transient root by the walk with
+    no memo: reference_tau^{±1} toward the negative simple on its side of
+    phi = 0, each step admitted again."""
+    inverse, sign = (True, 1) if cc.phi(v) > 0 else (False, -1)
+    cur = v
+    for m in range(1, 4 * cc.m_bound + 8 * sum(abs(x) for x in v) + 8):
+        cur = reference_tau(cc, cc.member(cur)[0], inverse)
+        if cc.neg_simple_index(cur) is not None:
+            return ("infinite", cur, sign * m)
+    raise AssertionError("infinite-orbit walk exhausted")
+
+
+@settings(max_examples=30, deadline=None)
+@given(coxeter_contexts())
+def test_orbit_walk_matches_the_unmemoized_walk(warm):
+    # the shared context is warm; the fresh one fills its tau memos here
+    fresh = CoxeterContext(warm.ctx, warm.word)
+    transient = [v for v in ap.enumerate_phi_c(warm, 3) if warm.phi_c_class(v) == TRANSIENT]
+    assert transient
+    for v in transient:
+        expected = reference_orbit_walk(warm, v)
+        for cc in (warm, fresh, warm):
+            assert cc.orbit_classification(v) == expected, (cc.word, v)
+
+
+def test_orbit_classification_admits_its_argument_once(monkeypatch):
+    # the walk steps through the tau memos on the roots it holds: one
+    # admission and at most one new membership record, whatever its length
+    for k in (10, 100, 1000):
+        cc = cc_for("B3(1)")
+        v = tuple(int(i == 0) + k * d for i, d in enumerate(cc.ctx.delta))
+        before = len(cc._root_info)
+        calls = count_member_calls(monkeypatch, cc)
+        kind, _, power = cc.orbit_classification(v)
+        assert kind == "infinite" and abs(power) > k, (k, power)
+        assert calls == [v], k
+        assert len(cc._root_info) <= before + 1, k
+
+
 def test_tube_orbit_powers_reach_their_representative():
     rng = random.Random(53)
     for label in catalog_labels(6):
@@ -336,7 +367,7 @@ def test_orbit_power_matches_hyperplane_side():
                 assert cc.phi(cur) > 0, (label, i, m)
             cur = neg
             for m in range(1, 6):
-                cur = cc.tau_inverse(cur)
+                cur = reference_tau(cc, cur, True)
                 assert cc.phi(cur) < 0, (label, i, m)
 
 
@@ -573,10 +604,9 @@ def test_phi_and_delta_vee_match_the_solved_reference_over_random_words(cc):
 
 def test_catalog_context_construction_runs_two_eliminations(monkeypatch):
     # the kernel of A in classify and the hyperplane inverse; gamma, phi and
-    # delta^vee come without a solve, a dense product or Sylvester's test
+    # delta^vee come without a solve or a dense product
     originals = {name: getattr(linalg, name)
                  for name in ("kernel_basis", "inverse", "solve_general", "mat_vec")}
-    originals["_positive_definite"] = cartan._positive_definite
     calls = Counter()
 
     def counted(name, f):
