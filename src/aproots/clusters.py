@@ -20,8 +20,8 @@ from . import compatibility as compat
 from .coxeter import DELTA, CoxeterContext
 from .errors import NotACluster, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import (canon, cross, det, format_vector, in_simplicial_cone,
-                     primitive_integer_vector, vec)
+from .linalg import (_ratio, cross, det, format_vector, in_simplicial_cone,
+                     primitive_integer_vector, scale_to_integers, vec)
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -205,16 +205,16 @@ def nu(cc: CoxeterContext, v):
     On the positive orthant it is -E_c = -(I + lower), read off the rows of
     `lower`; negative coordinates contribute their weight instead, with the
     positive truncation still feeding every row: coordinate i is
-    -[v_i]+ - sum a_ij·[v_j]+ over (j, a_ij) in lower[i], less min(v_i, 0).
+    -v_i - sum a_ij·[v_j]+ over (j, a_ij) in lower[i].
     This is the unique extension of the values on roots that is
     linear on each cone of the fan (compatibility zeroes out the mixed
     terms there), and it is a piecewise-linear homeomorphism.  The map of
-    c^{-1} is `nu(CoxeterContext(cc.ctx, cc.word[::-1]), v)`.
+    c^{-1} is `nu(CoxeterContext(cc.ctx, cc.word[::-1]), v)`.  nu and its
+    inverse are positively homogeneous, so they run in ints on m·v.
     """
-    v = vec(v)
-    plus = tuple(x if x > 0 else 0 for x in v)
-    return tuple(canon(-p - sum(a * plus[j] for j, a in row) - min(x, 0))
-                 for x, p, row in zip(v, plus, cc.lower))
+    m, v = scale_to_integers(v)
+    w = [-x - sum(a * v[j] for j, a in row if v[j] > 0) for x, row in zip(v, cc.lower)]
+    return tuple(w) if m == 1 else tuple(_ratio(x, m) for x in w)
 
 
 def nu_inverse(cc: CoxeterContext, weight):
@@ -229,11 +229,11 @@ def nu_inverse(cc: CoxeterContext, weight):
     ones already found: v_i = -w_i - sum a_ij·max(v_j, 0).  Every weight
     has exactly one preimage.
     """
-    weight = vec(weight)
+    m, w = scale_to_integers(weight)
     v = [0] * cc.n
     for i in cc.word:
-        v[i] = -weight[i] - sum(a * max(v[j], 0) for j, a in cc.lower[i])
-    return vec(v)
+        v[i] = -w[i] - sum(a * v[j] for j, a in cc.lower[i] if v[j] > 0)
+    return tuple(v) if m == 1 else tuple(_ratio(x, m) for x in v)
 
 
 # ---------------------------------------------------------------------------

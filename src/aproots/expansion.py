@@ -14,24 +14,24 @@ compatible almost-positive roots.  The constructive path:
   simples plus a vector supported on a proper (hence finite) parabolic,
   expanded there by the same rotation and split, and pulled back through
   the deformed reflections.  By uniqueness any sequence of source moves
-  gives the same expansion, so one rotation order serves every case.  The
-  pull-back reads each sigma_s image from the context's per-letter memo,
-  which `CoxeterContext.sigma` shares, and computes it only on a miss.
+  gives the same expansion, so one rotation order serves every case.
 
 Expansions are positively homogeneous: a rational v is scaled once, by the
-lcm m of its denominators, m·v is expanded in int arithmetic and the
-coefficients are divided by m.  Imaginary-cone coordinates are one `mat_vec`
-by the context's cached integer inverse of the hyperplane basis.
+lcm m of its denominators, and m·v is expanded in int arithmetic.  A letter
+changes one coordinate, updated in place; each parabolic level is one call,
+and its pull-back walks each root through the level's letters with the
+context's sigma memos.  Imaginary-cone coordinates are one `mat_vec` by the
+context's cached integer inverse of the hyperplane basis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import cycle
 from math import lcm
 
 from .coxeter import CoxeterContext
 from .errors import NotInImaginaryCone
-from .linalg import canon, format_vector, mat_vec, scale_to_integers, vec
+from .linalg import _ratio, format_vector, mat_vec, scale_to_integers, vec
 from .roots import deformed_reflection, neg_simple
 
 
@@ -104,7 +104,7 @@ def imaginary_expansion(cc: CoxeterContext, v):
 
 def _divided(terms, m):
     """terms with every coefficient divided by the positive int m."""
-    return terms if m == 1 else {r: canon(Fraction(c, m)) for r, c in terms.items()}
+    return terms if m == 1 else {r: _ratio(c, m) for r, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -115,34 +115,41 @@ def _rotate(cm, word, v, active, cap, sink=False):
     """Source moves (sink moves when `sink`) until a coordinate of v on the
     `active` letters is nonpositive; at most `cap` of them.
 
+    Letters come off `word` cyclically (from its end for sink moves); s sets
+    v[s] -= sum of a_sj·v[j], so only v[s] needs a test after the first scan.
     Returns (letters, rotated_vector, rotated_word).
     """
-    word = list(word)
+    for i in active:
+        if v[i] <= 0:
+            return [], v, list(word)
+    v = list(v)
     letters = []
-    while all(v[i] > 0 for i in active):
+    for s in cycle(word[::-1] if sink else word):
         if len(letters) == cap:
             raise AssertionError("rotation cap exhausted")
-        if sink:
-            s = word.pop()
-            word.insert(0, s)
-        else:
-            s = word.pop(0)
-            word.append(s)
-        v = cm.reflect(s, v)
+        x = v[s]
+        for j, a in cm.rows[s]:
+            x -= a * v[j]
+        v[s] = x
         letters.append(s)
-    return letters, v, word
+        if x <= 0:
+            break
+    word = list(word)
+    t = len(letters) % len(word)
+    return letters, tuple(v), word[-t:] + word[:-t] if sink else word[t:] + word[:t]
 
 
 def rotate_affine(cc: CoxeterContext, v):
     """Source moves (sink moves when phi(v) < 0) until some simple-root
     coordinate is nonpositive.
 
-    Returns (letters, rotated_vector, rotated_word).  Intermediate vectors
-    are strictly positive, which the pull-back of the expansion requires.
-    On the hyperplane phi = 0, c permutes each component cycle and fixes
-    delta, and these span the hyperplane, so after n·lcm(component ranks)
-    letters the word and the vector repeat: a vector outside the imaginary
-    cone turns nonpositive within that period.
+    Returns (letters, rotated_vector, rotated_word) for an int v, as
+    `cluster_expansion` passes it.  Intermediate vectors are strictly
+    positive, which the pull-back of the expansion requires.  On the
+    hyperplane phi = 0, c permutes each component cycle and fixes delta, and
+    these span the hyperplane, so after n·lcm(component ranks) letters the
+    word and the vector repeat: a vector outside the imaginary cone turns
+    nonpositive within that period.
     """
     sign = cc.phi(v)
     if sign == 0:
@@ -160,34 +167,38 @@ def rotate_affine(cc: CoxeterContext, v):
 def expand_in_parabolic(cc: CoxeterContext, word, v):
     """Unique expansion of v inside the finite parabolic spanned by `word`.
 
-    v is a canonical tuple supported on the letters of `word`.
+    v is an int tuple supported on the letters of `word`: rotated (by no letter
+    if a coordinate is nonpositive), split, recursed on and pulled back.
     """
-    if not any(v):
-        return {}
-    if all(v[i] > 0 for i in word):
-        k = len(word)
-        letters, v, word = _rotate(cc.cm, word, v, word, 64 * k * k + 64)
-        return _pull_back(cc, letters, expand_in_parabolic(cc, word, v))
-    terms = {neg_simple(cc.n, i): -v[i] for i in word if v[i] < 0}
-    sub = [s for s in word if v[s] > 0]
-    terms.update(expand_in_parabolic(cc, sub, tuple(x if x > 0 else 0 for x in v)))
-    return terms
+    k = len(word)
+    letters, v, word = _rotate(cc.cm, word, v, word, 64 * k * k + 64)
+    terms, sub = {}, []
+    for i in word:
+        if v[i] < 0:
+            terms[neg_simple(cc.n, i)] = -v[i]
+        elif v[i]:
+            sub.append(i)
+    if sub:
+        terms.update(expand_in_parabolic(cc, sub, tuple([x if x > 0 else 0 for x in v])))
+    return _pull_back(cc, letters, terms)
 
 
 def _pull_back(cc: CoxeterContext, letters, terms):
     """The expansion `terms` after the source moves `letters` carried back:
-    sigma_s for each letter, the last first.  Each image comes from the
-    context's memo of sigma_s and is computed and stored on a miss; the
-    roots are negative simples and positive roots, as the memo requires."""
-    for s in reversed(letters):
-        memo = cc._sigma[s]
-        pulled = {}
-        for root, coeff in terms.items():
+    each root through sigma_s for each letter, the last first, each image
+    read from the memo of sigma_s or computed and stored; the roots lie in
+    -Π ∪ Φ+, on which sigma_s is a bijection, so no two roots meet."""
+    memos, cm = cc._sigma, cc.cm
+    back = letters[::-1]
+    pulled = {}
+    for root, coeff in terms.items():
+        for s in back:
+            memo = memos[s]
             if (image := memo.get(root)) is None:
-                image = memo[root] = deformed_reflection(cc.cm, s, root)
-            pulled[image] = coeff
-        terms = pulled
-    return terms
+                image = memo[root] = deformed_reflection(cm, s, root)
+            root = image
+        pulled[root] = coeff
+    return pulled
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +207,9 @@ def _pull_back(cc: CoxeterContext, letters, terms):
 
 def cluster_expansion(cc: CoxeterContext, v):
     """The unique cluster expansion of v as a dict root -> positive coefficient."""
-    v = vec(v)
+    m, v = scale_to_integers(v)
     if not any(v):
         return {}
-    m, v = scale_to_integers(v)
     if in_delta_cone(cc, v):
         return _divided(imaginary_expansion(cc, v), m)
     letters, rotated, word = rotate_affine(cc, v)

@@ -7,12 +7,15 @@ lexicographic order so results are deterministic.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cartan import AffineContext, CartanMatrix
 from .errors import NotAffine
 
 
+@cache
 def neg_simple(n: int, i: int) -> tuple:
-    """The negative simple root -α_i in rank n."""
+    """The negative simple root -α_i in rank n, built once per (n, i)."""
     return tuple(-1 if j == i else 0 for j in range(n))
 
 

@@ -1,0 +1,118 @@
+"""The exactness corpus: one SHA-256 per (label, word, family).
+
+Each digest hashes the `repr` of a family's answers, in order, on seeded
+inputs of one context, so the types of the entries and the order of a
+dict's keys count.  An answer that raises is recorded by the class and
+message of its error.  The contexts are every `catalog_labels(6)` label in
+its catalog word and in two seeded shuffles; the inputs are seeded rational
+vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone.
+
+`tests/test_golden.py` recomputes the digests against `golden/exact.json`.
+This script rewrites that file from the package on the path:
+
+    PYTHONPATH=src python tests/golden.py [--dump ANSWERS.txt]
+
+`--dump` also writes every answer, one per line, so that the answers of two
+trees can be diffed.  A change that alters an exact result on purpose
+rewrites the affected digests and names each one in CHANGES.md.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from aproots.cartan import catalog_labels
+from aproots.clusters import nu, nu_inverse
+from aproots.coxeter import CoxeterContext
+from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
+from aproots.linalg import primitive_integer_vector, vec
+
+from strategies import affine_for, integer_kernel_basis
+
+PATH = Path(__file__).resolve().parent / "golden" / "exact.json"
+LABELS = catalog_labels(6)
+FAMILIES = {
+    "cluster_expansion": cluster_expansion,
+    "in_delta_cone": in_delta_cone,
+    "in_delta_cone_interior": in_delta_cone_interior,
+    "nu": nu,
+    "nu_inverse": nu_inverse,
+}
+
+
+def words(label):
+    """The catalog word of `label` and two seeded shuffles of it, each once
+    (a rank-2 label has only two words)."""
+    word = affine_for(label)[1]
+    rng = random.Random(f"{label} words")
+    return list(dict.fromkeys([tuple(word)] + [tuple(rng.sample(word, len(word)))
+                                              for _ in range(2)]))
+
+
+def inputs(cc, rng):
+    """Seeded rational, hyperplane and imaginary-cone vectors of `cc`."""
+    n = cc.n
+    out = [vec(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+           for _ in range(12)]
+    basis = integer_kernel_basis(primitive_integer_vector(cc._phi_fun))
+    for _ in range(6):
+        coeffs = [rng.randint(-6, 6) for _ in basis]
+        den = rng.randint(1, 4)
+        out.append(vec(Fraction(sum(c * b[i] for c, b in zip(coeffs, basis)), den)
+                       for i in range(n)))
+    gens = [r for comp in cc.components for r in comp.cycle] + [cc.ctx.delta]
+    for _ in range(6):
+        coeffs = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in gens]
+        out.append(vec(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)))
+    return out
+
+
+def answer(f, cc, v):
+    try:
+        return repr(f(cc, v))
+    except Exception as e:
+        return f"!{type(e).__name__}: {e}"
+
+
+def answers(label, word):
+    """family -> the list of (input, answer) texts of one context."""
+    cc = CoxeterContext(affine_for(label)[0], word)
+    vectors = inputs(cc, random.Random(f"{label} {word}"))
+    return {family: [(repr(v), answer(f, cc, v)) for v in vectors]
+            for family, f in FAMILIES.items()}
+
+
+def key(label, word, family):
+    return f"{label} {' '.join(map(str, word))} {family}"
+
+
+def digest(pairs):
+    return hashlib.sha256("\n".join(a for _, a in pairs).encode()).hexdigest()
+
+
+def digests(label):
+    """key -> digest for every word and family of `label`."""
+    return {key(label, word, family): digest(pairs)
+            for word in words(label)
+            for family, pairs in answers(label, word).items()}
+
+
+def main(argv):
+    table, lines = {}, []
+    for label in LABELS:
+        for word in words(label):
+            for family, pairs in answers(label, word).items():
+                table[key(label, word, family)] = digest(pairs)
+                lines += [f"{key(label, word, family)}\t{v}\t{a}" for v, a in pairs]
+    PATH.parent.mkdir(exist_ok=True)
+    PATH.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
+    print(f"{len(table)} digests written to {PATH}")
+    if argv[:1] == ["--dump"]:
+        Path(argv[1]).write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -31,7 +31,7 @@ from aproots.compatibility import degree
 from aproots.coxeter import DELTA, TUBE, CoxeterContext
 from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
-from aproots.linalg import cross, det, in_simplicial_cone, vec
+from aproots.linalg import canon, cross, det, in_simplicial_cone, vec
 
 from strategies import (
     FrozensetArcs, affine_for, cc_for, coxeter_contexts, reference_tau, run_here, run_python_O)
@@ -341,6 +341,33 @@ def test_weight_map_inverse_over_random_coxeter_words(cc, data):
         assert nu_inverse(c, nu(c, v)) == v
         w = data.draw(vectors)
         assert nu(c, nu_inverse(c, w)) == w
+
+
+def reference_nu(cc, v):
+    """nu in `Fraction` arithmetic, the formula the int path replaced."""
+    v = vec(v)
+    plus = tuple(x if x > 0 else 0 for x in v)
+    return tuple(canon(-p - sum(a * plus[j] for j, a in row) - min(x, 0))
+                 for x, p, row in zip(v, plus, cc.lower))
+
+
+def reference_nu_inverse(cc, weight):
+    """nu_inverse by forward substitution in `Fraction` arithmetic."""
+    weight = vec(weight)
+    v = [0] * cc.n
+    for i in cc.word:
+        v[i] = -weight[i] - sum(a * max(v[j], 0) for j, a in cc.lower[i])
+    return vec(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_contexts(), st.data())
+def test_weight_map_in_ints_matches_the_fraction_formula(cc, data):
+    entries = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=12))
+    v = data.draw(st.lists(entries, min_size=cc.n, max_size=cc.n))
+    for x in (v, vec(v)):
+        assert repr(nu(cc, x)) == repr(reference_nu(cc, x)), x
+        assert repr(nu_inverse(cc, x)) == repr(reference_nu_inverse(cc, x)), x
 
 
 def test_weight_map_conjugation_identity():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import CartanMatrix, catalog_labels
+from aproots import expansion
+from aproots.cartan import catalog_labels
 from aproots.clusters import enumerate_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext
@@ -35,7 +36,8 @@ from aproots.linalg import (
 )
 from aproots.roots import deformed_reflection, neg_simple
 
-from strategies import affine_for, cc_for, coxeter_contexts, integer_kernel_basis, word_sources
+from strategies import (affine_for, cc_for, coxeter_contexts, integer_kernel_basis, outcome,
+                        word_sources)
 
 
 def test_zero_and_delta():
@@ -345,9 +347,30 @@ def test_expansion_and_interior_are_positively_homogeneous(cc, data):
     assert in_delta_cone_interior(cc, qv) == in_delta_cone_interior(cc, v)
 
 
+def reference_rotate(cm, word, v, active, cap, sink=False):
+    """The rotation the integer kernel replaced: the word popped and pushed
+    at every letter, each letter applied by `cm.reflect`, and every active
+    coordinate scanned for positivity after each step."""
+    word = list(word)
+    letters = []
+    while all(v[i] > 0 for i in active):
+        if len(letters) == cap:
+            raise AssertionError("rotation cap exhausted")
+        if sink:
+            s = word.pop()
+            word.insert(0, s)
+        else:
+            s = word.pop(0)
+            word.append(s)
+        v = cm.reflect(s, v)
+        letters.append(s)
+    return letters, v, word
+
+
 def reference_cluster_expansion(cc, v):
-    """The expansion with every sigma_s of the pull-back formed letter by
-    letter through `deformed_reflection`, reading no memo."""
+    """The expansion by `reference_rotate`, two calls per parabolic level
+    (one rotates, one splits) and every sigma_s of the pull-back formed
+    letter by letter through `deformed_reflection`, reading no memo."""
     def pull_back(letters, terms):
         for s in reversed(letters):
             terms = {deformed_reflection(cc.cm, s, root): c for root, c in terms.items()}
@@ -357,7 +380,7 @@ def reference_cluster_expansion(cc, v):
         if not any(v):
             return {}
         if all(v[i] > 0 for i in word):
-            letters, v, word = _rotate(cc.cm, word, v, word, 64 * len(word) ** 2 + 64)
+            letters, v, word = reference_rotate(cc.cm, word, v, word, 64 * len(word) ** 2 + 64)
             return pull_back(letters, in_parabolic(word, v))
         terms = {neg_simple(cc.n, i): -v[i] for i in word if v[i] < 0}
         terms.update(in_parabolic([s for s in word if v[s] > 0],
@@ -369,7 +392,8 @@ def reference_cluster_expansion(cc, v):
     m, v = scale_to_integers(v)
     if in_delta_cone(cc, v):
         return _divided(imaginary_expansion(cc, v), m)
-    letters, rotated, word = rotate_affine(cc, v)
+    letters, rotated, word = reference_rotate(cc.cm, cc.word, v, range(cc.n), None,
+                                              sink=cc.phi(v) < 0)
     return _divided(pull_back(letters, in_parabolic(word, rotated)), m)
 
 
@@ -409,14 +433,18 @@ def test_cached_hyperplane_inverse_matches_a_fresh_solve():
 
 
 def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
-    reflect = CartanMatrix.reflect
+    # every vector that enters the rotation and the parabolic levels
     seen = []
 
-    def recording(cm, i, v):
-        seen.append(v)
-        return reflect(cm, i, v)
+    def recording(f):
+        def entered(cc, *args):
+            seen.append(args[-1])
+            return f(cc, *args)
+        return entered
 
-    monkeypatch.setattr(CartanMatrix, "reflect", recording)
+    monkeypatch.setattr(expansion, "rotate_affine", recording(rotate_affine))
+    monkeypatch.setattr(expansion, "expand_in_parabolic",
+                        recording(expansion.expand_in_parabolic))
     rng = random.Random(47)
     for label in ("D3(2)", "B3(1)", "A3(1):k=2"):
         cc = cc_for(label)
@@ -426,3 +454,36 @@ def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
                                       for _ in range(cc.n)))
         assert seen, label
         assert not any(type(x) is Fraction for v in seen for x in v), label
+
+
+@st.composite
+def rotations(draw):
+    """(cm, word, v, active, sink) of a rotation: the word of a context or a
+    random proper sub-word of it, and a positive int vector on its letters."""
+    cc = draw(coxeter_contexts())
+    word = cc.word
+    if draw(st.booleans()):
+        word = draw(st.permutations(word))[:draw(st.integers(1, cc.n - 1))]
+    v = [0] * cc.n
+    for i in word:
+        v[i] = draw(st.integers(1, 30))
+    return cc.cm, tuple(word), tuple(v), word, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotations())
+def test_the_rotation_kernel_matches_the_reflection_loop(case):
+    cm, word, v, active, sink = case
+    assert (outcome(_rotate, cm, word, v, active, 200, sink)
+            == outcome(reference_rotate, cm, word, v, active, 200, sink))
+
+
+@pytest.mark.parametrize("v, sink", [((7, 7, 3, 3), False), ((7, 7, 4, 4), True)])
+def test_the_rotation_cap_raises_when_more_letters_are_needed(v, sink):
+    cc = cc_for("B3(1)")
+    letters, rotated, word = rotate_affine(cc, v)
+    assert (cc.phi(v) < 0) == sink and len(letters) > 20
+    args = cc.cm, cc.word, v, range(cc.n)
+    assert _rotate(*args, len(letters), sink) == (letters, rotated, word)
+    with pytest.raises(AssertionError, match="rotation cap exhausted"):
+        _rotate(*args, len(letters) - 1, sink)
