@@ -25,21 +25,31 @@ from fractions import Fraction
 from pathlib import Path
 
 from aproots.cartan import catalog_labels
-from aproots.clusters import nu, nu_inverse
+from aproots.clusters import is_exchangeable, nu, nu_inverse
+from aproots.compatibility import compatibility_degree, coroot_coordinates
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
 from aproots.linalg import primitive_integer_vector, vec
+from aproots.roots import roots_up_to_level
 
 from strategies import affine_for, integer_kernel_basis
 
 PATH = Path(__file__).resolve().parent / "golden" / "exact.json"
 LABELS = catalog_labels(6)
+# family -> (the kind of input it reads, the function of (cc, *input))
 FAMILIES = {
-    "cluster_expansion": cluster_expansion,
-    "in_delta_cone": in_delta_cone,
-    "in_delta_cone_interior": in_delta_cone_interior,
-    "nu": nu,
-    "nu_inverse": nu_inverse,
+    "cluster_expansion": ("vectors", cluster_expansion),
+    "in_delta_cone": ("vectors", in_delta_cone),
+    "in_delta_cone_interior": ("vectors", in_delta_cone_interior),
+    "nu": ("vectors", nu),
+    "nu_inverse": ("vectors", nu_inverse),
+    "c_action": ("vectors", CoxeterContext.c_action),
+    "c_inverse_action": ("vectors", CoxeterContext.c_inverse_action),
+    "phi_c_class": ("roots", CoxeterContext.phi_c_class),
+    "coroot_coordinates": ("roots", coroot_coordinates),
+    "orbit_classification": ("pool", CoxeterContext.orbit_classification),
+    "compatibility_degree": ("pairs", compatibility_degree),
+    "is_exchangeable": ("pairs", is_exchangeable),
 }
 
 
@@ -70,9 +80,21 @@ def inputs(cc, rng):
     return out
 
 
-def answer(f, cc, v):
+def input_kinds(cc, seed):
+    """kind -> the list of argument tuples of the families of that kind."""
+    pool = [r for r in roots_up_to_level(cc.ctx, 1) if cc.phi_c_class(r) is not None]
+    pool = random.Random(f"{seed} pool").sample(pool, min(20, len(pool)))
+    return {
+        "vectors": [(v,) for v in inputs(cc, random.Random(seed))],
+        "roots": [(r,) for r in roots_up_to_level(cc.ctx, 2)],
+        "pool": [(r,) for r in pool],
+        "pairs": [(a, b) for a in pool for b in pool],
+    }
+
+
+def answer(f, cc, args):
     try:
-        return repr(f(cc, v))
+        return repr(f(cc, *args))
     except Exception as e:
         return f"!{type(e).__name__}: {e}"
 
@@ -80,9 +102,9 @@ def answer(f, cc, v):
 def answers(label, word):
     """family -> the list of (input, answer) texts of one context."""
     cc = CoxeterContext(affine_for(label)[0], word)
-    vectors = inputs(cc, random.Random(f"{label} {word}"))
-    return {family: [(repr(v), answer(f, cc, v)) for v in vectors]
-            for family, f in FAMILIES.items()}
+    kinds = input_kinds(cc, f"{label} {word}")
+    return {family: [(repr(args), answer(f, cc, args)) for args in kinds[kind]]
+            for family, (kind, f) in FAMILIES.items()}
 
 
 def key(label, word, family):
