@@ -54,16 +54,12 @@ class CartanMatrix:
 
     def pairing(self, i, v):
         """K(α_i^vee, v) = Σ_j a_ij v_j over the nonzero a_ij."""
-        return canon(sum(x * v[j] for j, x in self.rows[i]))
+        return sum(x * v[j] for j, x in self.rows[i])
 
     def reflect(self, i, v):
-        """Simple reflection s_i(v) = v - K(α_i^vee, v)·α_i."""
+        """Simple reflection s_i(v) = v - K(α_i^vee, v)·α_i of a tuple v."""
         t = self.pairing(i, v)
-        if t == 0:
-            return tuple(v)
-        out = list(v)
-        out[i] = canon(out[i] - t)
-        return tuple(out)
+        return v[:i] + (v[i] - t,) + v[i + 1:] if t else v
 
 
 def validate_cartan(raw) -> CartanMatrix:

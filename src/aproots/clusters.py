@@ -17,10 +17,10 @@ from operator import mul
 
 from . import almost_positive as ap
 from . import compatibility as compat
-from .coxeter import DELTA, CoxeterContext
+from .coxeter import CoxeterContext
 from .errors import NotACluster, RankOutOfRange, RootNotInCluster
 from .expansion import cluster_expansion, in_delta_cone_interior
-from .linalg import (_ratio, cross, det, format_vector, in_simplicial_cone,
+from .linalg import (cross, det, divided, format_vector, in_simplicial_cone,
                      primitive_integer_vector, scale_to_integers, vec)
 
 REAL = "real"
@@ -151,11 +151,12 @@ def imaginary_clusters(cc: CoxeterContext):
 # ---------------------------------------------------------------------------
 
 def is_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
-    alpha, ca, _ = cc.member(alpha)
-    beta, cb, _ = cc.member(beta)
-    if alpha == beta or DELTA in (ca, cb):
+    """(α‖β) = 1 = (β‖α) for distinct members other than delta; `degree` admits both."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    forward = compat.degree(cc, alpha, beta)
+    if alpha == beta or cc.ctx.delta in (alpha, beta):
         return False
-    return compat.degree(cc, alpha, beta) == 1 and compat.degree(cc, beta, alpha) == 1
+    return forward == 1 and compat.degree(cc, beta, alpha) == 1
 
 
 def is_real_exchangeable(cc: CoxeterContext, alpha, beta) -> bool:
@@ -173,26 +174,22 @@ def delta_pair_test_available(cc: CoxeterContext) -> bool:
 def single_root_delta_pair_test(cc: CoxeterContext, alpha) -> bool:
     """(alpha‖delta) = 1 = (delta‖alpha); only meaningful when
     delta_pair_test_available."""
-    alpha = vec(alpha)
     d = cc.ctx.delta
     return compat.degree(cc, alpha, d) == 1 and compat.degree(cc, d, alpha) == 1
 
 
 def is_pair_exchangeable_with_delta(cc: CoxeterContext, alpha, beta) -> bool:
-    """Honest search: an imaginary cluster C and a real cluster C' with
-    C - {delta} = C' - {alpha, beta}."""
-    alpha, beta = vec(alpha), vec(beta)
-    if alpha == beta:
+    """Whether an imaginary cluster C and a real cluster C' have
+    C - {delta} = C' - {alpha, beta}.  C - {delta} is one cyclohedron facet
+    per tube component, and tube roots of different components are always
+    compatible, so each component's facets are searched on their own."""
+    alpha, beta = cc.member(alpha)[0], cc.member(beta)[0]
+    if alpha == beta or cc.ctx.delta in (alpha, beta) or compat.degree(cc, alpha, beta):
         return False
-    for cim in imaginary_clusters(cc):
-        rest = tuple(r for r in cim if r != cc.ctx.delta)
-        if alpha in rest or beta in rest:
-            continue
-        candidate = tuple(sorted(rest + (alpha, beta)))
-        kind, _ = is_cluster(cc, candidate)
-        if kind == REAL:
-            return True
-    return False
+    return all(any(alpha not in facet and beta not in facet
+                   and not any(compat.degree(cc, a, r) for a in (alpha, beta) for r in facet)
+                   for facet in _component_facets(cc, ci))
+               for ci in range(len(cc.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +210,8 @@ def nu(cc: CoxeterContext, v):
     inverse are positively homogeneous, so they run in ints on m·v.
     """
     m, v = scale_to_integers(v)
-    w = [-x - sum(a * v[j] for j, a in row if v[j] > 0) for x, row in zip(v, cc.lower)]
-    return tuple(w) if m == 1 else tuple(_ratio(x, m) for x in w)
+    return divided(m, [-x - sum(a * v[j] for j, a in row if v[j] > 0)
+                       for x, row in zip(v, cc.lower)])
 
 
 def nu_inverse(cc: CoxeterContext, weight):
@@ -233,7 +230,7 @@ def nu_inverse(cc: CoxeterContext, weight):
     v = [0] * cc.n
     for i in cc.word:
         v[i] = -w[i] - sum(a * v[j] for j, a in cc.lower[i] if v[j] > 0)
-    return tuple(v) if m == 1 else tuple(_ratio(x, m) for x in v)
+    return divided(m, v)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ the coroot coordinates of α and the root coordinates of β, read through
 the context's strict Euler parts `lower` and `upper`; on positive roots
 they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
 
-Each public call admits each root argument once, by `CoxeterContext.member`;
-`compat_arrows` is the degree's admission, and a pair of tube roots, members
-by construction, needs none.  `compat_circ` is the rule for tube roots; it
-reads each root's arc, its (component, start, length), and tests nesting,
-adjacency and covering as cyclic intervals.
+Each public call admits each root argument once, as a canonical int tuple,
+by `CoxeterContext.member`; `compat_arrows` is the degree's admission, and a
+pair of tube roots, members by construction, needs none.  The coroot
+coordinates of a member are ints, so the arrow sums are too.  `compat_circ`
+is the rule for tube roots; it reads each root's arc, its (component, start,
+length), and tests nesting, adjacency and covering as cyclic intervals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .coxeter import CoxeterContext
 from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInTube
-from .linalg import canon, format_vector, vec
+from .linalg import format_vector, vec
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def compat_arrows(cc: CoxeterContext, alpha, beta):
             for j, a in cc.upper[i]:
                 if beta[j] > 0:
                     frm -= x * a * beta[j]
-    return canon(to), canon(frm)
+    return to, frm
 
 
 def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:

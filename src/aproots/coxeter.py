@@ -2,9 +2,10 @@
 
 c = s_{w_1}···s_{w_n} is kept as its word and applied as one: `c_action`
 walks the simple reflections `CartanMatrix.reflect` from the last letter to
-the first, `c_inverse_action` from the first to the last.  The transversals
-of tau_c are the inversion roots of the word, walks of one simple root over
-part of it: psi_to[w_k] = s_{w_1}···s_{w_{k-1}}(α_{w_k}) and
+the first, `c_inverse_action` from the first to the last, each on a rational
+vector scaled to ints once.  The transversals of tau_c are the inversion
+roots of the word, walks of one simple root over part of it:
+psi_to[w_k] = s_{w_1}···s_{w_{k-1}}(α_{w_k}) and
 psi_from[w_k] = s_{w_n}···s_{w_{k+1}}(α_{w_k}).  The word order is read off
 the Cartan rows once, as the strict parts of the two unitriangular Euler
 matrices: `lower`, with E_c = I + lower, and `upper`, with
@@ -19,9 +20,10 @@ orientations and their classes, and the memos of the deformed maps sigma_s
 and tau_c, which compute each image once per context.
 
 Each public method admits each root argument once, through `member`, the one
-boundary of the almost-positive set; internal steps reuse the roots they
-hold.  The tau-orbit walk of `orbit_classification` steps through the tau
-memos directly, as tau_c maps the set to itself.
+boundary of the almost-positive set, which returns it as a canonical int
+tuple; internal steps reuse the roots they hold and run in ints.  The
+tau-orbit walk of `orbit_classification` applies c^∓1, which is tau_c^±1
+off the transversals, until it meets a psi transversal, and stores nothing.
 
 The rotation subsystem is a set of type-A cycles that c rotates.  Each
 cycle is found by following c from a finite-orbit simple root until it
@@ -48,7 +50,7 @@ from math import lcm
 from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
-from .linalg import canon, format_vector, inverse, vec
+from .linalg import divided, format_vector, inverse, scale_to_integers, vec
 from .roots import deformed_reflection, neg_simple, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
@@ -109,17 +111,14 @@ class CoxeterContext:
         scale = abs(next(w for w in weight if w != 0))
         self.phi_weight = vec(Fraction(w, scale) for w in weight)
 
-        # the memos of tau_c and tau_c^{-1}, member -> image.  tau_c differs
-        # from c only on the negative simples and psi_from: -α_i -> psi_to[i]
-        # and psi_from[i] -> -α_i, so each starts with these 2n exceptions,
-        # mirrored for tau_c^{-1}.  tau and the transient walk of
-        # orbit_classification add each image of c they compute; the tau_c^{-1}
-        # memo serves only that walk, with the images of c^-1
+        # the memo of tau_c, member -> image.  tau_c differs from c only on
+        # the negative simples and psi_from: -α_i -> psi_to[i] and
+        # psi_from[i] -> -α_i, so it starts with these 2n exceptions, and tau
+        # adds each image of c it computes
         self._tau = {}
         for i in range(n):
             self._tau[neg_simple(n, i)] = self.psi_to[i]
             self._tau[self.psi_from[i]] = neg_simple(n, i)
-        self._tau_inverse = {w: v for v, w in self._tau.items()}
         # the memos of sigma_s, one dict per letter s: root -> sigma_s(root),
         # filled by sigma and the expansion pull-back.  Every key is a
         # negative simple or a positive root, so a hit needs no check
@@ -170,7 +169,7 @@ class CoxeterContext:
     # -- scalar evaluations --------------------------------------------------
 
     def phi(self, v):
-        return canon(sum(a * b for a, b in zip(self._phi_fun, v)))
+        return sum(a * b for a, b in zip(self._phi_fun, v))
 
     def gamma(self):
         """gamma_c with (c - I)·gamma = delta and gamma_aff = 0, solved on
@@ -184,11 +183,13 @@ class CoxeterContext:
 
     def c_action(self, v):
         """c·v: the letters' reflections, the last letter first."""
-        return self._walk(vec(v), reversed(self.word))
+        m, v = scale_to_integers(v)
+        return divided(m, self._walk(v, reversed(self.word)))
 
     def c_inverse_action(self, v):
         """c^-1·v: the letters' reflections in word order."""
-        return self._walk(vec(v), self.word)
+        m, v = scale_to_integers(v)
+        return divided(m, self._walk(v, self.word))
 
     def _walk(self, v, letters):
         reflect = self.cm.reflect
@@ -313,7 +314,10 @@ class CoxeterContext:
         return image
 
     def tau(self, v):
-        return _memo_step(self._tau, self.c_action, self.member(v)[0])
+        v = self.member(v)[0]
+        if (image := self._tau.get(v)) is None:
+            image = self._tau[v] = self._walk(v, reversed(self.word))
+        return image
 
     # -- orbit classification ----------------------------------------------------
 
@@ -335,24 +339,18 @@ class CoxeterContext:
             k = self.components[ci].rank
             first = (self.components[ci].affine_pos + 1) % k
             return ("finite", self.arc_roots[ci, first, length], (start - first) % k)
-        # transient: walk toward the negative simple on its side of phi = 0;
-        # tau_c^{±1} keeps the walk inside the set, so no step is admitted again
-        memo, action, sign = ((self._tau_inverse, self.c_inverse_action, 1) if self.phi(v) > 0
-                              else (self._tau, self.c_action, -1))
+        # transient: walk toward the negative simple on its side of phi = 0.
+        # Off the transversals tau_c^{±1} is c^{±1}, and it sends psi_to[i]
+        # (tau_c^-1, phi > 0) or psi_from[i] (tau_c, phi < 0) to -α_i
+        psi, letters, sign = ((self.psi_to, self.word, 1) if self.phi(v) > 0
+                              else (self.psi_from, self.word[::-1], -1))
+        ends = {root: i for i, root in psi.items()}
         cur = v
         for m in range(1, 4 * self.m_bound + 8 * sum(abs(x) for x in v) + 8):
-            cur = _memo_step(memo, action, cur)
-            if self.neg_simple_index(cur) is not None:
-                return ("infinite", cur, sign * m)
+            if (i := ends.get(cur)) is not None:
+                return ("infinite", neg_simple(self.n, i), sign * m)
+            cur = self._walk(cur, letters)
         raise AssertionError("infinite-orbit walk exhausted")
-
-
-def _memo_step(memo, action, v):
-    """The image of the member v under a tau memo, computed by `action`
-    on a miss and stored."""
-    if (image := memo.get(v)) is None:
-        image = memo[v] = action(v)
-    return image
 
 
 def source_sink_counts(ctx: AffineContext):

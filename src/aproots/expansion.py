@@ -20,8 +20,8 @@ Expansions are positively homogeneous: a rational v is scaled once, by the
 lcm m of its denominators, and m·v is expanded in int arithmetic.  A letter
 changes one coordinate, updated in place; each parabolic level is one call,
 and its pull-back walks each root through the level's letters with the
-context's sigma memos.  Imaginary-cone coordinates are one `mat_vec` by the
-context's cached integer inverse of the hyperplane basis.
+context's sigma memos.  Imaginary-cone coordinates are one `mat_vec` of the
+scaled vector by the context's cached integer inverse of the hyperplane basis.
 """
 
 from __future__ import annotations
@@ -40,17 +40,16 @@ from .roots import deformed_reflection, neg_simple
 # ---------------------------------------------------------------------------
 
 def _cone_coordinates(cc: CoxeterContext, v):
-    """(fin-simple coordinates, per-component slack, margin, scale) of a
-    canonical v on the hyperplane, or None off it.  The first three are
-    ints, `scale` times their true values, read off the integer multiple of
-    v with one `mat_vec` by the context's hyperplane inverse.
+    """(fin-simple coordinates, per-component slack, margin, den) of an int
+    v on the hyperplane, or None off it.  The first three are ints, den
+    times their true values, read off v with one `mat_vec` by the context's
+    hyperplane inverse.
 
     The slack of a component is the least t >= 0 keeping every fin-simple
     coefficient of the component at least -t; the margin is how far v's
     delta coefficient exceeds the least one that keeps v in the imaginary
     cone (negative outside it).
     """
-    m, v = scale_to_integers(v)
     if cc.phi(v) != 0:
         return None
     rows, inv, den = cc.hyperplane_inverse
@@ -58,28 +57,29 @@ def _cone_coordinates(cc: CoxeterContext, v):
     zf = dict(zip(cc.fin_simples, zf))
     slack = [max([0] + [-zf[f] for f in comp.fin_simples]) for comp in cc.components]
     used = sum(comp.delta_multiple * t for comp, t in zip(cc.components, slack))
-    return zf, slack, z - used, m * den
+    return zf, slack, z - used, den
 
 
 def in_delta_cone(cc: CoxeterContext, v) -> bool:
-    coords = _cone_coordinates(cc, vec(v))
+    coords = _cone_coordinates(cc, scale_to_integers(vec(v))[1])
     return coords is not None and coords[2] >= 0
 
 
 def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
     """Relative-interior test: v - t·delta stays in the cone for some t > 0."""
-    coords = _cone_coordinates(cc, vec(v))
+    coords = _cone_coordinates(cc, scale_to_integers(vec(v))[1])
     return coords is not None and coords[2] > 0
 
 
 def imaginary_expansion(cc: CoxeterContext, v):
     """Expansion of a vector of the imaginary cone over tube roots and delta."""
     v = vec(v)
-    coords = _cone_coordinates(cc, v)
+    m, ints = scale_to_integers(v)
+    coords = _cone_coordinates(cc, ints)
     if coords is None:
         raise NotInImaginaryCone(
             f"{format_vector(v)} lies off the hyperplane of the imaginary cone")
-    zf, slack, margin, scale = coords
+    zf, slack, margin, den = coords
     if margin < 0:
         raise NotInImaginaryCone(f"{format_vector(v)} lies outside the imaginary cone")
     terms = {}
@@ -99,7 +99,7 @@ def imaginary_expansion(cc: CoxeterContext, v):
             below = level
     if margin != 0:
         terms[cc.ctx.delta] = margin
-    return _divided(terms, scale)
+    return _divided(terms, m * den)
 
 
 def _divided(terms, m):
@@ -210,7 +210,8 @@ def cluster_expansion(cc: CoxeterContext, v):
     m, v = scale_to_integers(v)
     if not any(v):
         return {}
-    if in_delta_cone(cc, v):
+    coords = _cone_coordinates(cc, v)
+    if coords is not None and coords[2] >= 0:
         return _divided(imaginary_expansion(cc, v), m)
     letters, rotated, word = rotate_affine(cc, v)
     return _divided(_pull_back(cc, letters, expand_in_parabolic(cc, word, rotated)), m)

@@ -5,6 +5,10 @@ Values are normalized so that integral rationals are stored as ints; this
 keeps hashing/equality canonical and the common all-integer paths fast.
 No routine here introduces floating point.
 
+Vectors enter the package's kernels through `CoxeterContext.member`, or
+`scale_to_integers` and back through `divided`; the kernels, `cross`
+included, run on int tuples and normalize nothing.
+
 Determinants, inverses, solutions and kernels all come from one
 fraction-free Gauss–Jordan elimination (Bareiss 1968) on integer rows:
 rational input is scaled to integers once, row by row, and every later
@@ -65,12 +69,9 @@ def scale_to_integers(values):
 
 
 def cross(a, b) -> tuple:
-    """Cross product of two 3-vectors (`fan_svg` also applies it to floats)."""
-    return (
-        canon(a[1] * b[2] - a[2] * b[1]),
-        canon(a[2] * b[0] - a[0] * b[2]),
-        canon(a[0] * b[1] - a[1] * b[0]),
-    )
+    """Cross product of two 3-vectors, taken on int roots in the face test
+    and on floats in `fan_svg`."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def mat_vec(m, v) -> tuple:
@@ -81,6 +82,11 @@ def _ratio(x, d):
     """x/d as a canonical rational: an int when the quotient is integral."""
     q, r = divmod(x, d)
     return q if r == 0 else Fraction(x, d)
+
+
+def divided(m, ints) -> tuple:
+    """ints/m, canonical: undoes the scaling by m of `scale_to_integers`."""
+    return tuple(ints) if m == 1 else tuple(_ratio(x, m) for x in ints)
 
 
 def _eliminate(rows, ncols):

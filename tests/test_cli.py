@@ -254,6 +254,16 @@ def test_fan_svg_writes_file(tmp_path, aproots):
     assert text.startswith("<svg") and "cone-neg-simples" in text
 
 
+def test_fan_svg_takes_a_pole_near_the_first_axis(tmp_path, aproots):
+    # the chart then builds its basis from the second axis
+    default, near = tmp_path / "default.svg", tmp_path / "near.svg"
+    for svg, pole in ((default, ()), (near, ("--pole", "1,0,0"))):
+        code, _, _ = aproots("fan-svg", "--type", "D3(2)", "--depth", "3", *pole, "--out", str(svg))
+        assert code == 0
+    text = near.read_text()
+    assert text.startswith("<svg") and "<path" in text and text != default.read_text()
+
+
 def test_oracle_command(aproots):
     code, out, _ = aproots("oracle", "--type", "A1(1)", "--depth", "4",
                            "--check", "thm12,thm13,conj14", "--json")

@@ -32,9 +32,12 @@ from aproots.coxeter import DELTA, TUBE, CoxeterContext
 from aproots.errors import NotACluster, NotInPhiC, RootNotInCluster
 from aproots.expansion import cluster_expansion
 from aproots.linalg import canon, cross, det, in_simplicial_cone, vec
+from aproots.roots import roots_up_to_level
+from aproots.verification import RANK2_LABELS, RANK3_LABELS, RANK4_LABELS
 
 from strategies import (
-    FrozensetArcs, affine_for, cc_for, coxeter_contexts, reference_tau, run_here, run_python_O)
+    FrozensetArcs, affine_for, cc_for, count_member_calls, coxeter_contexts, reference_tau,
+    run_here, run_python_O)
 
 
 def neg_pi(n):
@@ -92,10 +95,52 @@ def test_pair_exchange_with_delta_skips_imaginary_clusters_holding_a_root():
     assert is_pair_exchangeable_with_delta(cc, (-1, 0, 0), (0, 0, -1))
 
 
+def reference_pair_exchangeable_with_delta(cc, alpha, beta):
+    """The search the per-component one replaced: every imaginary cluster,
+    one facet per component in all combinations, tested by `is_cluster`."""
+    alpha, beta = vec(alpha), vec(beta)
+    if alpha == beta:
+        return False
+    for cim in imaginary_clusters(cc):
+        rest = tuple(r for r in cim if r != cc.ctx.delta)
+        if alpha in rest or beta in rest:
+            continue
+        kind, _ = is_cluster(cc, tuple(sorted(rest + (alpha, beta))))
+        if kind == REAL:
+            return True
+    return False
+
+
+def test_pair_exchange_with_delta_matches_the_product_search():
+    rng = random.Random(61)
+    found = 0
+    for label in RANK2_LABELS + RANK3_LABELS + RANK4_LABELS:
+        cc = cc_for(label)
+        pool = [r for r in roots_up_to_level(cc.ctx, 1) if cc.phi_c_class(r) is not None]
+        pairs = [(a, b) for a in pool for b in pool]
+        for a, b in rng.sample(pairs, min(300, len(pairs))):
+            expected = reference_pair_exchangeable_with_delta(cc, a, b)
+            assert is_pair_exchangeable_with_delta(cc, a, b) == expected, (label, a, b)
+            found += expected
+    assert found
+
+
 def test_is_exchangeable_names_the_vector_outside_the_set():
     cc = cc_for("D3(2)")
     with pytest.raises(NotInPhiC, match=r"^\(9, 9, 9\) is not in the almost-positive set$"):
         is_exchangeable(cc, (-1, 0, 0), (9, 9, 9))
+    # (5, 5) is no root of A2(2), where the search once answered False
+    with pytest.raises(NotInPhiC, match=r"^\(5, 5\) is not in the almost-positive set$"):
+        is_pair_exchangeable_with_delta(cc_for("A2(2)"), (-1, 0), (5, 5))
+
+
+def test_is_exchangeable_admits_each_root_once_per_degree(monkeypatch):
+    # the degrees are the one admission: two members per direction
+    cc = cc_for("D3(2)")
+    calls = count_member_calls(monkeypatch, cc)
+    a, b = (-1, 0, 0), (1, 0, 0)
+    assert is_exchangeable(cc, a, b)
+    assert calls == [a, b, b, a]
 
 
 def test_exchangeability_is_false_with_delta_an_equal_pair_or_a_compatible_pair():

@@ -313,7 +313,7 @@ def reference_orbit_walk(cc, v):
 @settings(max_examples=30, deadline=None)
 @given(coxeter_contexts())
 def test_orbit_walk_matches_the_unmemoized_walk(warm):
-    # the shared context is warm; the fresh one fills its tau memos here
+    # the shared context is warm, the fresh one cold
     fresh = CoxeterContext(warm.ctx, warm.word)
     transient = [v for v in ap.enumerate_phi_c(warm, 3) if warm.phi_c_class(v) == TRANSIENT]
     assert transient
@@ -324,17 +324,22 @@ def test_orbit_walk_matches_the_unmemoized_walk(warm):
 
 
 def test_orbit_classification_admits_its_argument_once(monkeypatch):
-    # the walk steps through the tau memos on the roots it holds: one
-    # admission and at most one new membership record, whatever its length
+    # the walk applies c^∓1 to the roots it holds: one admission, and no
+    # entry in any table of the context but at most one membership record,
+    # whatever its length
+    def entries(cc):
+        return sum(len(table) for table in vars(cc).values() if isinstance(table, dict))
+
     for k in (10, 100, 1000):
-        cc = cc_for("B3(1)")
-        v = tuple(int(i == 0) + k * d for i, d in enumerate(cc.ctx.delta))
-        before = len(cc._root_info)
-        calls = count_member_calls(monkeypatch, cc)
-        kind, _, power = cc.orbit_classification(v)
-        assert kind == "infinite" and abs(power) > k, (k, power)
-        assert calls == [v], k
-        assert len(cc._root_info) <= before + 1, k
+        for j in (0, 2):    # phi(α_1) > 0 > phi(α_3) in B3(1)
+            cc = cc_for("B3(1)")
+            v = tuple(int(i == j) + k * d for i, d in enumerate(cc.ctx.delta))
+            before = entries(cc)
+            calls = count_member_calls(monkeypatch, cc)
+            kind, _, power = cc.orbit_classification(v)
+            assert kind == "infinite" and abs(power) > k, (k, power)
+            assert calls == [v], k
+            assert entries(cc) <= before + 1, k
 
 
 def test_tube_orbit_powers_reach_their_representative():

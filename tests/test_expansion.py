@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aproots import expansion
-from aproots.cartan import catalog_labels
-from aproots.clusters import enumerate_clusters
+from aproots.cartan import CartanMatrix, catalog_labels
+from aproots.clusters import enumerate_clusters, exchange, nu, nu_inverse, real_clusters
 from aproots.compatibility import degree
 from aproots.coxeter import CoxeterContext
 from aproots.errors import NotInImaginaryCone
@@ -135,7 +135,8 @@ def reference_imaginary_expansion(cc, v):
     """The greedy peel the level split replaced: each maximal run of
     positive cycle coefficients gives up its least coefficient times the
     run's root, and the pieces left positive are peeled in turn."""
-    zf, slack, margin, scale = _cone_coordinates(cc, vec(v))
+    m, ints = scale_to_integers(v)
+    zf, slack, margin, den = _cone_coordinates(cc, ints)
     terms = {}
     for comp, t in zip(cc.components, slack):
         y = {p: t if p == comp.affine_pos else zf[root] + t
@@ -144,7 +145,7 @@ def reference_imaginary_expansion(cc, v):
             _peel_run(comp, y, run, terms)
     if margin != 0:
         terms[cc.ctx.delta] = margin
-    return _divided(terms, scale)
+    return _divided(terms, m * den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -433,25 +434,39 @@ def test_cached_hyperplane_inverse_matches_a_fresh_solve():
 
 
 def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
-    # every vector that enters the rotation and the parabolic levels
+    # every vector that enters a kernel below the admissions: the rotation,
+    # the parabolic levels, the pairings and reflections, phi and the walks
+    # of c, on rational queries to every map that scales its input
     seen = []
 
-    def recording(f):
-        def entered(cc, *args):
-            seen.append(args[-1])
-            return f(cc, *args)
+    def recording(f, at):
+        def entered(*args):
+            seen.append(args[at])
+            return f(*args)
         return entered
 
-    monkeypatch.setattr(expansion, "rotate_affine", recording(rotate_affine))
+    monkeypatch.setattr(expansion, "rotate_affine", recording(rotate_affine, -1))
     monkeypatch.setattr(expansion, "expand_in_parabolic",
-                        recording(expansion.expand_in_parabolic))
+                        recording(expansion.expand_in_parabolic, -1))
+    for owner, name, at in ((CartanMatrix, "pairing", -1), (CartanMatrix, "reflect", -1),
+                            (CoxeterContext, "phi", -1), (CoxeterContext, "_walk", 1)):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name), at))
     rng = random.Random(47)
     for label in ("D3(2)", "B3(1)", "A3(1):k=2"):
         cc = cc_for(label)
+        clusters = sorted(real_clusters(cc, 1))
         seen.clear()
         for _ in range(20):
-            cluster_expansion(cc, vec(Fraction(rng.randint(-9, 9), rng.randint(2, 5))
-                                      for _ in range(cc.n)))
+            v = vec(Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(cc.n))
+            cluster_expansion(cc, v)
+            cc.c_action(v)
+            cc.c_inverse_action(v)
+            in_delta_cone(cc, v)
+            in_delta_cone_interior(cc, v)
+            nu_inverse(cc, nu(cc, v))
+        for cluster in rng.sample(clusters, 3):
+            exchange(cc, [tuple(map(Fraction, r)) for r in cluster],
+                     tuple(map(Fraction, rng.choice(cluster))))
         assert seen, label
         assert not any(type(x) is Fraction for v in seen for x in v), label
 

@@ -6,7 +6,7 @@ import pytest
 
 from aproots.clusters import enumerate_clusters
 from aproots.errors import RankNot3
-from aproots.fan_svg import Projection, project_direction, render_fan_svg
+from aproots.fan_svg import Projection, _slerp, _unit, project_direction, render_fan_svg
 
 from strategies import cc_for
 
@@ -61,3 +61,9 @@ def test_projection_basis_off_a_pole_on_the_x_axis():
     for a, b in ((u1, u1), (u2, u2), (u1, u2), (u1, projection.pole), (u2, projection.pole)):
         assert abs(sum(x * y for x, y in zip(a, b)) - (a is b)) < 1e-12
     assert u1 == (0.0, 1.0, 0.0)
+
+
+def test_slerp_between_equal_directions_is_that_direction():
+    # the arc has angle 0, whose sine would divide every weight
+    a = _unit((1, 2, 2))
+    assert all(_slerp(a, a, t) == a for t in (0.0, 0.5, 1.0))
