@@ -5,7 +5,8 @@ inputs of one context, so the types of the entries and the order of a
 dict's keys count.  An answer that raises is recorded by the class and
 message of its error.  The contexts are every `catalog_labels(6)` label in
 its catalog word and in two seeded shuffles; the inputs are seeded rational
-vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone.
+vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone,
+the roots of level at most 2, and pairs drawn from pools of members.
 
 `tests/test_golden.py` recomputes the digests against `golden/exact.json`.
 This script rewrites that file from the package on the path:
@@ -26,7 +27,8 @@ from pathlib import Path
 
 from aproots.cartan import catalog_labels
 from aproots.clusters import is_exchangeable, nu, nu_inverse
-from aproots.compatibility import compatibility_degree, coroot_coordinates
+from aproots.almost_positive import neg_simples
+from aproots.compatibility import compat_arrows, compatibility_degree, coroot_coordinates
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
 from aproots.linalg import primitive_integer_vector, vec
@@ -50,6 +52,7 @@ FAMILIES = {
     "orbit_classification": ("pool", CoxeterContext.orbit_classification),
     "compatibility_degree": ("pairs", compatibility_degree),
     "is_exchangeable": ("pairs", is_exchangeable),
+    "compat_arrows": ("arrow pairs", compat_arrows),
 }
 
 
@@ -80,6 +83,20 @@ def inputs(cc, rng):
     return out
 
 
+def arrow_pairs(cc, seed):
+    """A pool of at most 120 members of level at most 2, holding delta, the
+    negative simples and every tube root, each member against a seeded
+    sample of 10 pool members in both orders.  Unlike the degree, the arrows
+    are read on tube pairs whose arcs cover their cycle too."""
+    pool = list(neg_simples(cc)) + [cc.ctx.delta] + cc.tube_roots()
+    rest = [r for r in roots_up_to_level(cc.ctx, 2)
+            if r not in pool and cc.phi_c_class(r) is not None]
+    rng = random.Random(f"{seed} arrows")
+    pool += rng.sample(rest, min(len(rest), 120 - len(pool)))
+    return [pair for a in pool for b in rng.sample(pool, min(10, len(pool)))
+            for pair in ((a, b), (b, a))]
+
+
 def input_kinds(cc, seed):
     """kind -> the list of argument tuples of the families of that kind."""
     pool = [r for r in roots_up_to_level(cc.ctx, 1) if cc.phi_c_class(r) is not None]
@@ -89,6 +106,7 @@ def input_kinds(cc, seed):
         "roots": [(r,) for r in roots_up_to_level(cc.ctx, 2)],
         "pool": [(r,) for r in pool],
         "pairs": [(a, b) for a in pool for b in pool],
+        "arrow pairs": arrow_pairs(cc, seed),
     }
 
 
