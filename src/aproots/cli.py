@@ -403,8 +403,9 @@ def build_parser():
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run acceptance criteria")
-    p.add_argument("--criteria", help="comma list (default: all)")
-    p.add_argument("--type", help="scope the checks to one catalog type")
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("--criteria", help="comma list (default: all)")
+    scope.add_argument("--type", help="scope the checks to one catalog type")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -197,21 +197,18 @@ def is_pair_exchangeable_with_delta(cc: CoxeterContext, alpha, beta) -> bool:
 # ---------------------------------------------------------------------------
 
 def nu(cc: CoxeterContext, v):
-    """The piecewise-linear map into fundamental-weight coordinates.
-
-    On the positive orthant it is -E_c = -(I + lower), read off the rows of
-    `lower`; negative coordinates contribute their weight instead, with the
-    positive truncation still feeding every row: coordinate i is
-    -v_i - sum a_ij·[v_j]+ over (j, a_ij) in lower[i].
-    This is the unique extension of the values on roots that is
-    linear on each cone of the fan (compatibility zeroes out the mixed
-    terms there), and it is a piecewise-linear homeomorphism.  The map of
-    c^{-1} is `nu(CoxeterContext(cc.ctx, cc.word[::-1]), v)`.  nu and its
-    inverse are positively homogeneous, so they run in ints on m·v.
+    """The piecewise-linear map into fundamental-weight coordinates: the
+    kernel `CoxeterContext.weight` through `lower`, so -E_c = -(I + lower) on
+    the positive orthant, where negative coordinates contribute their weight
+    instead.  Through `upper` the kernel is the map of c^{-1}; the record of
+    each member of the almost-positive set holds both.  This is the unique
+    extension of the values on roots that is linear on each cone of the fan
+    (compatibility zeroes out the mixed terms there), and it is a
+    piecewise-linear homeomorphism.  nu and its inverse are positively
+    homogeneous, so they run in ints on m·v.
     """
     m, v = scale_to_integers(v)
-    return divided(m, [-x - sum(a * v[j] for j, a in row if v[j] > 0)
-                       for x, row in zip(v, cc.lower)])
+    return divided(m, cc.weight(cc.lower, v))
 
 
 def nu_inverse(cc: CoxeterContext, weight):

@@ -6,24 +6,25 @@ For roots α, β in the almost-positive set the degree is
 
 except when both roots have finite tau-orbits and their joint arc support
 covers a whole component cycle; in that exceptional case it is the adjacency
-count of the two arcs.  The two "arrow" sums are coordinate formulas over
-the coroot coordinates of α and the root coordinates of β, read through
-the context's strict Euler parts `lower` and `upper`; on positive roots
-they equal -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
+count of the two arcs.  For α = -α_k both arrows are β_k, the base law;
+otherwise they are ⟨α^vee, nu_c(β)⟩ and ⟨α^vee, nu_{c^{-1}}(β)⟩, the coroot
+of α paired with the weight maps of c and of c^{-1} at β, which on positive
+β are -E_c(α^vee, β) and -E_{c^{-1}}(α^vee, β).
 
 Each public call admits each root argument once, as a canonical int tuple,
-by `CoxeterContext.member`; `compat_arrows` is the degree's admission, and a
-pair of tube roots, members by construction, needs none.  The coroot
-coordinates of a member are ints, so the arrow sums are too.  `compat_circ`
-is the rule for tube roots; it reads each root's arc, its (component, start,
-length), and tests nesting, adjacency and covering as cyclic intervals.
+by `CoxeterContext.member`, whose record of a member holds both weights;
+`compat_arrows` is the degree's admission, and a pair of tube roots, members
+by construction, needs none.  `compat_circ` is the rule for tube roots; it
+reads each root's arc, its (component, start, length), and tests nesting,
+adjacency and covering as cyclic intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .coxeter import CoxeterContext
+from .coxeter import NEG_SIMPLE, CoxeterContext
 from .errors import DeltaHasNoTubeSupport, NotDistinct, NotInTube
 from .linalg import format_vector, vec
 
@@ -93,21 +94,14 @@ def compat_circ(cc: CoxeterContext, alpha, beta):
 
 
 def compat_arrows(cc: CoxeterContext, alpha, beta):
-    """(arrow_to, arrow_from): the two coordinate sums, -cv·β less the
-    positive parts of cv and β paired through the strict part `lower` of
-    E_c for arrow_to and `upper` of E_{c^-1} for arrow_from."""
-    alpha, _, cv = cc.member(alpha)
-    beta = cc.member(beta)[0]
-    to = frm = -sum(x * y for x, y in zip(cv, beta))
-    for i, x in enumerate(cv):
-        if x > 0:
-            for j, a in cc.lower[i]:
-                if beta[j] > 0:
-                    to -= x * a * beta[j]
-            for j, a in cc.upper[i]:
-                if beta[j] > 0:
-                    frm -= x * a * beta[j]
-    return to, frm
+    """(arrow_to, arrow_from): β_k twice for α = -α_k, else the coroot
+    coordinates cv of α paired with nu_c(β) and with nu_{c^-1}(β)."""
+    alpha, cls, cv = cc.member(alpha)[:3]
+    beta, _, _, nu_to, nu_from = cc.member(beta)
+    if cls == NEG_SIMPLE:
+        k = cc.neg_simple_index(alpha)
+        return beta[k], beta[k]
+    return sum(map(mul, cv, nu_to)), sum(map(mul, cv, nu_from))
 
 
 def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:

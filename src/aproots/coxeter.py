@@ -9,11 +9,11 @@ psi_to[w_k] = s_{w_1}···s_{w_{k-1}}(α_{w_k}) and
 psi_from[w_k] = s_{w_n}···s_{w_{k+1}}(α_{w_k}).  The word order is read off
 the Cartan rows once, as the strict parts of the two unitriangular Euler
 matrices: `lower`, with E_c = I + lower, and `upper`, with
-E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry); the
-degree's arrows, the weight map, source/sink moves and the functional
-phi_c(v) = E_c(v, delta) read them.  The generalized 1-eigenvector gamma_c,
-with K(gamma_c, ·) = phi_c, is solved from the Cartan matrix as
-A·gamma = (I + lower)·delta only on request.  Also built: the
+E_{c^-1} = I + upper, each row a list of (neighbour, Cartan entry).  One
+kernel, `weight`, reads a table's positive part: the weight map nu_c through
+`lower`, nu_{c^-1} through `upper`.  phi_c = E_c(·, delta) is read off
+-nu_c(delta) = (I + lower)·delta, and gamma_c, with K(gamma_c, ·) = phi_c,
+is solved as A·gamma = -nu_c(delta) only on request.  Also built: the
 finite-orbit hyperplane data, the rotation subsystem living inside that
 hyperplane, the kappa function, the closed-form counts of source-sink
 orientations and their classes, and the memos of the deformed maps sigma_s
@@ -21,7 +21,8 @@ and tau_c, which compute each image once per context.
 
 Each public method admits each root argument once, through `member`, the one
 boundary of the almost-positive set, which returns it as a canonical int
-tuple; internal steps reuse the roots they hold and run in ints.  The
+tuple with its record (class, coroot coordinates, nu_c, nu_{c^-1}); internal
+steps reuse the roots they hold and run in ints.  The
 tau-orbit walk of `orbit_classification` applies c^∓1, which is tau_c^±1
 off the transversals, until it meets a psi transversal, and stores nothing.
 
@@ -104,9 +105,8 @@ class CoxeterContext:
         self.psi_from = {i: self._walk(units[i], word[p + 1:]) for p, i in enumerate(word)}
 
         # phi(v) = f · v with f = D·(I + lower)·delta, as phi_c = E_c(·, delta);
-        # in weight coordinates (I + lower)·delta, scaled to a leading ±1
-        weight = [x + sum(a * ctx.delta[j] for j, a in row)
-                  for x, row in zip(ctx.delta, self.lower)]
+        # in weight coordinates -nu_c(delta) = (I + lower)·delta, scaled to a leading ±1
+        weight = [-w for w in self.weight(self.lower, ctx.delta)]
         self._phi_fun = vec(di * w for di, w in zip(ctx.cm.d, weight))
         scale = abs(next(w for w in weight if w != 0))
         self.phi_weight = vec(Fraction(w, scale) for w in weight)
@@ -150,8 +150,8 @@ class CoxeterContext:
         self.hyperplane_inverse = (rows, inv, den)
         # (alpha, beta) -> compatibility degree, filled by compatibility.degree
         self.degree_cache = {}
-        # member of the almost-positive set -> (class, coroot coordinates),
-        # filled by root_info; non-members are never stored
+        # member of the almost-positive set -> its record, filled by
+        # root_info; non-members are never stored
         self._root_info = {}
         # omega: the arcs starting just after the affine root, one of each
         # length, each with kappa(w), the least m with m·delta - w real; the
@@ -171,14 +171,20 @@ class CoxeterContext:
     def phi(self, v):
         return sum(a * b for a, b in zip(self._phi_fun, v))
 
+    @staticmethod
+    def weight(table, v):
+        """w_i = -v_i - sum a_ij·[v_j]+ over (j, a_ij) in table[i], for int v:
+        nu_c through `lower`, nu_{c^-1} through `upper`, -(I + table)·v on v ≥ 0."""
+        return tuple(-x - sum(a * v[j] for j, a in row if v[j] > 0) for x, row in zip(v, table))
+
     def gamma(self):
         """gamma_c with (c - I)·gamma = delta and gamma_aff = 0, solved on
         request.  As c = -(I + upper)^-1·(I + lower) and A = 2I + lower + upper
         kills delta, multiplying by -(I + upper) turns it into
-        A·gamma = (I + lower)·delta."""
+        A·gamma = (I + lower)·delta = -nu_c(delta)."""
         ctx = self.ctx
         rows = [list(row) for row in self.cm.a] + [[int(j == ctx.aff) for j in range(self.n)]]
-        rhs = [x + sum(a * ctx.delta[j] for j, a in row) for x, row in zip(ctx.delta, self.lower)]
+        rhs = [-w for w in self.weight(self.lower, ctx.delta)]
         return linalg.solve_general(rows, rhs + [0])
 
     def c_action(self, v):
@@ -260,26 +266,27 @@ class CoxeterContext:
         return self.root_info(vec(v))[0]
 
     def member(self, v):
-        """(v canonicalized, its class, simple-coroot coordinates of v^vee)
-        for a member of the almost-positive set: the one place a vector is
-        admitted into the set."""
+        """(v canonicalized, *its record from `root_info`) for a member of the
+        almost-positive set: the one place a vector is admitted into the set."""
         v = vec(v)
-        cls, cv = self.root_info(v)
-        if cls is None:
+        info = self.root_info(v)
+        if info[0] is None:
             raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
-        return v, cls, cv
+        return (v,) + info
 
     def root_info(self, v):
-        """(class, simple-coroot coordinates of v^vee) of a canonical tuple v
-        in the almost-positive set; (None, None) when v is outside it."""
+        """(class, simple-coroot coordinates of v^vee, nu_c(v), nu_{c^-1}(v)),
+        the record of a canonical tuple v in the almost-positive set; all
+        None when v is outside it."""
         info = self._root_info.get(v)
         if info is None:
             cls = self._classify(v)
             if cls is None:
-                return None, None
+                return None, None, None, None
             # coroot_coords is odd in v, so it also serves the negative simples
             cv = self.ctx.delta_vee_coroot if cls == DELTA else self.ctx.coroot_coords(v)
-            info = self._root_info[v] = (cls, cv)
+            info = self._root_info[v] = (cls, cv, self.weight(self.lower, v),
+                                         self.weight(self.upper, v))
         return info
 
     def _classify(self, v):
@@ -327,7 +334,7 @@ class CoxeterContext:
         kind is 'infinite' (representative a negative simple), 'finite'
         (representative in omega) or 'delta'.
         """
-        v, cls, _ = self.member(v)
+        v, cls = self.member(v)[:2]
         if cls == DELTA:
             return ("delta", v, 0)
         if cls == NEG_SIMPLE:

@@ -323,7 +323,7 @@ class DenseWordOrder:
 
     def arrows(self, alpha, beta):
         cc, pos = self.cc, self.pos
-        alpha, _, cv = cc.member(alpha)
+        alpha, _, cv = cc.member(alpha)[:3]
         beta = cc.member(beta)[0]
         a = cc.cm.a
         base = sum(x * y for x, y in zip(cv, beta))

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from aproots import compatibility, oracle_bridge, verification
+from aproots import compatibility, fan_svg, oracle_bridge, verification
 from aproots.clusters import is_exchangeable
 from aproots.verification import (
     CRITERIA,
@@ -17,6 +17,8 @@ from aproots.verification import (
     RANK4_LABELS,
     criterion_axioms,
     criterion_exchangeability,
+    criterion_expansion_oracle,
+    criterion_fan_geometry,
     criterion_oracle_bridge,
     run_all,
     run_for_type,
@@ -77,6 +79,87 @@ def test_axioms_report_a_planted_off_by_one_degree(monkeypatch):
     assert row["name"].startswith("degree axioms D3(2)") and not row["ok"], row
     assert "('base', 0, (0, 1, 0))" in row["detail"], row
     assert timing["ok"], timing
+
+
+def test_axioms_report_a_planted_off_by_one_cobase_degree(monkeypatch):
+    degree = compatibility.degree
+
+    def off_by_one(cc, alpha, beta):
+        return degree(cc, alpha, beta) + (tuple(alpha) == (0, 1, 0) and tuple(beta) == (-1, 0, 0))
+
+    monkeypatch.setattr(compatibility, "degree", off_by_one)
+    (row, timing) = criterion_axioms(["D3(2)"], level=2)
+    assert row["name"].startswith("degree axioms D3(2)") and not row["ok"], row
+    # the base and cobase laws come first, and only (0, 1, 0) against -α1 is off
+    assert row["detail"].startswith("[('cobase', 0, (0, 1, 0))"), row
+    assert timing["ok"], timing
+
+
+def test_expansion_reports_a_planted_wrong_coefficient(monkeypatch):
+    expansion = verification.cluster_expansion
+    planted = []
+
+    def wrong_once(cc, v):
+        terms = expansion(cc, v)
+        if not planted:
+            planted.append(v)
+            root = min(terms)
+            terms = {**terms, root: terms[root] + 1}
+        return terms
+
+    monkeypatch.setattr(verification, "cluster_expansion", wrong_once)
+    row, timing = criterion_expansion_oracle(["A1(1)"], samples=10, depth=3)
+    assert planted
+    assert (row["name"], row["ok"], row["detail"]) == (
+        "expansion oracle A1(1) (10 samples)", False, "1 failures")
+    assert timing["ok"], timing
+
+
+def test_expansion_reports_a_planted_second_containing_cone(monkeypatch):
+    # every imaginary cone claims every point, so each sample drawn from a
+    # real cone (9 of every 10) lies in two cones
+    monkeypatch.setattr(verification, "in_simplicial_cone", lambda gens, v: ())
+    row, timing = criterion_expansion_oracle(["A1(1)"], samples=10, depth=3)
+    assert (row["name"], row["ok"], row["detail"]) == (
+        "expansion oracle A1(1) (10 samples)", False, "9 failures")
+    assert timing["ok"], timing
+
+
+def test_exchangeability_reports_a_planted_non_real_cluster(monkeypatch):
+    is_cluster = verification.is_cluster
+    planted = []
+
+    def wrong_once(cc, roots):
+        if not planted:
+            planted.append(roots)
+            return None, "planted"
+        return is_cluster(cc, roots)
+
+    monkeypatch.setattr(verification, "is_cluster", wrong_once)
+    rows = criterion_exchangeability()
+    assert planted
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("every facet exchanges to a real cluster A2(1):k=1", "")], failed
+
+
+def test_fan_reports_a_planted_bad_pair_and_a_malformed_picture(monkeypatch):
+    intersect = verification.cones_intersect_in_face
+    planted = []
+
+    def wrong_once(cc, gens1, gens2):
+        if not planted:
+            planted.append((gens1, gens2))
+            return False
+        return intersect(cc, gens1, gens2)
+
+    monkeypatch.setattr(verification, "cones_intersect_in_face", wrong_once)
+    monkeypatch.setattr(fan_svg, "render_fan_svg", lambda cc, clusters: "<svg")
+    rows = criterion_fan_geometry()
+    assert planted
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("pairwise face intersections A2(1):k=1 (24 cones)", "1 bad pairs"),
+                      ("fan picture is well-formed XML", ""),
+                      ("negative-simple cone is the central triangle", "")], failed
 
 
 def test_exchangeability_reports_a_planted_wrong_partner(monkeypatch):

@@ -114,11 +114,16 @@ REJECTED_BEFORE_WORK = [
      ("aproots.clusters", "enumerate_clusters")),
     (("oracle", "--type", "D3(2)", "--depth", "14", "--check", "thm12,conj14,thm99"),
      "error: unknown check 'thm99'\n", ("aproots.oracle_bridge", "verify_bijection")),
+    # --type runs its own scoped checks, which --criteria would not select
+    (("verify", "--type", "D3(2)", "--criteria", "axioms"),
+     "error: argument --criteria: not allowed with argument --type\n",
+     ("aproots.verification", "run_for_type")),
 ]
 
 
 @pytest.mark.parametrize("args, message, costly", REJECTED_BEFORE_WORK,
-                         ids=["fan-svg-rank-2", "fan-svg-rank-4", "oracle-unknown-check"])
+                         ids=["fan-svg-rank-2", "fan-svg-rank-4", "oracle-unknown-check",
+                              "verify-type-with-criteria"])
 def test_rejects_before_working(args, message, costly, tmp_path, aproots, monkeypatch):
     def refuse(*_):
         raise AssertionError(f"{costly[1]} ran before the input was checked")
