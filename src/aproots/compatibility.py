@@ -96,7 +96,7 @@ def compat_circ(cc: CoxeterContext, alpha, beta):
 def compat_arrows(cc: CoxeterContext, alpha, beta):
     """(arrow_to, arrow_from): β_k twice for α = -α_k, else the coroot
     coordinates cv of α paired with nu_c(β) and with nu_{c^-1}(β)."""
-    alpha, cls, cv = cc.member(alpha)[:3]
+    alpha, cls, cv, _, _ = cc.member(alpha)
     beta, _, _, nu_to, nu_from = cc.member(beta)
     if cls == NEG_SIMPLE:
         k = cc.neg_simple_index(alpha)

@@ -77,7 +77,8 @@ def run(name, path, old, new, targets):
         return "KILLED", elapsed
     if proc.returncode == 0:
         return "SURVIVED", elapsed
-    sys.exit(f"{name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    sys.exit(f"{name}: pytest exited {proc.returncode}\n"
+             f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
 def main(names):
