@@ -25,9 +25,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from aproots.almost_positive import neg_simples
 from aproots.cartan import catalog_labels
 from aproots.clusters import is_exchangeable, nu, nu_inverse
-from aproots.almost_positive import neg_simples
 from aproots.compatibility import compat_arrows, compatibility_degree, coroot_coordinates
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
