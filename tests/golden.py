@@ -6,7 +6,8 @@ dict's keys count.  An answer that raises is recorded by the class and
 message of its error.  The contexts are every `catalog_labels(6)` label in
 its catalog word and in two seeded shuffles; the inputs are seeded rational
 vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone,
-the roots of level at most 2, and pairs drawn from pools of members.
+the roots of level at most 2, pairs drawn from pools of members, and each
+root of each real cluster within two exchanges of the negative simples.
 
 `tests/test_golden.py` recomputes the digests against `golden/exact.json`.
 This script rewrites that file from the package on the path:
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from aproots.almost_positive import neg_simples
 from aproots.cartan import catalog_labels
-from aproots.clusters import is_exchangeable, nu, nu_inverse
+from aproots.clusters import exchange, is_exchangeable, nu, nu_inverse, real_clusters
 from aproots.compatibility import compat_arrows, compatibility_degree, coroot_coordinates
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
@@ -53,6 +54,7 @@ FAMILIES = {
     "compatibility_degree": ("pairs", compatibility_degree),
     "is_exchangeable": ("pairs", is_exchangeable),
     "compat_arrows": ("arrow pairs", compat_arrows),
+    "exchange": ("exchanges", exchange),
 }
 
 
@@ -107,6 +109,8 @@ def input_kinds(cc, seed):
         "pool": [(r,) for r in pool],
         "pairs": [(a, b) for a in pool for b in pool],
         "arrow pairs": arrow_pairs(cc, seed),
+        "exchanges": [(cluster, alpha) for cluster in sorted(real_clusters(cc, 2))
+                      for alpha in cluster],
     }
 
 
