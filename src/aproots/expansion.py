@@ -17,11 +17,13 @@ compatible almost-positive roots.  The constructive path:
   gives the same expansion, so one rotation order serves every case.
 
 Expansions are positively homogeneous: a rational v is scaled once, by the
-lcm m of its denominators, and m·v is expanded in int arithmetic.  A letter
-changes one coordinate, updated in place; each parabolic level is one call,
-and its pull-back walks each root through the level's letters with the
-context's sigma memos.  Imaginary-cone coordinates are one `mat_vec` of the
-scaled vector by the context's cached integer inverse of the hyperplane basis.
+lcm m of its denominators, and m·v is expanded in int arithmetic.
+`cluster_expansion` reads phi(m·v) once: on the hyperplane, the cone
+coordinates `imaginary_expansion` reads (one `mat_vec` by the context's cached
+integer inverse of the hyperplane basis) are the one imaginary-cone decision;
+`rotate_affine` takes the sign it is given.  A letter changes one coordinate,
+updated in place; each parabolic level is one call, and its pull-back walks
+each root through the level's letters with the context's sigma memos.
 """
 
 from __future__ import annotations
@@ -61,13 +63,13 @@ def _cone_coordinates(cc: CoxeterContext, v):
 
 
 def in_delta_cone(cc: CoxeterContext, v) -> bool:
-    coords = _cone_coordinates(cc, scale_to_integers(vec(v))[1])
+    coords = _cone_coordinates(cc, scale_to_integers(v)[1])
     return coords is not None and coords[2] >= 0
 
 
 def in_delta_cone_interior(cc: CoxeterContext, v) -> bool:
     """Relative-interior test: v - t·delta stays in the cone for some t > 0."""
-    coords = _cone_coordinates(cc, scale_to_integers(vec(v))[1])
+    coords = _cone_coordinates(cc, scale_to_integers(v)[1])
     return coords is not None and coords[2] > 0
 
 
@@ -139,19 +141,18 @@ def _rotate(cm, word, v, active, cap, sink=False):
     return letters, tuple(v), word[-t:] + word[:-t] if sink else word[t:] + word[:t]
 
 
-def rotate_affine(cc: CoxeterContext, v):
-    """Source moves (sink moves when phi(v) < 0) until some simple-root
+def rotate_affine(cc: CoxeterContext, v, sign):
+    """Source moves (sink moves when sign < 0) until some simple-root
     coordinate is nonpositive.
 
-    Returns (letters, rotated_vector, rotated_word) for an int v, as
-    `cluster_expansion` passes it.  Intermediate vectors are strictly
+    Returns (letters, rotated_vector, rotated_word) for an int v and the
+    phi(v) that `cluster_expansion` read.  Intermediate vectors are strictly
     positive, which the pull-back of the expansion requires.  On the
     hyperplane phi = 0, c permutes each component cycle and fixes delta, and
     these span the hyperplane, so after n·lcm(component ranks) letters the
     word and the vector repeat: a vector outside the imaginary cone turns
     nonpositive within that period.
     """
-    sign = cc.phi(v)
     if sign == 0:
         cap = cc.n * lcm(*(comp.rank for comp in cc.components))
     else:
@@ -210,8 +211,11 @@ def cluster_expansion(cc: CoxeterContext, v):
     m, v = scale_to_integers(v)
     if not any(v):
         return {}
-    coords = _cone_coordinates(cc, v)
-    if coords is not None and coords[2] >= 0:
-        return _divided(imaginary_expansion(cc, v), m)
-    letters, rotated, word = rotate_affine(cc, v)
+    sign = cc.phi(v)
+    if sign == 0:
+        try:
+            return _divided(imaginary_expansion(cc, v), m)
+        except NotInImaginaryCone:   # outside the cone: it turns within one period
+            pass
+    letters, rotated, word = rotate_affine(cc, v, sign)
     return _divided(_pull_back(cc, letters, expand_in_parabolic(cc, word, rotated)), m)

@@ -93,6 +93,18 @@ def criterion_worked_example():
 # criterion 2: finite-orbit simple systems of the standard types
 # ---------------------------------------------------------------------------
 
+# the finite-orbit simples of the exceptional untwisted types, one digit per
+# simple-root coefficient
+_EXCEPTIONAL_FIN_SIMPLES = {
+    "E6(1)": ["0001100", "1100110", "0100100", "0011110", "0101110"],
+    "E7(1)": ["00011000", "10001100", "01111110", "00111100", "10011110", "10112110"],
+    "E8(1)": ["001110000", "100111000", "011111100", "101111110", "101211100",
+              "111221110", "112322110"],
+    "F4(1)": ["01100", "11110", "02110"],
+    "G2(1)": ["110"],
+}
+
+
 def _expected_fin_simples(label, n):
     def unit(i):
         return tuple(1 if j == i else 0 for j in range(n))
@@ -103,39 +115,14 @@ def _expected_fin_simples(label, n):
     fam = label[0]
     if label == "A1(1)":
         return set()
-    if fam == "A":
+    if fam in "AC":
         return {unit(j) for j in range(1, n - 1)}
     if fam == "B":
-        out = {unit(j) for j in range(1, n - 2)}
-        out.add(span(0, n - 2))
-        return out
-    if fam == "C":
-        return {unit(j) for j in range(1, n - 1)}
+        return {unit(j) for j in range(1, n - 2)} | {span(0, n - 2)}
     if fam == "D":
-        out = {unit(j) for j in range(2, n - 2)}
-        base = list(span(2, n - 2))
-        left = list(base)
-        left[0] = 1
-        right = list(base)
-        right[1] = 1
-        out.add(tuple(left))
-        out.add(tuple(right))
-        return out
-    if label == "E6(1)":
-        rows = ["0001100", "1100110", "0100100", "0011110", "0101110"]
-    elif label == "E7(1)":
-        rows = ["00011000", "10001100", "01111110", "00111100", "10011110",
-                "10112110"]
-    elif label == "E8(1)":
-        rows = ["001110000", "100111000", "011111100", "101111110",
-                "101211100", "111221110", "112322110"]
-    elif label == "F4(1)":
-        rows = ["01100", "11110", "02110"]
-    elif label == "G2(1)":
-        rows = ["110"]
-    else:
-        raise AssertionError(label)
-    return {tuple(int(ch) for ch in row) for row in rows}
+        rest = span(2, n - 2)[2:]
+        return {unit(j) for j in range(2, n - 2)} | {(1, 0) + rest, (0, 1) + rest}
+    return {tuple(int(ch) for ch in row) for row in _EXCEPTIONAL_FIN_SIMPLES[label]}
 
 
 def criterion_table_regeneration():

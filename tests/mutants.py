@@ -5,8 +5,10 @@ temporary directory, replaces one text in one file of the copy, runs the
 mutant's target test files there with `-x`, and prints KILLED (a test
 failed) or SURVIVED (every test passed) with the time the run took.  An old
 text that does not occur exactly once in its file stops the script: the
-list has gone stale.  The exit status is 1 when a mutant survived.  It uses
-only the standard library and pytest, and pytest does not collect it.
+list has gone stale.  The mutants of EQUIVALENT change no answer, each for
+the reason it gives; they run too, and their survival is expected.  The exit
+status is 1 when a mutant of MUTANTS survived.  It uses only the standard
+library and pytest, and pytest does not collect it.
 
     python tests/mutants.py [NAME ...]
 
@@ -22,8 +24,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLUSTERS = "src/aproots/clusters.py"
 COMPAT = "src/aproots/compatibility.py"
 COXETER = "src/aproots/coxeter.py"
+EXPANSION = "src/aproots/expansion.py"
 
 # (name, file, old text, new text, target test files)
 MUTANTS = [
@@ -47,6 +51,43 @@ MUTANTS = [
      "return sum(map(mul, cv, nu_to)), sum(map(mul, cv, nu_from))",
      "return sum(map(mul, cv, nu_from)), sum(map(mul, cv, nu_to))",
      ["tests/test_compatibility.py"]),
+    ("phi's sign negated before the rotation", EXPANSION,
+     "rotate_affine(cc, v, sign)", "rotate_affine(cc, v, -sign)",
+     ["tests/test_golden.py"]),
+    ("a hyperplane vector outside the cone expands to nothing", EXPANSION,
+     "            pass\n", "            return {}\n",
+     ["tests/test_golden.py"]),
+    ("hyperplane vectors sent straight to the rotation", EXPANSION,
+     "    if sign == 0:\n        try:", "    if False:\n        try:",
+     ["tests/test_golden.py"]),
+    ("the sink word off by one", EXPANSION,
+     "word[-t:] + word[:-t] if sink", "word[-t - 1:] + word[:-t - 1] if sink",
+     ["tests/test_expansion.py"]),
+    ("the rotation kernel without its diagonal term", EXPANSION,
+     "x -= a * v[j]", "x -= 0 if j == s else a * v[j]",
+     ["tests/test_expansion.py"]),
+    ("nu_inverse keeping negative neighbours", CLUSTERS,
+     "for j, a in cc.lower[i] if v[j] > 0)", "for j, a in cc.lower[i])",
+     ["tests/test_clusters.py"]),
+    ("the orbit walk's sides swapped", COXETER,
+     "if self.phi(v) > 0", "if self.phi(v) < 0",
+     ["tests/test_coxeter.py"]),
+    ("c_action dividing by m squared", COXETER,
+     "return divided(m, self._walk(v, reversed(self.word)))",
+     "return divided(m * m, self._walk(v, reversed(self.word)))",
+     ["tests/test_golden.py"]),
+    ("the pair search with delta checking only alpha", CLUSTERS,
+     "for a in (alpha, beta) for r in facet", "for a in (alpha,) for r in facet",
+     ["tests/test_clusters.py"]),
+]
+
+# (name, file, old text, new text, target test files, why no answer changes)
+EQUIVALENT = [
+    ("the pair search with delta without beta not in facet", CLUSTERS,
+     "alpha not in facet and beta not in facet", "alpha not in facet",
+     ["tests/test_clusters.py"],
+     "a tube root has degree -1 with itself, so a facet holding beta already "
+     "fails the compatibility test"),
 ]
 
 
@@ -82,14 +123,16 @@ def run(name, path, old, new, targets):
 
 
 def main(names):
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    every = [m + (None,) for m in MUTANTS] + EQUIVALENT
+    chosen = [m for m in every if not names or m[0] in names]
     if names and len(chosen) != len(names):
-        sys.exit(f"unknown mutants: {sorted(set(names) - {m[0] for m in MUTANTS})}")
+        sys.exit(f"unknown mutants: {sorted(set(names) - {m[0] for m in every})}")
     survived = 0
-    for mutant in chosen:
+    for *mutant, reason in chosen:
         verdict, elapsed = run(*mutant)
-        survived += verdict == "SURVIVED"
-        print(f"{verdict:<8} {elapsed:6.1f} s  {mutant[0]}", flush=True)
+        survived += verdict == "SURVIVED" and reason is None
+        note = f" (equivalent: {reason})" if reason else ""
+        print(f"{verdict:<8} {elapsed:6.1f} s  {mutant[0]}{note}", flush=True)
     return 1 if survived else 0
 
 

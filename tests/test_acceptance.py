@@ -213,3 +213,75 @@ def test_oracle_reports_a_planted_off_by_one_grading(monkeypatch):
         assert "('grading', (0, 1, 0), " in row["detail"], row
     assert all(row["ok"] for row in rows if row["name"].split()[2] in RANK2_LABELS), rows
     assert timing["name"] == "oracle bridge under 5 min" and timing["ok"], timing
+
+
+def test_table_reports_a_planted_wrong_finite_orbit_simple(monkeypatch):
+    cc_for = verification._cc
+
+    def wrong_for_g2(label):
+        cc = cc_for(label)
+        if label == "G2(1)":
+            cc.fin_simples = ((1, 2, 0),)
+        return cc
+
+    monkeypatch.setattr(verification, "_cc", wrong_for_g2)
+    rows = CRITERIA["table"]()
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("finite-orbit simples G2(1)",
+                       "got [(1, 2, 0)] expected [(1, 1, 0)]")], failed
+
+
+def test_clusters_report_a_planted_non_unimodular_real_cluster(monkeypatch):
+    enumerate_clusters = verification.enumerate_clusters
+    planted = []
+
+    def doubled_once(cc, depth):
+        real, imag = enumerate_clusters(cc, depth)
+        if not planted:
+            # the first root of one real cluster doubled: determinant ±2
+            cluster = min(real)
+            planted.append(cluster)
+            real = real - {cluster} | {(tuple(2 * x for x in cluster[0]),) + cluster[1:]}
+        return real, imag
+
+    monkeypatch.setattr(verification, "enumerate_clusters", doubled_once)
+    rows = CRITERIA["clusters"]()
+    assert planted
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("real clusters unimodular A1(1) (11)", "")], failed
+
+
+def test_doubled_mark_reports_a_planted_wrong_degree_against_delta(monkeypatch):
+    degree = compatibility.degree
+
+    def off_by_one(cc, alpha, beta):
+        # -α2 against delta = (1, 2) of A2(2); A4(2) has rank 3
+        return degree(cc, alpha, beta) + (tuple(alpha) == (0, -1) and tuple(beta) == (1, 2))
+
+    monkeypatch.setattr(compatibility, "degree", off_by_one)
+    rows = CRITERIA["doubled-mark"]()
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("degree of -α2 against delta is 2", "got 3")], failed
+
+
+def test_conjecture_reports_a_planted_mismatching_d_vector(monkeypatch):
+    planted = []
+
+    class WrongOnce(oracle_bridge.Seed):
+        """The replayed seeds start here; the first d-vector read off one is off."""
+
+        def d_vector(self, slot):
+            d = super().d_vector(slot)
+            if not planted:
+                planted.append(d)
+                return (d[0] + 1,) + d[1:]
+            return d
+
+    monkeypatch.setattr(oracle_bridge, "Seed", WrongOnce)
+    rows = CRITERIA["conjecture"]()
+    assert planted
+    failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]
+    assert failed == [("conjecture match fraction A2(1):k=1", "0.999")], failed
+    # the evidence row reports the mismatch and passes: a mismatch is a finding
+    assert rows[0] == {"name": "conjecture evidence A2(1):k=1 (1452 comparisons)",
+                       "ok": True, "detail": "1 mismatches (reportable finding)"}, rows[0]

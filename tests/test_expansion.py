@@ -1,6 +1,7 @@
 """Cluster expansions and the imaginary cone."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -193,7 +194,7 @@ def test_rotation_records_are_replayable():
         if cc.phi(v) == 0 and in_delta_cone(cc, v):
             continue   # cone vectors never rotate out; the level split handles them
         done += 1
-        letters, rotated, word = rotate_affine(cc, v)
+        letters, rotated, word = rotate_affine(cc, v, cc.phi(v))
         replay = v
         for s in letters:
             replay = cc.cm.reflect(s, replay)
@@ -209,7 +210,7 @@ def test_hyperplane_rotation_respects_move_bound():
         assert cc.phi(v) == 0
         if in_delta_cone(cc, v) or min(v) <= 0:
             continue
-        letters, rotated, _ = rotate_affine(cc, v)
+        letters, rotated, _ = rotate_affine(cc, v, cc.phi(v))
         assert len(letters) <= cc.m_bound
         assert min(rotated) <= 0
 
@@ -309,7 +310,7 @@ def test_hyperplane_vectors_outside_the_cone_rotate_within_one_period(cc, data):
     assume(probes)
     v = probes[0]
     assert cc.phi(v) == 0 and min(v) > 0
-    letters, rotated, _ = rotate_affine(cc, v)
+    letters, rotated, _ = rotate_affine(cc, v, cc.phi(v))
     assert len(letters) <= cc.n * lcm(*(comp.rank for comp in cc.components))
     assert min(rotated) <= 0
     terms = cluster_expansion(cc, v)
@@ -445,7 +446,7 @@ def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
             return f(*args)
         return entered
 
-    monkeypatch.setattr(expansion, "rotate_affine", recording(rotate_affine, -1))
+    monkeypatch.setattr(expansion, "rotate_affine", recording(rotate_affine, 1))
     monkeypatch.setattr(expansion, "expand_in_parabolic",
                         recording(expansion.expand_in_parabolic, -1))
     for owner, name, at in ((CartanMatrix, "pairing", -1), (CartanMatrix, "reflect", -1),
@@ -469,6 +470,44 @@ def test_rational_queries_rotate_in_int_arithmetic(monkeypatch):
                      tuple(map(Fraction, rng.choice(cluster))))
         assert seen, label
         assert not any(type(x) is Fraction for v in seen for x in v), label
+
+
+def test_an_expansion_reads_phi_once_and_the_cone_at_most_once(monkeypatch):
+    # off the hyperplane phi is read once and the cone is not consulted; on
+    # it one read of the cone coordinates chooses the level split or the
+    # rotation
+    calls = Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(CoxeterContext, "phi", counted("phi", CoxeterContext.phi))
+    monkeypatch.setattr(expansion, "_cone_coordinates",
+                        counted("coordinates", _cone_coordinates))
+    rng = random.Random(53)
+    kinds = Counter()
+    for label in ("A1(1)", "D3(2)", "B3(1)", "A3(1):k=2"):
+        cc = cc_for(label)
+        gens = [r for comp in cc.components for r in comp.cycle] + [cc.ctx.delta]
+        for _ in range(40):
+            den = rng.randint(1, 4)
+            for v in (vec(Fraction(rng.randint(-9, 9), den) for _ in range(cc.n)),
+                      _hyperplane_vector(cc, [rng.randint(-9, 9) for _ in range(cc.n - 1)], den),
+                      _combine({g: Fraction(rng.randint(0, 4), den) for g in gens}, cc.n)):
+                if not any(v):
+                    continue
+                kind = "off" if cc.phi(v) else "cone" if in_delta_cone(cc, v) else "outside"
+                kinds[kind] += 1
+                calls.clear()
+                cluster_expansion(cc, v)
+                if kind == "off":
+                    assert calls == {"phi": 1}, (label, v, calls)
+                else:
+                    assert calls["coordinates"] <= 1, (label, v, calls)
+    assert min(kinds[k] for k in ("off", "cone", "outside")) > 10, kinds
 
 
 @st.composite
@@ -496,7 +535,7 @@ def test_the_rotation_kernel_matches_the_reflection_loop(case):
 @pytest.mark.parametrize("v, sink", [((7, 7, 3, 3), False), ((7, 7, 4, 4), True)])
 def test_the_rotation_cap_raises_when_more_letters_are_needed(v, sink):
     cc = cc_for("B3(1)")
-    letters, rotated, word = rotate_affine(cc, v)
+    letters, rotated, word = rotate_affine(cc, v, cc.phi(v))
     assert (cc.phi(v) < 0) == sink and len(letters) > 20
     args = cc.cm, cc.word, v, range(cc.n)
     assert _rotate(*args, len(letters), sink) == (letters, rotated, word)
