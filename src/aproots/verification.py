@@ -115,7 +115,7 @@ def _expected_fin_simples(label, n):
     fam = label[0]
     if label == "A1(1)":
         return set()
-    if fam in "AC":
+    if fam in ("A", "C"):
         return {unit(j) for j in range(1, n - 1)}
     if fam == "B":
         return {unit(j) for j in range(1, n - 2)} | {span(0, n - 2)}
