@@ -8,6 +8,8 @@ its catalog word and in two seeded shuffles; the inputs are seeded rational
 vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone,
 the roots of level at most 2, pairs drawn from pools of members, and each
 root of each real cluster within two exchanges of the negative simples.
+One more digest per label, which no word changes, records the real roots:
+the period and both enumerations at levels 0 to 4.
 
 `tests/test_golden.py` recomputes the digests against `golden/exact.json`.
 This script rewrites that file from the package on the path:
@@ -56,6 +58,8 @@ FAMILIES = {
     "compat_arrows": ("arrow pairs", compat_arrows),
     "exchange": ("exchanges", exchange),
 }
+# the family of one digest per label, read off the AffineContext
+REAL_ROOTS = "real_roots"
 
 
 def words(label):
@@ -129,8 +133,23 @@ def answers(label, word):
             for family, (kind, f) in FAMILIES.items()}
 
 
+def real_root_answers(label):
+    """(input, answer) texts of the period and of both enumerations of the
+    real roots at levels 0 to 4."""
+    ctx = affine_for(label)[0]
+    return ([("period", repr(ctx.period))]
+            + [(f"roots_up_to_level {level}", repr(roots_up_to_level(ctx, level)))
+               for level in range(5)]
+            + [(f"positive_real_roots {level}", repr(ctx.positive_real_roots(level)))
+               for level in range(5)])
+
+
 def key(label, word, family):
     return f"{label} {' '.join(map(str, word))} {family}"
+
+
+def label_key(label):
+    return f"{label} {REAL_ROOTS}"
 
 
 def digest(pairs):
@@ -138,10 +157,11 @@ def digest(pairs):
 
 
 def digests(label):
-    """key -> digest for every word and family of `label`."""
+    """key -> digest for every word and family of `label`, and its real roots."""
     return {key(label, word, family): digest(pairs)
             for word in words(label)
-            for family, pairs in answers(label, word).items()}
+            for family, pairs in answers(label, word).items()} | {
+        label_key(label): digest(real_root_answers(label))}
 
 
 def main(argv):
@@ -151,6 +171,9 @@ def main(argv):
             for family, pairs in answers(label, word).items():
                 table[key(label, word, family)] = digest(pairs)
                 lines += [f"{key(label, word, family)}\t{v}\t{a}" for v, a in pairs]
+        pairs = real_root_answers(label)
+        table[label_key(label)] = digest(pairs)
+        lines += [f"{label_key(label)}\t{v}\t{a}" for v, a in pairs]
     PATH.parent.mkdir(exist_ok=True)
     PATH.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
     print(f"{len(table)} digests written to {PATH}")
