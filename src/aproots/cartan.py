@@ -335,7 +335,9 @@ class AffineContext:
         # Real roots are periodic in delta (Kac, Prop. 6.3).  The period r is
         # the least with r·delta - α_i = s_i(α_i + r·delta) real for every i,
         # as W fixes delta and every real root is W-conjugate to a simple one.
-        # The window: the real roots β with 0 ≤ [β:α_aff] < r·[delta:α_aff].
+        # The window: the real roots β with 0 ≤ [β:α_aff] < r·[delta:α_aff],
+        # the one record of the real roots.  `is_real_root` translates a query
+        # into it by a multiple of r·delta, and `real_roots` translates it out.
         for r in (1, 2, 3):
             pos = self.ensure_level(r)
             if all(tuple(r * d - (j == i) for j, d in enumerate(self.delta)) in pos
@@ -358,13 +360,17 @@ class AffineContext:
             raise NotARoot(f"{format_vector(v)} is not a real root, so it has no coroot")
         return tuple(_ratio(2 * di * x, norm) for di, x in zip(self.cm.d, v))
 
-    # -- bounded real-root enumeration --------------------------------------
+    # -- real roots: one search, then the window translated ----------------
 
     def ensure_level(self, bound: int):
         """Positive real roots β with [β:α_aff] ≤ bound·[delta:α_aff].  Each is
         reached from a simple root by ascending reflections (s_i where
         K(α_i^vee, β) < 0), along which no coordinate decreases.  The
-        pairings read only the nonzero entries of each Cartan row."""
+        pairings read only the nonzero entries of each Cartan row.
+
+        Its one caller is the constructor's search for the period; every
+        enumeration translates the window instead.  It keeps its name
+        because perfbench traces it by that name."""
         cap = bound * self.delta[self.aff]
         units = (tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
         seen = {e for e in units if e[self.aff] <= cap}
@@ -383,20 +389,35 @@ class AffineContext:
             frontier = nxt
         return seen
 
+    def real_roots(self, bound: int):
+        """The real roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], each once
+        and in no fixed order: each window root w shifted by t·period·delta
+        for every t that keeps it in range, the inverse of the translation of
+        `is_real_root`.  A list, not a set: the translates are distinct, and
+        a set would hash the negative roots, whose entries -1 and -2 hash
+        alike in CPython, so that the roots differing only there collide."""
+        cap = bound * self.delta[self.aff]
+        step = self.period * self.delta[self.aff]
+        shift = tuple(self.period * d for d in self.delta)
+        return [tuple(x + t * s for x, s in zip(w, shift)) for w in self._window
+                for t in range(-((cap + w[self.aff]) // step), (cap - w[self.aff]) // step + 1)]
+
     def positive_real_roots(self, bound: int):
         """Sorted positive real roots with [β:α_aff] ≤ bound·[delta:α_aff]."""
-        return sorted(self.ensure_level(bound))
+        return sorted(r for r in self.real_roots(bound) if min(r) >= 0)
 
     def is_real_root(self, v) -> bool:
         """Translate v by a multiple of period·delta into the window."""
         v = vec(v)
-        if any(not isinstance(x, int) for x in v):
+        if len(v) != self.n or any(not isinstance(x, int) for x in v):
             return False
         q = v[self.aff] // (self.period * self.delta[self.aff]) * self.period
         return tuple(x - q * d for x, d in zip(v, self.delta)) in self._window
 
     def is_imaginary_root(self, v) -> bool:
         v = vec(v)
+        if len(v) != self.n:
+            return False
         i = next((j for j, x in enumerate(v) if x != 0), None)
         if i is None or not isinstance(v[i], int) or v[i] % self.delta[i] != 0:
             return False

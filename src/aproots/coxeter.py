@@ -290,6 +290,8 @@ class CoxeterContext:
         return info
 
     def _classify(self, v):
+        if len(v) != self.n:
+            return None
         if self.neg_simple_index(v) is not None:
             return NEG_SIMPLE
         if v == self.ctx.delta:
@@ -313,7 +315,7 @@ class CoxeterContext:
         v = vec(v)
         memo = self._sigma[s]
         if (image := memo.get(v)) is None:
-            if self.neg_simple_index(v) is None and not (
+            if len(v) != self.n or self.neg_simple_index(v) is None and not (
                     all(x >= 0 for x in v) and self.ctx.is_root(v)):
                 raise NotAlmostPositive(
                     f"{format_vector(v)} is neither a negative simple nor a positive root")

@@ -47,7 +47,7 @@ def parse_rational(text: str):
 
 
 def format_rational(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
+    if type(x) is Fraction and x.denominator != 1:
         return f"{x.numerator}/{x.denominator}"
     return str(int(x))
 

@@ -2,7 +2,10 @@
 
 Roots are plain coordinate tuples in the simple-root basis.  Enumeration is
 graded by the delta-level |[β:α_aff]| / [delta:α_aff] and returned in
-lexicographic order so results are deterministic.
+lexicographic order so results are deterministic.  It runs no search: the
+real roots are the context's window translated along period·delta
+(`AffineContext.real_roots`, each once), and the simples outside the bound
+and ±k·delta are added to that list in place.
 """
 
 from __future__ import annotations
@@ -45,13 +48,12 @@ def roots_up_to_level(ctx, bound: int):
     """All roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], plus ±k·delta."""
     if not isinstance(ctx, AffineContext):
         raise NotAffine("expected an AffineContext")
-    pos = ctx.ensure_level(bound)
-    # the simples are part of every bounded enumeration, whatever the bound
+    out = ctx.real_roots(bound)
+    # the simples are part of every bounded enumeration, whatever the bound;
+    # the real roots already hold those within it
+    cap = bound * ctx.delta[ctx.aff]
     for i in range(ctx.n):
-        pos.add(tuple(1 if j == i else 0 for j in range(ctx.n)))
-    full = set(pos)
-    full.update(tuple(-x for x in r) for r in pos)
-    for k in range(1, bound + 1):
-        full.add(tuple(k * x for x in ctx.delta))
-        full.add(tuple(-k * x for x in ctx.delta))
-    return sorted(full)
+        if int(i == ctx.aff) > cap:
+            out += [tuple(int(j == i) for j in range(ctx.n)), neg_simple(ctx.n, i)]
+    out += [tuple(k * x for x in ctx.delta) for k in range(-bound, bound + 1) if k]
+    return sorted(out)

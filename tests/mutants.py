@@ -24,10 +24,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CARTAN = "src/aproots/cartan.py"
 CLUSTERS = "src/aproots/clusters.py"
 COMPAT = "src/aproots/compatibility.py"
 COXETER = "src/aproots/coxeter.py"
 EXPANSION = "src/aproots/expansion.py"
+REAL_ROOTS_TEST = "tests/test_cartan.py::test_real_roots_translate_the_window_in_any_node_order"
 
 # (name, file, old text, new text, target test files)
 MUTANTS = [
@@ -79,6 +81,15 @@ MUTANTS = [
     ("the pair search with delta checking only alpha", CLUSTERS,
      "for a in (alpha, beta) for r in facet", "for a in (alpha,) for r in facet",
      ["tests/test_clusters.py"]),
+    ("the window's translates starting one too low", CARTAN,
+     "range(-((cap + w[self.aff]) // step),", "range(-((cap + w[self.aff]) // step) - 1,",
+     [REAL_ROOTS_TEST]),
+    ("the window's translates stopping one too low", CARTAN,
+     "(cap - w[self.aff]) // step + 1)", "(cap - w[self.aff]) // step)",
+     [REAL_ROOTS_TEST]),
+    ("the translates counted in steps of delta, not of the period", CARTAN,
+     "step = self.period * self.delta[self.aff]", "step = self.delta[self.aff]",
+     [REAL_ROOTS_TEST]),
 ]
 
 # (name, file, old text, new text, target test files, why no answer changes)

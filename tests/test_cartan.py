@@ -1,10 +1,12 @@
 """Cartan validation, classification, and catalog checks."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,7 @@ from aproots.errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from aproots.roots import roots_up_to_level
+from aproots.roots import neg_simple, roots_up_to_level
 
 from strategies import affine_for, finite_positive_roots, gram, kernel_delta_vee_coroot
 
@@ -481,3 +483,56 @@ def test_real_root_test_is_closed_form(monkeypatch):
         expected = reference_is_real_root(ctx, positive, 1, near)
         assert ctx.is_real_root(tuple(a + b for a, b in zip(near, far))) == expected
     assert ctx.is_real_root(tuple(a + b for a, b in zip(alpha2, far)))
+
+
+def reference_roots_up_to_level(ctx, level):
+    """(real roots, every root listed) up to δ-level `level`: the test-side
+    search with the negatives, plus the simples at every level and ±k·δ."""
+    cap = level * ctx.delta[ctx.aff]
+    real = {r for r in reference_positive_roots(ctx, level) if r[ctx.aff] <= cap}
+    real |= {tuple(-x for x in r) for r in real}
+    listed = real | {tuple(k * x for x in ctx.delta) for k in range(-level, level + 1) if k}
+    for i in range(ctx.n):
+        listed |= {tuple(int(j == i) for j in range(ctx.n)), neg_simple(ctx.n, i)}
+    return real, sorted(listed)
+
+
+def check_real_roots(ctx, level):
+    real, listed = reference_roots_up_to_level(ctx, level)
+    found = ctx.real_roots(level)
+    assert len(found) == len(real) and set(found) == real
+    assert ctx.positive_real_roots(level) == sorted(r for r in real if min(r) >= 0)
+    assert roots_up_to_level(ctx, level) == listed
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_catalog_matrices())
+def test_real_roots_translate_the_window_in_any_node_order(cm):
+    ctx = AffineContext(cm)
+    for level in range(3):
+        check_real_roots(ctx, level)
+
+
+def test_real_roots_of_the_rank_30_cycle():
+    check_real_roots(AffineContext(cycle_matrix(30)), 1)
+
+
+def test_enumeration_runs_no_second_search(monkeypatch):
+    contexts = [affine_for(label)[0] for label in catalog_labels(6)]
+
+    def no_search(self, bound):
+        raise AssertionError("an enumeration must translate the window")
+
+    monkeypatch.setattr(AffineContext, "ensure_level", no_search)
+    for ctx in contexts:
+        for level in range(5):
+            assert roots_up_to_level(ctx, level) and ctx.positive_real_roots(level)
+    # the one search left is the constructor's, for the period
+    callers = []
+    for path in sorted(Path(cartan.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "attr", None) == "ensure_level"]
+    assert callers == [("cartan.py", "__init__")]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from aproots.linalg import (
     canon,
     det,
+    format_rational,
     in_simplicial_cone,
     inverse,
     kernel_basis,
@@ -204,3 +205,8 @@ def test_vec_matches_entrywise_canonicalization(values, container):
     if all(type(x) is int for x in values):
         t = tuple(values)
         assert vec(t) is t
+
+
+def test_format_rational_prints_ints_and_reduced_fractions():
+    assert ([format_rational(x) for x in (3, -7, Fraction(1, 2), Fraction(4, 2))]
+            == ["3", "-7", "1/2", "2"])
