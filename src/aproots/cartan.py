@@ -336,8 +336,7 @@ class AffineContext:
         # the least with r·delta - α_i = s_i(α_i + r·delta) real for every i,
         # as W fixes delta and every real root is W-conjugate to a simple one.
         # The window: the real roots β with 0 ≤ [β:α_aff] < r·[delta:α_aff],
-        # the one record of the real roots.  `is_real_root` translates a query
-        # into it by a multiple of r·delta, and `real_roots` translates it out.
+        # the one record of them: `is_real_root` translates into it, `real_roots` out.
         for r in (1, 2, 3):
             pos = self.ensure_level(r)
             if all(tuple(r * d - (j == i) for j, d in enumerate(self.delta)) in pos
@@ -390,12 +389,10 @@ class AffineContext:
         return seen
 
     def real_roots(self, bound: int):
-        """The real roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], each once
-        and in no fixed order: each window root w shifted by t·period·delta
-        for every t that keeps it in range, the inverse of the translation of
-        `is_real_root`.  A list, not a set: the translates are distinct, and
-        a set would hash the negative roots, whose entries -1 and -2 hash
-        alike in CPython, so that the roots differing only there collide."""
+        """The real roots β with |[β:α_aff]| ≤ bound·[delta:α_aff], each once,
+        unordered: every window root shifted by each t·period·delta that keeps
+        it in range, the inverse of `is_real_root`'s translation.  A list, as
+        CPython hashes -1 and -2 alike and a set of negative roots collides."""
         cap = bound * self.delta[self.aff]
         step = self.period * self.delta[self.aff]
         shift = tuple(self.period * d for d in self.delta)

@@ -2,10 +2,8 @@
 
 Roots are plain coordinate tuples in the simple-root basis.  Enumeration is
 graded by the delta-level |[β:α_aff]| / [delta:α_aff] and returned in
-lexicographic order so results are deterministic.  It runs no search: the
-real roots are the context's window translated along period·delta
-(`AffineContext.real_roots`, each once), and the simples outside the bound
-and ±k·delta are added to that list in place.
+lexicographic order so results are deterministic.  It runs no search: it
+adds the simples outside the bound and ±k·delta to `AffineContext.real_roots`.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ def roots_up_to_level(ctx, bound: int):
     if not isinstance(ctx, AffineContext):
         raise NotAffine("expected an AffineContext")
     out = ctx.real_roots(bound)
-    # the simples are part of every bounded enumeration, whatever the bound;
-    # the real roots already hold those within it
+    # the simples are part of every bounded enumeration, whatever the bound:
+    # add each one whose [α_i:α_aff] passes the cap, with its negative
     cap = bound * ctx.delta[ctx.aff]
     for i in range(ctx.n):
         if int(i == ctx.aff) > cap:
