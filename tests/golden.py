@@ -9,7 +9,10 @@ vectors, vectors on the hyperplane phi = 0 and vectors of the imaginary cone,
 the roots of level at most 2, pairs drawn from pools of members, and each
 root of each real cluster within two exchanges of the negative simples.
 One more digest per label, which no word changes, records the real roots:
-the period and both enumerations at levels 0 to 4.
+the period and both enumerations at levels 0 to 4.  On the rank-2 and rank-3
+labels, in the catalog word and one shuffle, two more record the oracle: the
+seeds of the depth-4 mutation graph (history, d-vectors and g-vectors) with
+its edges, and the re-rooting evidence at depth 2.
 
 `tests/test_golden.py` recomputes the digests against `golden/exact.json`.
 This script rewrites that file from the package on the path:
@@ -35,7 +38,10 @@ from aproots.compatibility import compat_arrows, compatibility_degree, coroot_co
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
 from aproots.linalg import primitive_integer_vector, vec
+from aproots.mutation import exchange_matrix_from_cartan, seed_bfs
+from aproots.oracle_bridge import conjecture_evidence
 from aproots.roots import roots_up_to_level
+from aproots.verification import RANK2_LABELS, RANK3_LABELS
 
 from strategies import affine_for, integer_kernel_basis
 
@@ -60,6 +66,9 @@ FAMILIES = {
 }
 # the family of one digest per label, read off the AffineContext
 REAL_ROOTS = "real_roots"
+# the oracle's families, on these labels in their first two words
+SEED_LABELS = RANK2_LABELS + RANK3_LABELS
+SEED_FAMILIES = ("seed_bfs", "conjecture_evidence")
 
 
 def words(label):
@@ -144,6 +153,27 @@ def real_root_answers(label):
                for level in range(5)])
 
 
+def seed_words(label):
+    """The catalog word of `label` and one seeded shuffle of it."""
+    return words(label)[:2]
+
+
+def seed_answers(label, word):
+    """family -> (input, answer) texts of the oracle on one context: each
+    seed of the depth-4 mutation graph, in the order the search found it,
+    by its history, d-vectors and g-vectors; each edge by the histories of
+    its ends; and `conjecture_evidence` at depth 2."""
+    cc = CoxeterContext(affine_for(label)[0], word)
+    reps, edges = seed_bfs(exchange_matrix_from_cartan(cc.cm, cc.word), 4)
+    seeds = [(repr(seed.history),
+              repr((tuple(map(seed.d_vector, range(seed.n))),
+                    tuple(map(seed.g_vector, range(seed.n))))))
+             for seed in reps.values()]
+    ends = sorted(tuple(sorted(reps[k].history for k in edge)) for edge in edges)
+    return {"seed_bfs": seeds + [("edges", repr(ends))],
+            "conjecture_evidence": [("depth 2", answer(conjecture_evidence, cc, (2,)))]}
+
+
 def key(label, word, family):
     return f"{label} {' '.join(map(str, word))} {family}"
 
@@ -156,24 +186,31 @@ def digest(pairs):
     return hashlib.sha256("\n".join(a for _, a in pairs).encode()).hexdigest()
 
 
+def label_answers(label):
+    """key -> (input, answer) texts for every word and family of `label`,
+    its real roots and, on a seed label, its oracle families."""
+    out = {key(label, word, family): pairs
+           for word in words(label)
+           for family, pairs in answers(label, word).items()}
+    out[label_key(label)] = real_root_answers(label)
+    if label in SEED_LABELS:
+        out |= {key(label, word, family): pairs
+                for word in seed_words(label)
+                for family, pairs in seed_answers(label, word).items()}
+    return out
+
+
 def digests(label):
-    """key -> digest for every word and family of `label`, and its real roots."""
-    return {key(label, word, family): digest(pairs)
-            for word in words(label)
-            for family, pairs in answers(label, word).items()} | {
-        label_key(label): digest(real_root_answers(label))}
+    """key -> digest of every family of `label`."""
+    return {k: digest(pairs) for k, pairs in label_answers(label).items()}
 
 
 def main(argv):
     table, lines = {}, []
     for label in LABELS:
-        for word in words(label):
-            for family, pairs in answers(label, word).items():
-                table[key(label, word, family)] = digest(pairs)
-                lines += [f"{key(label, word, family)}\t{v}\t{a}" for v, a in pairs]
-        pairs = real_root_answers(label)
-        table[label_key(label)] = digest(pairs)
-        lines += [f"{label_key(label)}\t{v}\t{a}" for v, a in pairs]
+        for k, pairs in label_answers(label).items():
+            table[k] = digest(pairs)
+            lines += [f"{k}\t{v}\t{a}" for v, a in pairs]
     PATH.parent.mkdir(exist_ok=True)
     PATH.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
     print(f"{len(table)} digests written to {PATH}")

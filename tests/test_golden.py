@@ -8,14 +8,19 @@ import json
 
 import pytest
 
-from golden import FAMILIES, LABELS, PATH, digests, key, label_key, words
+from golden import (
+    FAMILIES, LABELS, PATH, SEED_FAMILIES, SEED_LABELS, digests, key, label_key, seed_words,
+    words,
+)
 
 STORED = json.loads(PATH.read_text())
 
 
 def test_the_corpus_covers_every_label():
     assert {key(label, word, family) for label in LABELS for word in words(label)
-            for family in FAMILIES} | {label_key(label) for label in LABELS} == set(STORED)
+            for family in FAMILIES} | {label_key(label) for label in LABELS} | {
+        key(label, word, family) for label in SEED_LABELS for word in seed_words(label)
+        for family in SEED_FAMILIES} == set(STORED)
 
 
 @pytest.mark.parametrize("label", LABELS)
