@@ -11,11 +11,6 @@ from __future__ import annotations
 
 from .coxeter import CoxeterContext
 from .errors import NegativeBound
-from .roots import neg_simple
-
-
-def neg_simples(cc: CoxeterContext):
-    return [neg_simple(cc.n, i) for i in range(cc.n)]
 
 
 def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
@@ -28,7 +23,7 @@ def enumerate_phi_c(cc: CoxeterContext, m_bound: int):
     if m_bound < 0:
         raise NegativeBound(f"move bound {m_bound} is below zero")
     pieces = []
-    pieces.append(neg_simples(cc))
+    pieces.append(cc.ctx.neg_simples)
     pieces.append(cc.tube_roots())
     pieces.append([cc.ctx.delta])
     forward = []

@@ -332,6 +332,9 @@ class AffineContext:
         self.delta = cls.delta
         self.aff = cls.aff
         self.delta_vee_coroot = cls.delta_vee_coroot
+        # the simple roots α_i and the negative simples -α_i, the one record of both
+        self.simples = tuple(tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
+        self.neg_simples = tuple(tuple(-x for x in e) for e in self.simples)
         # Real roots are periodic in delta (Kac, Prop. 6.3).  The period r is
         # the least with r·delta - α_i = s_i(α_i + r·delta) real for every i,
         # as W fixes delta and every real root is W-conjugate to a simple one.
@@ -339,8 +342,8 @@ class AffineContext:
         # the one record of them: `is_real_root` translates into it, `real_roots` out.
         for r in (1, 2, 3):
             pos = self.ensure_level(r)
-            if all(tuple(r * d - (j == i) for j, d in enumerate(self.delta)) in pos
-                   for i in range(self.n)):
+            if all(tuple(r * d - x for d, x in zip(self.delta, e)) in pos
+                   for e in self.simples):
                 break
         self.period = r
         self._window = frozenset([b for b in pos if b[self.aff] < r * self.delta[self.aff]]
@@ -371,8 +374,7 @@ class AffineContext:
         enumeration translates the window instead.  It keeps its name
         because perfbench traces it by that name."""
         cap = bound * self.delta[self.aff]
-        units = (tuple(int(j == i) for j in range(self.n)) for i in range(self.n))
-        seen = {e for e in units if e[self.aff] <= cap}
+        seen = {e for e in self.simples if e[self.aff] <= cap}
         frontier = list(seen)
         while frontier:
             nxt = []

@@ -136,10 +136,9 @@ def cmd_roots(args):
 def cmd_context(args):
     cc = _load_coxeter(args)
     orientations, classes = source_sink_counts(cc.ctx)
-    units = [tuple(int(i == j) for i in range(cc.n)) for j in range(cc.n)]
-    euler = [[dict(row).get(j, int(i == j)) for j in range(cc.n)]
-             for i, row in enumerate(cc.lower)]
-    coxeter = _matrix_json(zip(*map(cc.c_action, units)))
+    euler = [[dict(row).get(j, x) for j, x in enumerate(e)]
+             for e, row in zip(cc.ctx.simples, cc.lower)]
+    coxeter = _matrix_json(zip(*map(cc.c_action, cc.ctx.simples)))
     gamma = cc.gamma()
     payload = {
         "word": [i + 1 for i in cc.word],

@@ -15,7 +15,6 @@ from __future__ import annotations
 from itertools import combinations, product
 from operator import mul
 
-from . import almost_positive as ap
 from . import compatibility as compat
 from .coxeter import CoxeterContext
 from .errors import NotACluster, RankOutOfRange, RootNotInCluster
@@ -59,19 +58,7 @@ def require_real_cluster(cc, roots):
 
 
 class TubeWall:
-    """A wall certificate: a facet whose would-be partner pairs with the
-    removed root only through imaginary clusters.
-
-    No longer returned: every facet of a real cluster cone is shared with
-    exactly one other real cone, so `exchange` always yields a pair.
-    """
-
-    def __init__(self, removed, candidate):
-        self.removed = removed
-        self.candidate = candidate
-
-    def __repr__(self):
-        return f"TubeWall(removed={self.removed}, candidate={self.candidate})"
+    """Never returned by `exchange`; the benchmark tests results against it."""
 
 
 def exchange(cc: CoxeterContext, cluster, alpha):
@@ -107,7 +94,7 @@ def _probe_exchange(cc, cluster, alpha):
 
 def real_clusters(cc: CoxeterContext, depth: int):
     """The set of real clusters within `depth` exchanges of the negative simples."""
-    ball = frontier = {tuple(sorted(ap.neg_simples(cc)))}
+    ball = frontier = {tuple(sorted(cc.ctx.neg_simples))}
     for _ in range(depth):
         # each cluster is validated once, not once per root it exchanges
         frontier = {_probe_exchange(cc, cluster, alpha)[1]
@@ -288,5 +275,4 @@ def imaginary_cluster_spans_hyperplane_lattice(cc: CoxeterContext, cl) -> bool:
     if any(sum(map(mul, f, r)) for r in cl):
         return False
     j = next(j for j, x in enumerate(f) if x)
-    e_j = [int(i == j) for i in range(cc.n)]
-    return abs(det([list(r) for r in cl] + [e_j])) == abs(f[j])
+    return abs(det([list(r) for r in cl] + [list(cc.ctx.simples[j])])) == abs(f[j])

@@ -52,7 +52,7 @@ from .cartan import AffineContext
 from .errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from . import linalg
 from .linalg import divided, format_vector, inverse, scale_to_integers, vec
-from .roots import deformed_reflection, neg_simple, neg_simple_index
+from .roots import deformed_reflection, neg_simple_index
 
 NEG_SIMPLE = "negative-simple"
 TRANSIENT = "transient"
@@ -100,9 +100,9 @@ class CoxeterContext:
         self.upper = tuple(upper)
         # the inversion roots: α_{w_k} walked over the letters before it,
         # nearest first, and over the letters after it
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        self.psi_to = {i: self._walk(units[i], reversed(word[:p])) for p, i in enumerate(word)}
-        self.psi_from = {i: self._walk(units[i], word[p + 1:]) for p, i in enumerate(word)}
+        e = ctx.simples
+        self.psi_to = {i: self._walk(e[i], reversed(word[:p])) for p, i in enumerate(word)}
+        self.psi_from = {i: self._walk(e[i], word[p + 1:]) for p, i in enumerate(word)}
 
         # phi(v) = f · v with f = D·(I + lower)·delta, as phi_c = E_c(·, delta);
         # in weight coordinates -nu_c(delta) = (I + lower)·delta, scaled to a leading ±1
@@ -116,9 +116,9 @@ class CoxeterContext:
         # psi_from[i] -> -α_i, so it starts with these 2n exceptions, and tau
         # adds each image of c it computes
         self._tau = {}
-        for i in range(n):
-            self._tau[neg_simple(n, i)] = self.psi_to[i]
-            self._tau[self.psi_from[i]] = neg_simple(n, i)
+        for i, neg in enumerate(ctx.neg_simples):
+            self._tau[neg] = self.psi_to[i]
+            self._tau[self.psi_from[i]] = neg
         # the memos of sigma_s, one dict per letter s: root -> sigma_s(root),
         # filled by sigma and the expansion pull-back.  Every key is a
         # negative simple or a positive root, so a hit needs no check
@@ -183,7 +183,7 @@ class CoxeterContext:
         kills delta, multiplying by -(I + upper) turns it into
         A·gamma = (I + lower)·delta = -nu_c(delta)."""
         ctx = self.ctx
-        rows = [list(row) for row in self.cm.a] + [[int(j == ctx.aff) for j in range(self.n)]]
+        rows = [list(row) for row in self.cm.a] + [list(ctx.simples[ctx.aff])]
         rhs = [-w for w in self.weight(self.lower, ctx.delta)]
         return linalg.solve_general(rows, rhs + [0])
 
@@ -357,7 +357,7 @@ class CoxeterContext:
         cur = v
         for m in range(1, 4 * self.m_bound + 8 * sum(abs(x) for x in v) + 8):
             if (i := ends.get(cur)) is not None:
-                return ("infinite", neg_simple(self.n, i), sign * m)
+                return ("infinite", self.ctx.neg_simples[i], sign * m)
             cur = self._walk(cur, letters)
         raise AssertionError("infinite-orbit walk exhausted")
 

@@ -34,7 +34,7 @@ from math import lcm
 from .coxeter import CoxeterContext
 from .errors import NotInImaginaryCone
 from .linalg import _ratio, format_vector, mat_vec, scale_to_integers, vec
-from .roots import deformed_reflection, neg_simple
+from .roots import deformed_reflection
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def expand_in_parabolic(cc: CoxeterContext, word, v):
     terms, sub = {}, []
     for i in word:
         if v[i] < 0:
-            terms[neg_simple(cc.n, i)] = -v[i]
+            terms[cc.ctx.neg_simples[i]] = -v[i]
         elif v[i]:
             sub.append(i)
     if sub:

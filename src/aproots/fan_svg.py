@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .almost_positive import neg_simples
 from .coxeter import CoxeterContext
 from .errors import RankNot3
 from .linalg import cross
@@ -86,7 +85,7 @@ def render_fan_svg(cc: CoxeterContext, clusters, pole=None):
     """SVG text for the cone fan of the given clusters (rank 3 only)."""
     require_rank3(cc)
     proj = Projection(pole if pole is not None else cc.ctx.delta)
-    neg_pi = tuple(sorted(neg_simples(cc)))
+    neg_pi = tuple(sorted(cc.ctx.neg_simples))
 
     shapes = []
     dots = {}

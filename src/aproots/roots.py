@@ -8,16 +8,8 @@ adds the simples outside the bound and ±k·delta to `AffineContext.real_roots`.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .cartan import AffineContext, CartanMatrix
 from .errors import NotAffine
-
-
-@cache
-def neg_simple(n: int, i: int) -> tuple:
-    """The negative simple root -α_i in rank n, built once per (n, i)."""
-    return tuple(-1 if j == i else 0 for j in range(n))
 
 
 def neg_simple_index(v):
@@ -50,8 +42,8 @@ def roots_up_to_level(ctx, bound: int):
     # the simples are part of every bounded enumeration, whatever the bound:
     # add each one whose [α_i:α_aff] passes the cap, with its negative
     cap = bound * ctx.delta[ctx.aff]
-    for i in range(ctx.n):
-        if int(i == ctx.aff) > cap:
-            out += [tuple(int(j == i) for j in range(ctx.n)), neg_simple(ctx.n, i)]
+    for e, neg in zip(ctx.simples, ctx.neg_simples):
+        if e[ctx.aff] > cap:
+            out += [e, neg]
     out += [tuple(k * x for x in ctx.delta) for k in range(-bound, bound + 1) if k]
     return sorted(out)

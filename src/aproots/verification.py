@@ -16,7 +16,6 @@ from itertools import combinations, islice
 from operator import mul
 
 from . import compatibility as compat
-from .almost_positive import neg_simples
 from .cartan import _parse_label, catalog_labels, context_from_label
 from .clusters import (
     REAL,
@@ -150,7 +149,7 @@ def _axiom_failures(cc, level):
     n = cc.n
     failures = []
     delta = cc.ctx.delta
-    negs = neg_simples(cc)
+    negs = cc.ctx.neg_simples
     for beta in pool:
         cv = compat.coroot_coordinates(cc, beta)
         for i in range(n):

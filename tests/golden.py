@@ -31,7 +31,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from aproots.almost_positive import neg_simples
 from aproots.cartan import catalog_labels
 from aproots.clusters import exchange, is_exchangeable, nu, nu_inverse, real_clusters
 from aproots.compatibility import compat_arrows, compatibility_degree, coroot_coordinates
@@ -103,7 +102,8 @@ def arrow_pairs(cc, seed):
     negative simples and every tube root, each member against a seeded
     sample of 10 pool members in both orders.  Unlike the degree, the arrows
     are read on tube pairs whose arcs cover their cycle too."""
-    pool = list(neg_simples(cc)) + [cc.ctx.delta] + cc.tube_roots()
+    negs = [tuple(-int(j == i) for j in range(cc.n)) for i in range(cc.n)]
+    pool = negs + [cc.ctx.delta] + cc.tube_roots()
     rest = [r for r in roots_up_to_level(cc.ctx, 2)
             if r not in pool and cc.phi_c_class(r) is not None]
     rng = random.Random(f"{seed} arrows")

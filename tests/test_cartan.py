@@ -33,7 +33,7 @@ from aproots.errors import (
     RankOutOfRange,
     UnknownLabel,
 )
-from aproots.roots import neg_simple, roots_up_to_level
+from aproots.roots import roots_up_to_level
 
 from strategies import affine_for, finite_positive_roots, gram, kernel_delta_vee_coroot
 
@@ -493,7 +493,7 @@ def reference_roots_up_to_level(ctx, level):
     real |= {tuple(-x for x in r) for r in real}
     listed = real | {tuple(k * x for x in ctx.delta) for k in range(-level, level + 1) if k}
     for i in range(ctx.n):
-        listed |= {tuple(int(j == i) for j in range(ctx.n)), neg_simple(ctx.n, i)}
+        listed |= {tuple(s * int(j == i) for j in range(ctx.n)) for s in (1, -1)}
     return real, sorted(listed)
 
 

@@ -35,7 +35,7 @@ from aproots.linalg import (
     solve_general,
     vec,
 )
-from aproots.roots import deformed_reflection, neg_simple
+from aproots.roots import deformed_reflection
 
 from strategies import (affine_for, cc_for, coxeter_contexts, integer_kernel_basis, outcome,
                         word_sources)
@@ -384,7 +384,7 @@ def reference_cluster_expansion(cc, v):
         if all(v[i] > 0 for i in word):
             letters, v, word = reference_rotate(cc.cm, word, v, word, 64 * len(word) ** 2 + 64)
             return pull_back(letters, in_parabolic(word, v))
-        terms = {neg_simple(cc.n, i): -v[i] for i in word if v[i] < 0}
+        terms = {tuple(-int(j == i) for j in range(cc.n)): -v[i] for i in word if v[i] < 0}
         terms.update(in_parabolic([s for s in word if v[s] > 0],
                                   tuple(x if x > 0 else 0 for x in v)))
         return terms

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import aproots
 from aproots import roots
+from aproots.cartan import catalog_labels
 from aproots.roots import roots_up_to_level
 
 from strategies import affine_for, finite_positive_roots, run_here, run_python_O
@@ -134,6 +135,25 @@ def test_not_in_phi_c_is_raised_only_by_member():
                             key=lambda f: f.lineno, default=None)
                 found.append(f"{path.name}:{owner.name if owner else '<module>'}")
     assert found == ["coxeter.py:member"]
+
+
+def test_the_simples_are_one_record_and_no_cache_is_global():
+    # ±α_i are built once per AffineContext and read from there; a
+    # process-global memo would outlive every context that filled it
+    package = Path(roots.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name in ("cache", "lru_cache") for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+             and getattr(node.value, "id", None) == "functools"]
+    assert found == []
+    for label in catalog_labels(6):
+        ctx = affine_for(label)[0]
+        units = [tuple(int(j == i) for j in range(ctx.n)) for i in range(ctx.n)]
+        assert list(ctx.simples) == units, label
+        assert list(ctx.neg_simples) == [tuple(-x for x in e) for e in units], label
 
 
 def _reads(tree):
