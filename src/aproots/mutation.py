@@ -180,17 +180,24 @@ def initial_btilde(b: tuple) -> tuple:
 
 
 def matrix_mutation(btilde: tuple, k: int) -> tuple:
-    n = len(btilde[0])
+    """B̃ mutated at k: row and column k change sign, and b_ij gains
+    |b_ik|·b_kj where b_ik·b_kj > 0 (Fomin-Zelevinsky, Cluster algebras I,
+    Def. 4.2).  So a row with b_ik = 0 is kept as it is, and any other row
+    changes only at k and at the nonzero entries of row k."""
+    pivot = [(j, x) for j, x in enumerate(btilde[k]) if x]
     rows = []
     for i, row in enumerate(btilde):
-        new = []
-        for j in range(n):
-            if i == k or j == k:
-                new.append(-row[j])
-            else:
-                bik, bkj = row[k], btilde[k][j]
-                new.append(row[j] + max(bik, 0) * max(bkj, 0) - max(-bik, 0) * max(-bkj, 0))
-        rows.append(tuple(new))
+        bik = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif bik:
+            row = list(row)
+            for j, bkj in pivot:
+                if bik * bkj > 0:
+                    row[j] += abs(bik) * bkj
+            row[k] = -bik
+            row = tuple(row)
+        rows.append(row)
     return tuple(rows)
 
 

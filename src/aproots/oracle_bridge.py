@@ -101,7 +101,6 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     replays keyed by reduced word, dropped after the last of them."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
     reps, _ = seed_bfs(b, depth)
-    by_length = sorted(reps.values(), key=lambda seed: len(seed.history))
     last = {seed.btilde[:seed.n]: seed for seed in reps.values()}
     memos = {}          # b' -> {reduced word: replayed seed}
     comparisons = 0
@@ -120,7 +119,8 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
             return seed
 
         degrees = {}    # beta -> its degrees against seed_prime's labels
-        for other in by_length:
+        # seed_bfs adds the seeds level by level, so in order of history length
+        for other in reps.values():
             replay = replay_at(_reduced(back + other.history))
             for slot in range(other.n):
                 beta = other.d_vector(slot)

@@ -198,6 +198,41 @@ def test_matrix_mutation_rank2_flip_and_involution():
     assert matrix_mutation(flipped, 0) == bt
 
 
+def reference_matrix_mutation(btilde, k):
+    """The dense form of the mutation rule, every entry from the formula."""
+    n = len(btilde[0])
+    return tuple(
+        tuple(-row[j] if i == k or j == k else
+              row[j] + max(row[k], 0) * max(btilde[k][j], 0)
+              - max(-row[k], 0) * max(-btilde[k][j], 0)
+              for j in range(n))
+        for i, row in enumerate(btilde))
+
+
+@st.composite
+def btildes(draw):
+    """A skew-symmetrizable B, d_i·b_ij = -d_j·b_ji, over n random integer
+    C rows, and a mutation word."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    entry = st.integers(-3, 3)
+    s = {(i, j): draw(entry) for i in range(n) for j in range(i + 1, n)}
+    b = tuple(tuple(0 if i == j else s[i, j] * d[j] if i < j else -s[j, i] * d[j]
+                    for j in range(n)) for i in range(n))
+    c = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n))
+    return b + c, draw(st.lists(st.integers(0, n - 1), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(btildes())
+def test_sparse_matrix_mutation_matches_the_dense_rule(case):
+    bt, word = case
+    for k in word:
+        dense = reference_matrix_mutation(bt, k)
+        bt = matrix_mutation(bt, k)
+        assert bt == dense
+
+
 def test_matrix_mutation_preserves_skew_symmetrizability():
     rng = random.Random(17)
     for label in ("D3(2)", "G2(1)", "B3(1)"):
