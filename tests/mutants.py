@@ -29,6 +29,7 @@ CLUSTERS = "src/aproots/clusters.py"
 COMPAT = "src/aproots/compatibility.py"
 COXETER = "src/aproots/coxeter.py"
 EXPANSION = "src/aproots/expansion.py"
+MUTATION = "src/aproots/mutation.py"
 # the property test draws its labels; the corpus holds every one of them
 REAL_ROOTS_TESTS = ["tests/test_cartan.py::test_real_roots_translate_the_window_in_any_node_order",
                     "tests/test_golden.py"]
@@ -92,6 +93,20 @@ MUTANTS = [
     ("the translates counted in steps of delta, not of the period", CARTAN,
      "step = self.period * self.delta[self.aff]", "step = self.delta[self.aff]",
      REAL_ROOTS_TESTS),
+    ("the negative simples built without the sign", CARTAN,
+     "tuple(tuple(-x for x in e) for e in self.simples)",
+     "tuple(tuple(x for x in e) for e in self.simples)",
+     ["tests/test_golden.py"]),
+    ("the sparse mutation rule without its abs", MUTATION,
+     "row[j] += abs(bik) * bkj", "row[j] += bik * bkj",
+     ["tests/test_mutation.py"]),
+    ("the sparse mutation rule skipping the C rows", MUTATION,
+     "        elif bik:\n", "        elif bik and i < len(row):\n",
+     ["tests/test_mutation.py"]),
+    # the catalog puts the affine node last, so only relabeled nodes tell them apart
+    ("gamma pinned at the last node, not at the affine node", COXETER,
+     "[list(ctx.simples[ctx.aff])]", "[list(ctx.simples[-1])]",
+     ["tests/test_invariance.py"]),
 ]
 
 # (name, file, old text, new text, target test files, why no answer changes)
