@@ -75,7 +75,9 @@ def relabeled(pi, v):
 
 def relabeled_answers(pi, ans):
     """The answers of the relabeled context that `ans` predicts."""
-    cluster = lambda cl: tuple(sorted(relabeled(pi, r) for r in cl))  # noqa: E731
+    def cluster(cl):
+        return tuple(sorted(relabeled(pi, r) for r in cl))
+
     return {
         "gamma": relabeled(pi, ans["gamma"]),
         "class": ans["class"],
