@@ -12,7 +12,11 @@ One more digest per label, which no word changes, records the real roots:
 the period and both enumerations at levels 0 to 4.  On the rank-2 and rank-3
 labels, in the catalog word and one shuffle, two more record the oracle: the
 seeds of the depth-4 mutation graph (history, d-vectors and g-vectors) with
-its edges, and the re-rooting evidence at depth 2.
+its edges, and the re-rooting evidence at depth 2.  On the rank-3 labels,
+in the same two words, two more record the face test: the verdict on every
+pair of cones of those real clusters and of the imaginary clusters, and of
+each against seeded triples of their generators; and the coefficients of
+each cone at the generators of the others and at seeded integer vectors.
 
 `tests/test_golden.py` recomputes the digests against `golden/exact.json`.
 This script rewrites that file from the package on the path:
@@ -28,15 +32,17 @@ import hashlib
 import json
 import random
 import sys
+from itertools import combinations, product
 from fractions import Fraction
 from pathlib import Path
 
 from aproots.cartan import catalog_labels
-from aproots.clusters import exchange, is_exchangeable, nu, nu_inverse, real_clusters
+from aproots.clusters import (cones_intersect_in_face, exchange, imaginary_clusters,
+                              is_exchangeable, nu, nu_inverse, real_clusters)
 from aproots.compatibility import compat_arrows, compatibility_degree, coroot_coordinates
 from aproots.coxeter import CoxeterContext
 from aproots.expansion import cluster_expansion, in_delta_cone, in_delta_cone_interior
-from aproots.linalg import primitive_integer_vector, vec
+from aproots.linalg import det, in_simplicial_cone, primitive_integer_vector, vec
 from aproots.mutation import exchange_matrix_from_cartan, seed_bfs
 from aproots.oracle_bridge import conjecture_evidence
 from aproots.roots import roots_up_to_level
@@ -68,6 +74,9 @@ REAL_ROOTS = "real_roots"
 # the oracle's families, on these labels in their first two words
 SEED_LABELS = RANK2_LABELS + RANK3_LABELS
 SEED_FAMILIES = ("seed_bfs", "conjecture_evidence")
+# the face test's families, on these labels in the same two words
+FACE_LABELS = RANK3_LABELS
+FACE_FAMILIES = ("cones_intersect_in_face", "in_simplicial_cone")
 
 
 def words(label):
@@ -174,6 +183,33 @@ def seed_answers(label, word):
             "conjecture_evidence": [("depth 2", answer(conjecture_evidence, cc, (2,)))]}
 
 
+def face_answers(label, word):
+    """family -> (input, answer) texts of the face test on one context: the
+    verdict on every pair of the cones of `real_clusters(cc, 2)` and of the
+    imaginary clusters, and on each of them against 6 seeded independent
+    triples of their generators, which need not meet them in a face; and the
+    coefficients (or None) of each cone at each generator of the other cones
+    and at 12 seeded integer vectors."""
+    cc = CoxeterContext(affine_for(label)[0], word)
+    cones = sorted(real_clusters(cc, 2)) + sorted(imaginary_clusters(cc))
+    rng = random.Random(f"{label} {word} face")
+    pool = sorted({g for cone in cones for g in cone})
+    triples = []
+    while len(triples) < 6:
+        if det(triple := tuple(sorted(rng.sample(pool, 3)))):
+            triples.append(triple)
+    samples = [tuple(rng.randint(-6, 6) for _ in range(cc.n)) for _ in range(12)]
+    points = [(cone, v) for cone in cones
+              for v in sorted({g for other in cones if other != cone for g in other})
+              + samples]
+    return {"cones_intersect_in_face": [(repr(pair), answer(cones_intersect_in_face, cc, pair))
+                                        for pair in [*combinations(cones, 2),
+                                                     *product(triples, cones)]],
+            "in_simplicial_cone": [(repr(point), answer(lambda _, gens, v:
+                                                        in_simplicial_cone(gens, v), cc, point))
+                                   for point in points]}
+
+
 def key(label, word, family):
     return f"{label} {' '.join(map(str, word))} {family}"
 
@@ -188,7 +224,8 @@ def digest(pairs):
 
 def label_answers(label):
     """key -> (input, answer) texts for every word and family of `label`,
-    its real roots and, on a seed label, its oracle families."""
+    its real roots and, on a seed or face label, its oracle or face
+    families."""
     out = {key(label, word, family): pairs
            for word in words(label)
            for family, pairs in answers(label, word).items()}
@@ -197,6 +234,10 @@ def label_answers(label):
         out |= {key(label, word, family): pairs
                 for word in seed_words(label)
                 for family, pairs in seed_answers(label, word).items()}
+    if label in FACE_LABELS:
+        out |= {key(label, word, family): pairs
+                for word in seed_words(label)
+                for family, pairs in face_answers(label, word).items()}
     return out
 
 
