@@ -33,7 +33,7 @@ def is_cluster(cc: CoxeterContext, roots):
     if len(set(roots)) != len(roots):
         return None, "repeated roots"
     for r in roots:
-        if cc.root_info(r)[0] is None:
+        if cc.root_info(r)[1] is None:
             return None, f"{format_vector(r)} is not in the almost-positive set"
     for a, b in combinations(roots, 2):
         if d := compat.degree(cc, a, b):
@@ -82,14 +82,14 @@ def _probe_exchange(cc, cluster, alpha):
     returned it and one of its roots."""
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
-    m = 2
-    # terminates: the neighbouring real cone holds m*sum(F) - alpha for large m
-    while True:
+    # the neighbouring real cone holds m*sum(F) - alpha for large m; real
+    # exchanges stop by m = 8, so m = 2^64 is reached only by a broken model
+    for m in (2 ** k for k in range(1, 65)):
         support = set(cluster_expansion(cc, [m * b - a for b, a in zip(base, alpha)]))
         if support.issuperset(facet):
             (beta,) = support - set(facet)
             return beta, tuple(sorted(facet + (beta,)))
-        m *= 2
+    raise AssertionError("exchange probe cap exhausted")
 
 
 def real_clusters(cc: CoxeterContext, depth: int):
@@ -238,8 +238,9 @@ def cones_intersect_in_face(cc: CoxeterContext, gens1, gens2) -> bool:
         raise RankOutOfRange(f"face intersection is implemented for ranks 2 and 3, not {cc.n}")
     gens1 = [vec(g) for g in gens1]
     gens2 = [vec(g) for g in gens2]
-    face1 = [g for g in gens1 if cone_contains(cc, gens2, g)]
-    face2 = [g for g in gens2 if cone_contains(cc, gens1, g)]
+    # a generator of one simplicial cone that generates the other lies in it
+    face1 = [g for g in gens1 if g in gens2 or cone_contains(cc, gens2, g)]
+    face2 = [g for g in gens2 if g in gens1 or cone_contains(cc, gens1, g)]
     if sorted(face1) != sorted(face2):
         return False
     if cc.n == 2:

@@ -116,13 +116,9 @@ def _joint_component_full(cc: CoxeterContext, alpha, beta) -> bool:
 def compatibility_degree(cc: CoxeterContext, alpha, beta) -> CompatibilityValue:
     arcs = cc.tube_arcs
     if tuple(alpha) in arcs and tuple(beta) in arcs and _joint_component_full(cc, alpha, beta):
-        return CompatibilityValue(
-            degree=adjacency_count(cc, alpha, beta), branch="tube-adjacency"
-        )
+        return CompatibilityValue(adjacency_count(cc, alpha, beta), "tube-adjacency")
     to, frm = compat_arrows(cc, alpha, beta)
-    return CompatibilityValue(
-        degree=max(to, frm), branch="coordinate-max", arrow_to=to, arrow_from=frm
-    )
+    return CompatibilityValue(max(to, frm), "coordinate-max", to, frm)
 
 
 def degree(cc: CoxeterContext, alpha, beta):

@@ -20,9 +20,10 @@ orientations and their classes, and the memos of the deformed maps sigma_s
 and tau_c, which compute each image once per context.
 
 Each public method admits each root argument once, through `member`, the one
-boundary of the almost-positive set, which returns it as a canonical int
-tuple with its record (class, coroot coordinates, nu_c, nu_{c^-1}); internal
-steps reuse the roots they hold and run in ints.  The
+boundary of the almost-positive set, which returns the record of a member,
+stored once per context: (the root as a canonical int tuple, class, coroot
+coordinates, nu_c, nu_{c^-1}); internal steps reuse the roots they hold and
+run in ints.  The
 tau-orbit walk of `orbit_classification` applies c^∓1, which is tau_c^±1
 off the transversals, until it meets a psi transversal, and stores nothing.
 
@@ -263,31 +264,35 @@ class CoxeterContext:
 
     def phi_c_class(self, v):
         """Membership class of v in the almost-positive set, or None."""
-        return self.root_info(vec(v))[0]
+        return self.root_info(vec(v))[1]
 
     def member(self, v):
-        """(v canonicalized, *its record from `root_info`) for a member of the
-        almost-positive set: the one place a vector is admitted into the set."""
-        v = vec(v)
-        info = self.root_info(v)
-        if info[0] is None:
-            raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
-        return (v,) + info
+        """The stored record of v from `root_info`, for a member of the
+        almost-positive set: the one place a vector is admitted into the set.
+        A stored root is found as given, since an int and its equal
+        `Fraction` hash the same; only a miss canonicalizes v."""
+        record = self._root_info.get(tuple(v))
+        if record is None:
+            v = vec(v)
+            record = self.root_info(v)
+            if record[1] is None:
+                raise NotInPhiC(f"{format_vector(v)} is not in the almost-positive set")
+        return record
 
     def root_info(self, v):
-        """(class, simple-coroot coordinates of v^vee, nu_c(v), nu_{c^-1}(v)),
-        the record of a canonical tuple v in the almost-positive set; all
-        None when v is outside it."""
-        info = self._root_info.get(v)
-        if info is None:
+        """(v, class, simple-coroot coordinates of v^vee, nu_c(v),
+        nu_{c^-1}(v)), the record of a canonical tuple v in the almost-positive
+        set, made once and stored; v and four Nones when v is outside it."""
+        record = self._root_info.get(v)
+        if record is None:
             cls = self._classify(v)
             if cls is None:
-                return None, None, None, None
+                return v, None, None, None, None
             # coroot_coords is odd in v, so it also serves the negative simples
             cv = self.ctx.delta_vee_coroot if cls == DELTA else self.ctx.coroot_coords(v)
-            info = self._root_info[v] = (cls, cv, self.weight(self.lower, v),
-                                         self.weight(self.upper, v))
-        return info
+            record = self._root_info[v] = (v, cls, cv, self.weight(self.lower, v),
+                                           self.weight(self.upper, v))
+        return record
 
     def _classify(self, v):
         if len(v) != self.n:
@@ -312,9 +317,9 @@ class CoxeterContext:
         """The involution sigma_s on -Π ∪ Φ+."""
         if not 0 <= s < self.n:
             raise IndexOutOfRange(f"letter {s + 1} out of range 1..{self.n}")
-        v = vec(v)
         memo = self._sigma[s]
-        if (image := memo.get(v)) is None:
+        if (image := memo.get(tuple(v))) is None:
+            v = vec(v)
             if len(v) != self.n or self.neg_simple_index(v) is None and not (
                     all(x >= 0 for x in v) and self.ctx.is_root(v)):
                 raise NotAlmostPositive(

@@ -198,8 +198,14 @@ def primitive_integer_vector(v) -> tuple:
 
 
 def in_simplicial_cone(gens, v):
-    """Coefficients of v over independent generators if all nonnegative, else None."""
-    coeffs = solve_general([list(col) for col in zip(*gens)], v)
+    """Coefficients of v over independent generators if all nonnegative, else
+    None: at once, with no elimination, when v has a sign at a coordinate
+    that no generator has there, as no nonnegative combination has it."""
+    rows = [list(col) for col in zip(*gens)]
+    if len(rows) == len(v) and any(x > 0 and max(row) <= 0 or x < 0 and min(row) >= 0
+                                   for row, x in zip(rows, v)):
+        return None
+    coeffs = solve_general(rows, v)
     if coeffs is None or any(c < 0 for c in coeffs):
         return None
     return coeffs

@@ -1,6 +1,7 @@
 """Planted mutants of the package, each run against the tests meant to kill it.
 
-For each mutant the script copies `src`, `tests` and `pyproject.toml` to a
+For each mutant the script copies `src`, `tests`, `perfbench` (which the
+caller checks of `tests/test_roots.py` read) and `pyproject.toml` to a
 temporary directory, replaces one text in one file of the copy, runs the
 mutant's target test files there with `-x`, and prints KILLED (a test
 failed) or SURVIVED (every test passed) with the time the run took.  An old
@@ -29,6 +30,7 @@ CLUSTERS = "src/aproots/clusters.py"
 COMPAT = "src/aproots/compatibility.py"
 COXETER = "src/aproots/coxeter.py"
 EXPANSION = "src/aproots/expansion.py"
+LINALG = "src/aproots/linalg.py"
 MUTATION = "src/aproots/mutation.py"
 # the property test draws its labels; the corpus holds every one of them
 REAL_ROOTS_TESTS = ["tests/test_cartan.py::test_real_roots_translate_the_window_in_any_node_order",
@@ -47,10 +49,10 @@ MUTANTS = [
      "self.weight(self.upper, v))", "self.weight(self.lower, v))",
      ["tests/test_compatibility.py"]),
     ("nu_c and nu_c^-1 swapped in the record", COXETER,
-     "(cls, cv, self.weight(self.lower, v),\n"
-     "                                         self.weight(self.upper, v))",
-     "(cls, cv, self.weight(self.upper, v),\n"
-     "                                         self.weight(self.lower, v))",
+     "(v, cls, cv, self.weight(self.lower, v),\n"
+     "                                           self.weight(self.upper, v))",
+     "(v, cls, cv, self.weight(self.upper, v),\n"
+     "                                           self.weight(self.lower, v))",
      ["tests/test_compatibility.py"]),
     ("the arrows' tables swapped", COMPAT,
      "return sum(map(mul, cv, nu_to)), sum(map(mul, cv, nu_from))",
@@ -107,6 +109,16 @@ MUTANTS = [
     ("gamma pinned at the last node, not at the affine node", COXETER,
      "[list(ctx.simples[ctx.aff])]", "[list(ctx.simples[-1])]",
      ["tests/test_invariance.py"]),
+    ("a member miss returning the record without its class check", COXETER,
+     "            if record[1] is None:\n                raise NotInPhiC",
+     "            if False:\n                raise NotInPhiC",
+     ["tests/test_coxeter.py"]),
+    ("the cone's sign test with one inequality flipped", LINALG,
+     "x < 0 and min(row) >= 0", "x < 0 and min(row) <= 0",
+     ["tests/test_linalg.py"]),
+    ("the shared-generator test reading the wrong cone", CLUSTERS,
+     "if g in gens2 or cone_contains", "if g in gens1 or cone_contains",
+     ["tests/test_golden.py"]),
 ]
 
 # (name, file, old text, new text, target test files, why no answer changes)
@@ -120,8 +132,8 @@ EQUIVALENT = [
 
 
 def _copy_tree(dest):
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest)
 

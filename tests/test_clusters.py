@@ -167,6 +167,22 @@ def test_exchange_basics():
         exchange(cc, [(-1, 0), (1, 0)], (1, 0))
 
 
+def test_exchange_probe_stops_at_its_cap_on_an_inconsistent_model(monkeypatch):
+    # an expansion whose support never covers the facet: the probe raises
+    # after a bounded number of doublings instead of running forever
+    probes = []
+
+    def no_facet(cc, v):
+        probes.append(v)
+        return {}
+
+    cc = cc_for("D3(2)")
+    monkeypatch.setattr("aproots.clusters.cluster_expansion", no_facet)
+    with pytest.raises(AssertionError, match="exchange probe cap exhausted"):
+        exchange(cc, neg_pi(3), (-1, 0, 0))
+    assert len(probes) == 64 and probes[-1] == [1, -2 ** 64, -2 ** 64]
+
+
 def test_exchange_is_involutive_across_graph():
     cc = cc_for("D3(2)")
     real = real_clusters(cc, 3)

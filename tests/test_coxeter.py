@@ -20,7 +20,7 @@ from aproots.cartan import (
     validate_cartan,
 )
 from aproots.clusters import nu, nu_inverse
-from aproots.compatibility import compat_arrows
+from aproots.compatibility import compat_arrows, compatibility_degree
 from aproots.coxeter import TRANSIENT, CoxeterContext, source_sink_counts
 from aproots.errors import IndexOutOfRange, NotAlmostPositive, NotInPhiC
 from aproots.linalg import mat_vec
@@ -244,6 +244,27 @@ def test_vectors_of_the_wrong_length_are_no_roots():
         for s in range(n):
             with pytest.raises(NotAlmostPositive):
                 cc.sigma(s, p)
+
+
+def test_a_member_hit_returns_the_stored_record(monkeypatch):
+    # the record is made on the first admission; any later one, in any form,
+    # is one lookup that returns that object, and the root in it is the
+    # canonical int tuple even when the first admission came as Fractions
+    cc = cc_for("D3(2)")
+    members = [r for r in roots_up_to_level(cc.ctx, 1) if cc.phi_c_class(r) is not None]
+    for v in members:
+        fractions = tuple(map(Fraction, v))
+        cold = cc_for("D3(2)")
+        first = cold.member(fractions)
+        assert first == cc.member(v) and first[0] == v, v
+        assert [type(x) for x in first[0]] == [int] * cc.n, v
+        for form in (v, list(v), fractions, list(fractions)):
+            assert cold.member(form) is first, (v, form)
+        assert cold.root_info(v) is first, v
+    cold = cc_for("D3(2)")
+    calls = count_member_calls(monkeypatch, cold)
+    compatibility_degree(cold, members[0], members[1])
+    assert calls == members[:2]
 
 
 def test_tau_cases():

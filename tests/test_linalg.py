@@ -172,6 +172,55 @@ def test_cone_membership_matches_the_fraction_reference(system):
     assert typed(in_simplicial_cone(gens, v)) == typed(reference_cone(gens, v))
 
 
+def elimination_cone(gens, v):
+    """The cone test by elimination alone, with no sign test before it."""
+    coeffs = solve_general([list(col) for col in zip(*gens)], v)
+    if coeffs is None or any(c < 0 for c in coeffs):
+        return None
+    return coeffs
+
+
+@st.composite
+def cone_queries(draw):
+    """(gens, v) in small ints: up to 4 generators of length 1 to 4, often
+    with one more that sums two of them, and v, often a nonnegative
+    combination of them; sometimes v, or one generator, is one entry too
+    long or too short."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    gens = draw(st.lists(st.tuples(*[small] * n), max_size=4))
+    if len(gens) > 1 and draw(st.booleans()):
+        gens.append(tuple(map(sum, zip(gens[0], gens[-1]))))
+    if gens and draw(st.booleans()):
+        coeffs = [draw(st.integers(0, 2)) for _ in gens]
+        v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n))
+    else:
+        v = tuple(draw(small) for _ in range(n))
+    misfit = draw(st.sampled_from([None] * 6 + ["v", "gen"]))
+    if misfit == "v":
+        v = v[:-1] if draw(st.booleans()) else v + (draw(small),)
+    elif misfit == "gen" and gens:
+        gens[-1] = gens[-1][:-1] if draw(st.booleans()) else gens[-1] + (draw(small),)
+    return gens, v
+
+
+def cone_outcome(f, gens, v):
+    """f(gens, v) typed, or the class of what it raised."""
+    try:
+        return typed(f(gens, v))
+    except Exception as e:
+        return type(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_queries())
+def test_cone_membership_matches_elimination_alone(query):
+    # the sign test refuses only what the elimination refuses, and empty or
+    # mismatched input raises as it did
+    gens, v = query
+    assert cone_outcome(in_simplicial_cone, gens, v) == cone_outcome(elimination_cone, gens, v)
+
+
 def test_zero_and_unimodular_cases():
     assert det([[0, 0], [0, 0]]) == 0
     assert kernel_basis([[0, 0]]) == [(1, 0), (0, 1)]
