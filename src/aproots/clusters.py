@@ -82,13 +82,15 @@ def _probe_exchange(cc, cluster, alpha):
     returned it and one of its roots."""
     facet = tuple(r for r in cluster if r != alpha)
     base = [sum(col) for col in zip(*facet)]
+    m = 2
     # the neighbouring real cone holds m*sum(F) - alpha for large m; real
     # exchanges stop by m = 8, so m = 2^64 is reached only by a broken model
-    for m in (2 ** k for k in range(1, 65)):
+    while m <= 2 ** 64:
         support = set(cluster_expansion(cc, [m * b - a for b, a in zip(base, alpha)]))
         if support.issuperset(facet):
             (beta,) = support - set(facet)
             return beta, tuple(sorted(facet + (beta,)))
+        m *= 2
     raise AssertionError("exchange probe cap exhausted")
 
 

@@ -20,10 +20,9 @@ orientations and their classes, and the memos of the deformed maps sigma_s
 and tau_c, which compute each image once per context.
 
 Each public method admits each root argument once, through `member`, the one
-boundary of the almost-positive set, which returns the record of a member,
-stored once per context: (the root as a canonical int tuple, class, coroot
-coordinates, nu_c, nu_{c^-1}); internal steps reuse the roots they hold and
-run in ints.  The
+boundary of the almost-positive set, which returns its stored record (the
+root as a canonical int tuple, class, coroot coordinates, nu_c, nu_{c^-1});
+internal steps reuse the roots they hold and run in ints.  The
 tau-orbit walk of `orbit_classification` applies c^∓1, which is tau_c^±1
 off the transversals, until it meets a psi transversal, and stores nothing.
 

@@ -201,7 +201,7 @@ def in_simplicial_cone(gens, v):
     """Coefficients of v over independent generators if all nonnegative, else
     None: at once, with no elimination, when v has a sign at a coordinate
     that no generator has there, as no nonnegative combination has it."""
-    rows = [list(col) for col in zip(*gens)]
+    rows = list(zip(*gens))
     if len(rows) == len(v) and any(x > 0 and max(row) <= 0 or x < 0 and min(row) >= 0
                                    for row, x in zip(rows, v)):
         return None
