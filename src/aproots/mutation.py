@@ -12,10 +12,16 @@ high bits; multiplying two monomials is one addition, e1 + e2 - unit.
 
 Packed sums stay field by field only while every exponent fits its field,
 and no term-level check watches that.  Instead, each Seed variable carries
-its exact exponent ranges.  Seed.mutate bounds its exchange products from
-them and derives the ranges of its numerator, which poly_div_exact takes
-with the divisor's to bound its quotient, before any term is formed; an
-exponent that could leave its field raises DepthTooDeep.
+its exact exponent ranges, which bound the exchange products and the
+quotient before any term is formed; an exponent that could leave its field
+raises DepthTooDeep.  Seed.mutate derives the new variable's ranges from
+its factors' by the d-vector rule (Fomin and Zelevinsky, Cluster algebras
+IV, 2007, (7.7)), d'_k = -d_k + max(sum_i [b_ik]_+ d_i, sum_i [-b_ik]_+ d_i)
+entry by entry, with d = -lo and d(x_i) = -e_i; read on the highest
+exponents, it gives those.  It is exact: lowest and highest forms multiply,
+and both halves of the exchange binomial have only positive coefficients
+(Laurent positivity, Gross-Hacking-Keel-Kontsevich 2018), so no term of
+their sum cancels.  So d-vectors alone replay mutations (mutate_d_vectors).
 
 A seed keeps no coefficient variables.  Setting every y_j to 1 is a ring
 map that commutes with the exchange relation, and the principal-coefficient
@@ -34,7 +40,7 @@ and hashable keys.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add
 
 from .errors import DepthTooDeep, NonExactDivision, NotSignCoherent
 
@@ -201,6 +207,26 @@ def matrix_mutation(btilde: tuple, k: int) -> tuple:
     return tuple(rows)
 
 
+def d_vector_rule(bcol, vecs, k: int) -> tuple:
+    """-v_k + max(sum_i [b_ik]_+ v_i, sum_i [-b_ik]_+ v_i), entry by entry,
+    for column k of B: the d-vector rule of the module docstring."""
+    pairs = [(b, v) for b, v in zip(bcol, vecs) if b]
+    return tuple(max(sum(b * v[j] for b, v in pairs if b > 0),
+                     sum(-b * v[j] for b, v in pairs if b < 0)) - x
+                 for j, x in enumerate(vecs[k]))
+
+
+def mutate_d_vectors(btilde: tuple, dvecs: tuple, k: int) -> tuple:
+    """(B̃, d-vectors) mutated at k: a seed's exchange matrix and d-vectors
+    without its polynomials.  Raises NotSignCoherent if c-vector k, column k
+    of the C under B, has entries of both signs."""
+    ccol = [row[k] for row in btilde[len(dvecs):]]
+    if min(ccol) < 0 < max(ccol):
+        raise NotSignCoherent(f"c-vector {k + 1} has entries of both signs")
+    d = d_vector_rule([row[k] for row in btilde[:len(dvecs)]], dvecs, k)
+    return matrix_mutation(btilde, k), dvecs[:k] + (d,) + dvecs[k + 1:]
+
+
 class Seed:
     """Exchange matrix over its C-matrix, a coefficient-free Laurent cluster
     and the cluster's g-vectors.
@@ -231,39 +257,31 @@ class Seed:
 
     def mutate(self, k: int) -> "Seed":
         n = self.n
-        col = [row[k] for row in self.btilde]
-        bcol, ccol = col[:n], col[n:]
-        if min(ccol) < 0 < max(ccol):
-            raise NotSignCoherent(f"c-vector {k + 1} has entries of both signs")
-        eps = 1 if max(ccol) > 0 else -1
+        _, dvecs, ranges = zip(*self._info)
+        btilde, dvecs = mutate_d_vectors(self.btilde, dvecs, k)
+        bcol = [row[k] for row in self.btilde[:n]]
+        eps = 1 if max(row[k] for row in self.btilde[n:]) > 0 else -1
         # no exponent of any partial exchange product exceeds this in absolute value
-        reach = sum(abs(c) * max(map(abs, lo + hi))
-                    for c, (_, _, (lo, hi)) in zip(bcol, self._info))
+        reach = sum(abs(c) * max(map(abs, lo + hi)) for c, (lo, hi) in zip(bcol, ranges))
         if reach >= _limit():
             raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
-        # lowest and highest forms multiply, so a product's ranges are the sums
-        # of its factors'.  Both halves have only positive coefficients (Laurent
-        # positivity, Gross-Hacking-Keel-Kontsevich 2018), so no term of their
-        # sum cancels: the numerator's ranges are the union of the halves', and
-        # the quotient's are the differences from the divisor's
+        # the new ranges by the d-vector rule (dvecs[k] is minus the lowest
+        # exponents); the numerator's are their sums with the divisor's
+        lo = tuple(-x for x in dvecs[k])
+        hi = d_vector_rule(bcol, [h for _, h in ranges], k)
+        qlo, qhi = ranges[k]
         halves = []
         for sign in (1, -1):
-            lo = hi = [0] * n
             poly = None
             for i, c in enumerate(bcol):
                 for _ in range(sign * c):
                     poly = self.polys[i] if poly is None else poly_mul(poly, self.polys[i], n)
-                    ilo, ihi = self._info[i][2]
-                    lo, hi = list(map(add, lo, ilo)), list(map(add, hi, ihi))
-            halves.append(({pack(lo): 1} if poly is None else poly, lo, hi))
-        (plus, plo, phi), (minus, mlo, mhi) = halves
-        nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
-        qlo, qhi = self._info[k][2]
-        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], n,
-                                 (nlo, nhi), (qlo, qhi))
-        newrange = tuple(map(sub, nlo, qlo)), tuple(map(sub, nhi, qhi))
+            halves.append({pack([0] * n): 1} if poly is None else poly)
+        newpoly = poly_div_exact(poly_add(*halves), self.polys[k], n,
+                                 (tuple(map(add, lo, qlo)), tuple(map(add, hi, qhi))),
+                                 (qlo, qhi))
         # g'_k = -g_k + sum_i [-eps * b_ik]_+ g_i, which needs sign-coherent
-        # c-vectors (Gross-Hacking-Keel-Kontsevich 2018, hence the check above)
+        # c-vectors (Gross-Hacking-Keel-Kontsevich 2018, hence mutate_d_vectors' check)
         g = [-x for x in self.g_vector(k)]
         for i, c in enumerate(bcol):
             if -eps * c > 0:
@@ -271,9 +289,8 @@ class Seed:
         polys = list(self.polys)
         polys[k] = newpoly
         info = list(self._info)
-        info[k] = _describe(newpoly, tuple(g), newrange)
-        return Seed(n, matrix_mutation(self.btilde, k), polys, tuple(info),
-                    self.history + (k,))
+        info[k] = _describe(newpoly, tuple(g), (lo, hi))
+        return Seed(n, btilde, polys, tuple(info), self.history + (k,))
 
     def key(self) -> frozenset:
         """The unordered set of the seed's variable keys."""
@@ -302,6 +319,8 @@ def seed_bfs(b: tuple, depth: int):
     representative each; edges as key pairs of the mutation graph.  A seed
     is never mutated at the last letter of its history: mutation is an
     involution, so that gives back its parent, whose edge is already in.
+    Each representative's history extends an earlier one's by one letter:
+    only representatives are mutated, level by level.
     """
     start = Seed.initial(b)
     reps = {start.key(): start}

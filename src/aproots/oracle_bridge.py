@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import compatibility as compat
 from .clusters import REAL, is_cluster, nu, real_clusters
 from .coxeter import CoxeterContext
-from .mutation import Seed, exchange_matrix_from_cartan, seed_bfs
+from .mutation import exchange_matrix_from_cartan, initial_btilde, mutate_d_vectors, seed_bfs
 
 
 def verify_bijection(cc: CoxeterContext, depth: int) -> dict:
@@ -94,65 +94,44 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     """Compare re-rooted denominator vectors with compatibility-degree
     vectors; a mismatch is reported, never raised.
 
-    Re-rooting at seed' starts a fresh seed at its exchange matrix b' and
-    mutates back along its history, then out along the other seed's.
-    Mutation is an involution, so only the reduced word (equal adjacent
-    letters cancelled) matters.  Seeds with the same b' share one memo of
-    replays keyed by reduced word, dropped after the last of them."""
+    Re-rooting at seed_prime replays (B̃, d-vector) pairs by
+    `mutate_d_vectors`, with no polynomial, from its exchange matrix b' over
+    the identity and the initial d-vectors -e_i.  The replay walks back
+    along seed_prime's history once, to the initial seed, then down the BFS
+    tree: each seed's history extends an earlier seed's by one letter
+    (`seed_bfs`), so a dict keyed by history gets each replay in one step
+    from its parent's."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
     reps, _ = seed_bfs(b, depth)
-    last = {seed.btilde[:seed.n]: seed for seed in reps.values()}
-    memos = {}          # b' -> {reduced word: replayed seed}
+    n = len(b)
+    start = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
     comparisons = 0
     mismatches = []
     for seed_prime in reps.values():
-        beta_labels = [seed_prime.d_vector(i) for i in range(seed_prime.n)]
-        b_prime = seed_prime.btilde[:seed_prime.n]
-        memo = memos.setdefault(b_prime, {})
-        back = seed_prime.history[::-1]
-
-        def replay_at(word):
-            seed = memo.get(word)
-            if seed is None:
-                seed = memo[word] = (replay_at(word[:-1]).mutate(word[-1]) if word
-                                     else Seed.initial(b_prime))
-            return seed
-
+        beta_labels = [seed_prime.d_vector(i) for i in range(n)]
+        state = initial_btilde(seed_prime.btilde[:n]), start
+        for k in reversed(seed_prime.history):
+            state = mutate_d_vectors(*state, k)
+        replays = {(): state}
         degrees = {}    # beta -> its degrees against seed_prime's labels
-        # seed_bfs adds the seeds level by level, so in order of history length
         for other in reps.values():
-            replay = replay_at(_reduced(back + other.history))
-            for slot in range(other.n):
-                beta = other.d_vector(slot)
-                d_prime = replay.d_vector(slot)
+            word = other.history
+            if word:
+                replays[word] = mutate_d_vectors(*replays[word[:-1]], word[-1])
+            dvecs = replays[word][1]
+            for slot in range(n):
+                beta, d_prime = other.d_vector(slot), dvecs[slot]
                 expected = degrees.get(beta)
                 if expected is None:
                     expected = degrees[beta] = tuple(
                         compat.degree(cc, label, beta) for label in beta_labels)
                 comparisons += 1
                 if d_prime != expected:
-                    mismatches.append({
-                        "seed": seed_prime.history,
-                        "variable": beta,
-                        "denominator": d_prime,
-                        "degrees": expected,
-                    })
-        if last[b_prime] is seed_prime:
-            del memos[b_prime]
+                    mismatches.append({"seed": seed_prime.history, "variable": beta,
+                                       "denominator": d_prime, "degrees": expected})
     return {
         "comparisons": comparisons,
         "mismatches": mismatches,
         "match_fraction": 1.0 if not comparisons
         else (comparisons - len(mismatches)) / comparisons,
     }
-
-
-def _reduced(word) -> tuple:
-    """A mutation word with equal adjacent letters cancelled."""
-    out = []
-    for k in word:
-        if out and out[-1] == k:
-            out.pop()
-        else:
-            out.append(k)
-    return tuple(out)

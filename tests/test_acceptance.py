@@ -266,18 +266,23 @@ def test_doubled_mark_reports_a_planted_wrong_degree_against_delta(monkeypatch):
 
 def test_conjecture_reports_a_planted_mismatching_d_vector(monkeypatch):
     planted = []
+    mutate_d_vectors = oracle_bridge.mutate_d_vectors
 
-    class WrongOnce(oracle_bridge.Seed):
-        """The replayed seeds start here; the first d-vector read off one is off."""
+    class WrongOnce(tuple):
+        """A replay's d-vectors; the first one read off any replay is off."""
 
-        def d_vector(self, slot):
-            d = super().d_vector(slot)
+        def __getitem__(self, slot):
+            d = super().__getitem__(slot)
             if not planted:
                 planted.append(d)
                 return (d[0] + 1,) + d[1:]
             return d
 
-    monkeypatch.setattr(oracle_bridge, "Seed", WrongOnce)
+    def replayed(btilde, dvecs, k):
+        btilde, dvecs = mutate_d_vectors(btilde, dvecs, k)
+        return btilde, WrongOnce(dvecs)
+
+    monkeypatch.setattr(oracle_bridge, "mutate_d_vectors", replayed)
     rows = CRITERIA["conjecture"]()
     assert planted
     failed = [(row["name"], row["detail"]) for row in rows if not row["ok"]]

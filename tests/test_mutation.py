@@ -16,14 +16,16 @@ from aproots.mutation import (
     exchange_matrix_from_cartan,
     initial_btilde,
     matrix_mutation,
+    mutate_d_vectors,
     pack,
     poly_add,
     poly_div_exact,
     poly_mul,
     seed_bfs,
 )
+from aproots.verification import RANK2_LABELS
 
-from strategies import affine_for, run_here, run_python_O
+from strategies import affine_for, cc_for, coxeter_contexts, run_here, run_python_O
 
 
 def packed(p):
@@ -564,6 +566,59 @@ def test_mixed_sign_c_vector_raises():
     seed.btilde = tuple(map(tuple, rows))
     with pytest.raises(NotSignCoherent):
         seed.mutate(k)
+
+
+def d_state(seed):
+    """A seed's (B̃, d-vectors): what a d-vector replay carries."""
+    return seed.btilde, tuple(seed.d_vector(s) for s in range(seed.n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.sampled_from(RANK2_LABELS).map(cc_for), coxeter_contexts()), st.data())
+def test_d_vector_replay_follows_seed_mutation(cc, data):
+    b = exchange_matrix_from_cartan(cc.cm, cc.word)
+    depth2 = data.draw(st.sampled_from(list(seed_bfs(b, 2)[0].values())))
+    letters = st.lists(st.integers(0, cc.n - 1), max_size=6)
+    for start in (b, depth2.btilde[:cc.n]):
+        seed = Seed.initial(start)
+        state = d_state(seed)
+        for k in data.draw(letters):
+            new = mutate_d_vectors(*state, k)
+            assert mutate_d_vectors(*new, k) == state
+            seed, state = seed.mutate(k), new
+            assert state == d_state(seed)
+            # and the d-vectors are the polynomials' lowest exponents
+            assert all(seed._info[s][2] == _ranges(p, seed.n) for s, p in enumerate(seed.polys))
+
+
+@pytest.mark.parametrize("label", catalog_labels(4))
+def test_every_bfs_history_extends_an_earlier_one_by_a_letter(label):
+    b, _, _ = b_for(label)
+    seen = set()
+    for seed in seed_bfs(b, 4)[0].values():
+        assert not seed.history or seed.history[:-1] in seen, seed.history
+        seen.add(seed.history)
+
+
+def test_replays_keep_the_c_vector_guard(monkeypatch):
+    b, _, _ = b_for("D3(2)")
+    n = len(b)
+    mutate = mutation.matrix_mutation
+
+    def mixed(btilde, k):
+        # plant c-vector 1 with entries of both signs
+        rows = [list(row) for row in mutate(btilde, k)]
+        rows[n][0], rows[n + 1][0] = 1, -1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(mutation, "matrix_mutation", mixed)
+    seed = Seed.initial(b).mutate(1)
+    state = mutate_d_vectors(*d_state(Seed.initial(b)), 1)
+    assert state == d_state(seed)
+    with pytest.raises(NotSignCoherent):
+        seed.mutate(0)
+    with pytest.raises(NotSignCoherent):
+        mutate_d_vectors(*state, 0)
 
 
 def test_source_sink_mutation_transports_denominators():

@@ -12,7 +12,7 @@ from aproots.oracle_bridge import (
     exchange_graphs_agree,
     verify_bijection,
 )
-from aproots.verification import RANK3_LABELS
+from aproots.verification import RANK2_LABELS, RANK3_LABELS, RANK4_LABELS
 
 from strategies import affine_for, cc_for
 
@@ -95,7 +95,8 @@ def reference_verify_bijection(cc, depth):
 
 def reference_conjecture_evidence(cc, depth):
     """conjecture_evidence as it was when each seed' re-rooted along its
-    whole history and replayed every other seed's unreduced history."""
+    whole history and replayed every other seed's unreduced history, on
+    Laurent seeds: every re-rooted mutation divides exactly."""
     b = exchange_matrix_from_cartan(cc.cm, cc.word)
     reps, _ = seed_bfs(b, depth)
     by_length = sorted(reps.values(), key=lambda seed: len(seed.history))
@@ -128,10 +129,11 @@ def catalog_and_reversed(label):
     return [CoxeterContext(ctx, w) for w in (word, tuple(reversed(word)))]
 
 
-@pytest.mark.parametrize("label", RANK3_LABELS)
+@pytest.mark.parametrize("label", RANK3_LABELS + RANK2_LABELS + RANK4_LABELS)
 def test_shared_replays_match_the_per_seed_reference(label):
+    depth = 2 if label in RANK4_LABELS else 3
     for cc in catalog_and_reversed(label):
-        assert conjecture_evidence(cc, 3) == reference_conjecture_evidence(cc, 3)
+        assert conjecture_evidence(cc, depth) == reference_conjecture_evidence(cc, depth)
 
 
 @pytest.mark.parametrize("label", RANK3_LABELS)
