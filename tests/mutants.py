@@ -4,12 +4,14 @@ For each mutant the script copies `src`, `tests`, `perfbench` (which the
 caller checks of `tests/test_roots.py` read) and `pyproject.toml` to a
 temporary directory, replaces one text in one file of the copy, runs the
 mutant's target test files there with `-x`, and prints KILLED (a test
-failed) or SURVIVED (every test passed) with the time the run took.  An old
+failed), SURVIVED (every test passed) or TIMEOUT (the run passed TIME_LIMIT
+seconds and was stopped) with the time the run took.  An old
 text that does not occur exactly once in its file stops the script: the
 list has gone stale.  The mutants of EQUIVALENT change no answer, each for
 the reason it gives; they run too, and their survival is expected.  The exit
-status is 1 when a mutant of MUTANTS survived.  It uses only the standard
-library and pytest, and pytest does not collect it.
+status is 1 when a mutant of MUTANTS survived or timed out: a run stopped at
+TIME_LIMIT is not a kill.  It uses only the standard library and pytest, and
+pytest does not collect it.
 
     python tests/mutants.py [NAME ...]
 
@@ -25,6 +27,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# seconds one mutant's test run may take; a run cut there reports TIMEOUT
+TIME_LIMIT = 300
 CARTAN = "src/aproots/cartan.py"
 CLUSTERS = "src/aproots/clusters.py"
 COMPAT = "src/aproots/compatibility.py"
@@ -32,6 +36,7 @@ COXETER = "src/aproots/coxeter.py"
 EXPANSION = "src/aproots/expansion.py"
 LINALG = "src/aproots/linalg.py"
 MUTATION = "src/aproots/mutation.py"
+ORACLE = "src/aproots/oracle_bridge.py"
 # the property test draws its labels; the corpus holds every one of them
 REAL_ROOTS_TESTS = ["tests/test_cartan.py::test_real_roots_translate_the_window_in_any_node_order",
                     "tests/test_golden.py"]
@@ -119,6 +124,20 @@ MUTANTS = [
     ("the shared-generator test reading the wrong cone", CLUSTERS,
      "if g in gens2 or cone_contains", "if g in gens1 or cone_contains",
      ["tests/test_golden.py"]),
+    ("max read as min in the d-vector rule", MUTATION,
+     "return tuple(max(sum(", "return tuple(min(sum(",
+     ["tests/test_oracle_bridge.py"]),
+    ("the replay started at the initial B instead of B'", ORACLE,
+     "state = initial_btilde(seed_prime.btilde[:n]), start",
+     "state = initial_btilde(b), start",
+     ["tests/test_oracle_bridge.py"]),
+    ("the replay skipping the walk back along seed prime's history", ORACLE,
+     "for k in reversed(seed_prime.history):", "for k in ():",
+     ["tests/test_oracle_bridge.py"]),
+    # the catalog puts the affine node last, so only relabeled nodes tell them apart
+    ("the finite parabolic filtered by the last node, not the affine node", COXETER,
+     "if r[ctx.aff] == 0 and", "if r[-1] == 0 and",
+     ["tests/test_invariance.py"]),
 ]
 
 # (name, file, old text, new text, target test files, why no answer changes)
@@ -150,9 +169,12 @@ def run(name, path, old, new, targets):
         mutated.write_text(text.replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
-            cwd=tree, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIME_LIMIT)
+        except subprocess.TimeoutExpired:
+            return "TIMEOUT", time.perf_counter() - t0
         elapsed = time.perf_counter() - t0
     if proc.returncode == 1:
         return "KILLED", elapsed
@@ -167,13 +189,13 @@ def main(names):
     chosen = [m for m in every if not names or m[0] in names]
     if names and len(chosen) != len(names):
         sys.exit(f"unknown mutants: {sorted(set(names) - {m[0] for m in every})}")
-    survived = 0
+    unkilled = 0
     for *mutant, reason in chosen:
         verdict, elapsed = run(*mutant)
-        survived += verdict == "SURVIVED" and reason is None
+        unkilled += verdict != "KILLED" and reason is None
         note = f" (equivalent: {reason})" if reason else ""
         print(f"{verdict:<8} {elapsed:6.1f} s  {mutant[0]}{note}", flush=True)
-    return 1 if survived else 0
+    return 1 if unkilled else 0
 
 
 if __name__ == "__main__":
