@@ -259,7 +259,7 @@ _TYPES = (
 )
 
 
-def catalog_labels(max_rank: int = 8):
+def catalog_labels(max_rank: int):
     """All supported catalog labels up to the given rank (capped at the
     catalog's largest rank), in a stable order."""
     labels = []

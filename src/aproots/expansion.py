@@ -113,15 +113,15 @@ def _divided(terms, m):
 # rotation to a nonpositive coordinate
 # ---------------------------------------------------------------------------
 
-def _rotate(cm, word, v, active, cap, sink=False):
+def _rotate(cm, word, v, cap, sink=False):
     """Source moves (sink moves when `sink`) until a coordinate of v on the
-    `active` letters is nonpositive; at most `cap` of them.
+    letters of `word` is nonpositive; at most `cap` of them.
 
     Letters come off `word` cyclically (from its end for sink moves); s sets
     v[s] -= sum of a_sj·v[j], so only v[s] needs a test after the first scan.
     Returns (letters, rotated_vector, rotated_word).
     """
-    for i in active:
+    for i in word:
         if v[i] <= 0:
             return [], v, list(word)
     v = list(v)
@@ -158,7 +158,7 @@ def rotate_affine(cc: CoxeterContext, v, sign):
     else:
         height = sum(abs(x) for x in v)
         cap = 64 * cc.n * (1 + int(height)) + 8 * cc.n * cc.m_bound
-    return _rotate(cc.cm, cc.word, v, range(cc.n), cap, sink=sign < 0)
+    return _rotate(cc.cm, cc.word, v, cap, sink=sign < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def expand_in_parabolic(cc: CoxeterContext, word, v):
     if a coordinate is nonpositive), split, recursed on and pulled back.
     """
     k = len(word)
-    letters, v, word = _rotate(cc.cm, word, v, word, 64 * k * k + 64)
+    letters, v, word = _rotate(cc.cm, word, v, 64 * k * k + 64)
     terms, sub = {}, []
     for i in word:
         if v[i] < 0:

@@ -11,17 +11,18 @@ the monomial 1 (every field at its bias) is also the mask of the fields'
 high bits; multiplying two monomials is one addition, e1 + e2 - unit.
 
 Packed sums stay field by field only while every exponent fits its field,
-and no term-level check watches that.  Instead, each Seed variable carries
-its exact exponent ranges, which bound the exchange products and the
-quotient before any term is formed; an exponent that could leave its field
-raises DepthTooDeep.  Seed.mutate derives the new variable's ranges from
-its factors' by the d-vector rule (Fomin and Zelevinsky, Cluster algebras
-IV, 2007, (7.7)), d'_k = -d_k + max(sum_i [b_ik]_+ d_i, sum_i [-b_ik]_+ d_i)
-entry by entry, with d = -lo and d(x_i) = -e_i; read on the highest
-exponents, it gives those.  It is exact: lowest and highest forms multiply,
-and both halves of the exchange binomial have only positive coefficients
-(Laurent positivity, Gross-Hacking-Keel-Kontsevich 2018), so no term of
-their sum cancels.  So d-vectors alone replay mutations (mutate_d_vectors).
+and no term-level check watches that.  Instead, each Seed variable's exact
+exponent ranges bound the exchange products and the quotient before any
+term is formed; an exponent that could leave its field raises DepthTooDeep.
+The lowest exponents are minus the d-vector, and the d-vector rule (Fomin
+and Zelevinsky, Cluster algebras IV, 2007, (7.7)),
+d'_k = -d_k + max(sum_i [b_ik]_+ d_i, sum_i [-b_ik]_+ d_i) entry by entry,
+with d(x_i) = -e_i, read on the highest exponents gives those.  It is exact:
+lowest and highest forms multiply, and both halves of the exchange binomial
+have only positive coefficients (Laurent positivity,
+Gross-Hacking-Keel-Kontsevich 2018), so no term of their sum cancels.  So a
+seed's tropical state is the (B̃, d-vectors) pair that mutate_d_vectors
+steps, and Seed.mutate steps its own pair by it.
 
 A seed keeps no coefficient variables.  Setting every y_j to 1 is a ring
 map that commutes with the exchange relation, and the principal-coefficient
@@ -40,7 +41,7 @@ and hashable keys.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import add, sub
 
 from .errors import DepthTooDeep, NonExactDivision, NotSignCoherent
 
@@ -102,13 +103,13 @@ def poly_mul(p: dict, q: dict, nvars: int) -> dict:
     return out
 
 
-def poly_div_exact(p: dict, q: dict, nvars: int, prange, qrange) -> dict:
+def poly_div_exact(p: dict, q: dict, prange, qrange) -> dict:
     """Exact division of Laurent polynomials; raises NonExactDivision.
 
-    `prange` and `qrange` are per-variable exponent ranges (lo, hi): exact
-    for q, exact or enclosing for p.  Lowest and highest exponents add under
-    multiplication, so every term of an exact quotient lies in the box
-    lo(p) - lo(q) .. hi(p) - hi(q), variable by variable.  A quotient term
+    `prange` and `qrange` are exponent ranges (lo, hi), one entry per
+    variable: exact for q, exact or enclosing for p.  Lowest and highest
+    exponents add under multiplication, so every term of an exact quotient
+    lies in the box lo(p) - lo(q) .. hi(p) - hi(q), variable by variable.  A quotient term
     outside the box proves the division inexact; inside it, every remainder
     term stays within p's box.
 
@@ -123,7 +124,7 @@ def poly_div_exact(p: dict, q: dict, nvars: int, prange, qrange) -> dict:
     (plo, phi), (qlo, qhi) = prange, qrange
     if max(map(abs, (*plo, *phi, *qlo, *qhi))) >= _limit():
         raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
-    unit = pack([0] * nvars)   # the monomial 1; also the mask of the fields' high bits
+    unit = pack([0] * len(plo))   # the monomial 1; also the mask of the fields' high bits
     low = pack([a - b for a, b in zip(plo, qlo)])
     high = pack([a - b for a, b in zip(phi, qhi)])
     lead_q = max(q)
@@ -231,45 +232,48 @@ class Seed:
     """Exchange matrix over its C-matrix, a coefficient-free Laurent cluster
     and the cluster's g-vectors.
 
-    `btilde` stacks B over C, the c-vectors as C's columns.  Each variable's
-    hashable key (its g-vector and terms), d-vector and exponent ranges are
-    computed once, when the variable is made, and shared by every seed that
-    mutation carries it into."""
+    `btilde` and `dvecs` are the seed's tropical state, the pair that
+    `mutate_d_vectors` steps: B stacked over C, the c-vectors as C's
+    columns, and the variables' d-vectors.  Each variable's hashable key
+    (its g-vector and terms) and highest exponents are computed once, when
+    the variable is made, and shared by every seed that mutation carries it
+    into."""
 
-    __slots__ = ("n", "btilde", "polys", "history", "_info", "_key")
+    __slots__ = ("n", "btilde", "dvecs", "polys", "history", "_info", "_key")
 
-    def __init__(self, n, btilde, polys, info, history=()):
-        self.n = n
+    def __init__(self, btilde, dvecs, polys, info, history=()):
+        self.n = len(polys)
         self.btilde = btilde
+        self.dvecs = dvecs
         self.polys = tuple(polys)
         self.history = tuple(history)
-        # per slot: ((g-vector, terms) key, d-vector, (lo, hi) exponent ranges)
+        # per slot: ((g-vector, terms) key, highest exponents)
         self._info = info
-        self._key = frozenset(key for key, _, _ in info)
+        self._key = frozenset(key for key, _ in info)
 
     @classmethod
     def initial(cls, b: tuple) -> "Seed":
         n = len(b)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         polys = [{pack(e): 1} for e in units]
-        return cls(n, initial_btilde(b), polys,
-                   tuple(_describe(p, e, (e, e)) for p, e in zip(polys, units)))
+        return cls(initial_btilde(b), tuple(tuple(-x for x in e) for e in units), polys,
+                   tuple(((e, frozenset(p.items())), e) for p, e in zip(polys, units)))
 
     def mutate(self, k: int) -> "Seed":
         n = self.n
-        _, dvecs, ranges = zip(*self._info)
-        btilde, dvecs = mutate_d_vectors(self.btilde, dvecs, k)
+        btilde, dvecs = mutate_d_vectors(self.btilde, self.dvecs, k)
         bcol = [row[k] for row in self.btilde[:n]]
         eps = 1 if max(row[k] for row in self.btilde[n:]) > 0 else -1
+        highs = [hi for _, hi in self._info]
         # no exponent of any partial exchange product exceeds this in absolute value
-        reach = sum(abs(c) * max(map(abs, lo + hi)) for c, (lo, hi) in zip(bcol, ranges))
+        reach = sum(abs(c) * max(map(abs, d + hi)) for c, d, hi in zip(bcol, self.dvecs, highs))
         if reach >= _limit():
             raise DepthTooDeep(f"exponents exceed a {FIELD_BITS}-bit field")
-        # the new ranges by the d-vector rule (dvecs[k] is minus the lowest
-        # exponents); the numerator's are their sums with the divisor's
-        lo = tuple(-x for x in dvecs[k])
-        hi = d_vector_rule(bcol, [h for _, h in ranges], k)
-        qlo, qhi = ranges[k]
+        # the new highest exponents by the d-vector rule; the lowest are minus
+        # the new d-vector, and the numerator's ranges are their sums with
+        # the divisor's
+        hi = d_vector_rule(bcol, highs, k)
+        qlo, qhi = tuple(-x for x in self.dvecs[k]), highs[k]
         halves = []
         for sign in (1, -1):
             poly = None
@@ -277,8 +281,8 @@ class Seed:
                 for _ in range(sign * c):
                     poly = self.polys[i] if poly is None else poly_mul(poly, self.polys[i], n)
             halves.append({pack([0] * n): 1} if poly is None else poly)
-        newpoly = poly_div_exact(poly_add(*halves), self.polys[k], n,
-                                 (tuple(map(add, lo, qlo)), tuple(map(add, hi, qhi))),
+        newpoly = poly_div_exact(poly_add(*halves), self.polys[k],
+                                 (tuple(map(sub, qlo, dvecs[k])), tuple(map(add, hi, qhi))),
                                  (qlo, qhi))
         # g'_k = -g_k + sum_i [-eps * b_ik]_+ g_i, which needs sign-coherent
         # c-vectors (Gross-Hacking-Keel-Kontsevich 2018, hence mutate_d_vectors' check)
@@ -289,8 +293,8 @@ class Seed:
         polys = list(self.polys)
         polys[k] = newpoly
         info = list(self._info)
-        info[k] = _describe(newpoly, tuple(g), (lo, hi))
-        return Seed(n, btilde, polys, tuple(info), self.history + (k,))
+        info[k] = (tuple(g), frozenset(newpoly.items())), hi
+        return Seed(btilde, dvecs, polys, tuple(info), self.history + (k,))
 
     def key(self) -> frozenset:
         """The unordered set of the seed's variable keys."""
@@ -301,15 +305,10 @@ class Seed:
         return self._info[slot][0]
 
     def d_vector(self, slot: int) -> tuple:
-        return self._info[slot][1]
+        return self.dvecs[slot]
 
     def g_vector(self, slot: int) -> tuple:
         return self._info[slot][0][0]
-
-
-def _describe(p: dict, g: tuple, ranges) -> tuple:
-    """(key, d-vector, exponent ranges) of a nonzero variable."""
-    return (g, frozenset(p.items())), tuple(-m for m in ranges[0]), ranges
 
 
 def seed_bfs(b: tuple, depth: int):

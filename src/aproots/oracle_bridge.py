@@ -92,7 +92,8 @@ def exchange_graphs_agree(cc: CoxeterContext, depth: int) -> dict:
 
 def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
     """Compare re-rooted denominator vectors with compatibility-degree
-    vectors; a mismatch is reported, never raised.
+    vectors, each degree read through `compat.degree` and its cache; a
+    mismatch is reported, never raised.
 
     Re-rooting at seed_prime replays (B̃, d-vector) pairs by
     `mutate_d_vectors`, with no polynomial, from its exchange matrix b' over
@@ -113,7 +114,6 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
         for k in reversed(seed_prime.history):
             state = mutate_d_vectors(*state, k)
         replays = {(): state}
-        degrees = {}    # beta -> its degrees against seed_prime's labels
         for other in reps.values():
             word = other.history
             if word:
@@ -121,10 +121,7 @@ def conjecture_evidence(cc: CoxeterContext, depth: int) -> dict:
             dvecs = replays[word][1]
             for slot in range(n):
                 beta, d_prime = other.d_vector(slot), dvecs[slot]
-                expected = degrees.get(beta)
-                if expected is None:
-                    expected = degrees[beta] = tuple(
-                        compat.degree(cc, label, beta) for label in beta_labels)
+                expected = tuple(compat.degree(cc, label, beta) for label in beta_labels)
                 comparisons += 1
                 if d_prime != expected:
                     mismatches.append({"seed": seed_prime.history, "variable": beta,

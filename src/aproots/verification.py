@@ -200,9 +200,9 @@ def criterion_axioms(labels=None, level=3):
 # criterion 4: unique expansions against brute force
 # ---------------------------------------------------------------------------
 
-def _sample_vector(rng, cone, nterms):
-    coeffs = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(nterms)]
-    gens = rng.sample(list(cone), nterms)
+def _sample_vector(rng, cone):
+    coeffs = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in cone]
+    gens = rng.sample(list(cone), len(cone))
     v = [0] * len(cone[0])
     for c, g in zip(coeffs, gens):
         for i, x in enumerate(g):
@@ -227,7 +227,7 @@ def criterion_expansion_oracle(labels=None, samples=500, depth=6):
                 cone = imag[rng.randrange(len(imag))]
             else:
                 cone = real[rng.randrange(len(real))]
-            v, expected = _sample_vector(rng, cone, len(cone))
+            v, expected = _sample_vector(rng, cone)
             terms = cluster_expansion(cc, v)
             if terms != expected:
                 bad += 1

@@ -138,6 +138,20 @@ MUTANTS = [
     ("the finite parabolic filtered by the last node, not the affine node", COXETER,
      "if r[ctx.aff] == 0 and", "if r[-1] == 0 and",
      ["tests/test_invariance.py"]),
+    ("Seed.mutate storing the parent's d-vectors", MUTATION,
+     "return Seed(btilde, dvecs, polys,", "return Seed(btilde, self.dvecs, polys,",
+     ["tests/test_mutation.py"]),
+    ("the quotient box's lowest exponents from the parent's d-vector", MUTATION,
+     "tuple(map(sub, qlo, dvecs[k]))", "tuple(map(sub, qlo, self.dvecs[k]))",
+     ["tests/test_golden.py"]),
+    # a bisection down the delta-string: log k more admissions at delta-height k
+    ("root_info also admitting the root halfway down its delta-string", COXETER,
+     "        return record\n\n    def _classify",
+     "        h = min(x // d for x, d in zip(v, self.ctx.delta) if d)\n"
+     "        if h > 1:\n"
+     "            self.root_info(tuple(x - h // 2 * d for x, d in zip(v, self.ctx.delta)))\n"
+     "        return record\n\n    def _classify",
+     ["tests/test_clusters.py::test_delta_height_does_not_grow_the_work"]),
 ]
 
 # (name, file, old text, new text, target test files, why no answer changes)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aproots.cartan import catalog_labels
+import aproots.cartan as cartan
+import aproots.linalg as linalg
+from aproots.cartan import catalog_labels, context_from_label
 from aproots.clusters import (
     IMAGINARY,
     REAL,
@@ -576,3 +578,50 @@ def test_rescaled_pair_has_matching_fans():
     assert mapped == real2
     mapped_imag = {tuple(sorted(convert(r) for r in cl)) for cl in imag1}
     assert mapped_imag == imag2
+
+
+def delta_height_work(monkeypatch, k):
+    """The counted work of `member`, `degree`, `nu` and `is_exchangeable` on
+    α₁ + k·δ and α₃ + k·δ in B3(1), on a fresh context: `root_info` misses,
+    `solve_general` calls, and the entries each memo gains."""
+    ctx, word = context_from_label("B3(1)")
+    cc = CoxeterContext(ctx, word)
+    v, w = (tuple(int(i == j) + k * d for i, d in enumerate(ctx.delta)) for j in (0, 2))
+    neg = ctx.neg_simples[0]
+    counts = {"root_info misses": 0, "solve_general": 0}
+    root_info, solve_general = cc.root_info, linalg.solve_general
+
+    def counted_root_info(u):
+        counts["root_info misses"] += u not in cc._root_info
+        return root_info(u)
+
+    def counted_solve_general(*args):
+        counts["solve_general"] += 1
+        return solve_general(*args)
+
+    def memo_sizes():
+        return (len(cc._root_info), len(cc.degree_cache),
+                sum(map(len, cc._sigma)), len(cc._tau))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cc, "root_info", counted_root_info)
+        for module in (cartan, linalg):
+            patch.setattr(module, "solve_general", counted_solve_general)
+        before = memo_sizes()
+        cc.member(v)
+        cc.member(w)
+        for a, b in ((v, w), (w, v), (neg, v), (v, neg), (v, ctx.delta)):
+            degree(cc, a, b)
+        nu(cc, v)
+        nu(cc, w)
+        is_exchangeable(cc, v, w)
+        is_exchangeable(cc, v, neg)
+        counts["memo growth"] = tuple(b - a for a, b in zip(before, memo_sizes()))
+    return counts
+
+
+def test_delta_height_does_not_grow_the_work(monkeypatch):
+    # the calls jump the δ-height, so k = 10 and k = 10**9 do the same work
+    small = delta_height_work(monkeypatch, 10)
+    assert small["root_info misses"] > 0 and small["memo growth"][1] > 0
+    assert delta_height_work(monkeypatch, 10**9) == small

@@ -528,7 +528,7 @@ def rotations(draw):
 @given(rotations())
 def test_the_rotation_kernel_matches_the_reflection_loop(case):
     cm, word, v, active, sink = case
-    assert (outcome(_rotate, cm, word, v, active, 200, sink)
+    assert (outcome(_rotate, cm, word, v, 200, sink)
             == outcome(reference_rotate, cm, word, v, active, 200, sink))
 
 
@@ -537,7 +537,7 @@ def test_the_rotation_cap_raises_when_more_letters_are_needed(v, sink):
     cc = cc_for("B3(1)")
     letters, rotated, word = rotate_affine(cc, v, cc.phi(v))
     assert (cc.phi(v) < 0) == sink and len(letters) > 20
-    args = cc.cm, cc.word, v, range(cc.n)
+    args = cc.cm, cc.word, v
     assert _rotate(*args, len(letters), sink) == (letters, rotated, word)
     with pytest.raises(AssertionError, match="rotation cap exhausted"):
         _rotate(*args, len(letters) - 1, sink)

@@ -63,6 +63,12 @@ def _ranges(p: dict, nvars: int):
     return tuple(min(f) - bias for f in fields), tuple(max(f) - bias for f in fields)
 
 
+def carried_ranges(seed, slot):
+    """A Seed variable's exponent ranges as the seed carries them: minus its
+    d-vector and its highest exponents."""
+    return tuple(-x for x in seed.d_vector(slot)), seed._info[slot][1]
+
+
 class NotHomogeneous(Exception):
     """A principal-coefficient variable whose terms differ in degree."""
 
@@ -115,8 +121,7 @@ class PrincipalSeed:
         (plus, plo, phi), (minus, mlo, mhi) = halves
         nlo, nhi = tuple(map(min, plo, mlo)), tuple(map(max, phi, mhi))
         qlo, qhi = self._info[k][2]
-        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], nvars,
-                                 (nlo, nhi), (qlo, qhi))
+        newpoly = poly_div_exact(poly_add(plus, minus), self.polys[k], (nlo, nhi), (qlo, qhi))
         newrange = (tuple(a - b for a, b in zip(nlo, qlo)),
                     tuple(a - b for a, b in zip(nhi, qhi)))
         polys = list(self.polys)
@@ -282,7 +287,7 @@ def test_positivity_observed():
 
 def divide(p, q, nvars):
     """poly_div_exact with both operands' exponent ranges read off by a scan."""
-    return poly_div_exact(p, q, nvars, _ranges(p, nvars), _ranges(q, nvars))
+    return poly_div_exact(p, q, _ranges(p, nvars), _ranges(q, nvars))
 
 
 def test_poly_division_exactness():
@@ -404,7 +409,7 @@ def test_carried_ranges_equal_a_scan(label):
         reps, _ = seed_bfs(b, 7)
         for seed in reps.values():
             for slot, p in enumerate(seed.polys):
-                assert seed._info[slot][2] == _ranges(p, seed.n)
+                assert _ranges(p, seed.n) == carried_ranges(seed, slot)
 
 
 def test_narrow_fields_raise_instead_of_wrapping(monkeypatch):
@@ -442,8 +447,7 @@ GUARDS = """
     x_plus_1 = {m.pack((1, 0)): 1, m.pack((0, 0)): 1}
     y_plus_3 = {m.pack((0, 1)): 1, m.pack((0, 0)): 3}
     try:
-        m.poly_div_exact(x_plus_1, y_plus_3, 2,
-                         ((0, 0), (1, 0)), ((0, 0), (0, 1)))
+        m.poly_div_exact(x_plus_1, y_plus_3, ((0, 0), (1, 0)), ((0, 0), (0, 1)))
     except NonExactDivision:
         print("NonExactDivision")
     seed = m.Seed.initial(((0, 2), (-2, 0)))
@@ -474,11 +478,11 @@ def test_poly_div_exact_guards():
     x_plus_1 = packed({(1, 0): 1, (0, 0): 1})
     box = ((0, 0), (1, 0))
     with pytest.raises(NonExactDivision):
-        poly_div_exact(x_plus_1, {}, 2, box, ((0, 0), (0, 0)))
-    assert poly_div_exact({}, x_plus_1, 2, ((0, 0), (0, 0)), box) == {}
+        poly_div_exact(x_plus_1, {}, box, ((0, 0), (0, 0)))
+    assert poly_div_exact({}, x_plus_1, ((0, 0), (0, 0)), box) == {}
     # exponent ranges at the field limit could overflow a field of the quotient
     with pytest.raises(DepthTooDeep):
-        poly_div_exact(x_plus_1, x_plus_1, 2, ((0, 0), (mutation._limit(), 0)), box)
+        poly_div_exact(x_plus_1, x_plus_1, ((0, 0), (mutation._limit(), 0)), box)
 
 
 def test_homogeneity_everywhere():
@@ -588,7 +592,8 @@ def test_d_vector_replay_follows_seed_mutation(cc, data):
             seed, state = seed.mutate(k), new
             assert state == d_state(seed)
             # and the d-vectors are the polynomials' lowest exponents
-            assert all(seed._info[s][2] == _ranges(p, seed.n) for s, p in enumerate(seed.polys))
+            assert all(_ranges(p, seed.n) == carried_ranges(seed, s)
+                       for s, p in enumerate(seed.polys))
 
 
 @pytest.mark.parametrize("label", catalog_labels(4))
